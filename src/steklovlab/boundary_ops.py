@@ -39,6 +39,9 @@ from .mesh import Mesh, SurfaceMesh
 _MID_BARY = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
 _TRI_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
 
+# most boundary edge dofs whose Gram block BoundaryGram.to_sparse densifies
+DENSE_LIMIT = 5000
+
 
 @dataclass
 class SurfaceOperatorSet:
@@ -70,12 +73,15 @@ class SurfaceOperatorSet:
         return self._lu
 
     def solve_mean_zero(self, rhs):
-        """Solve L p = rhs with lumped-mass mean zero; rhs must be compatible."""
+        """Solve L p = rhs with lumped-mass mean zero; rhs must be compatible.
+
+        A 2-D ``rhs`` is solved column by column (each column mean zero).
+        """
         lu = self._factor()
         rhs = np.asarray(rhs)
 
         def solve_real(b):
-            x = np.zeros(len(b))
+            x = np.zeros(b.shape)
             x[1:] = lu.solve(b[1:])
             return x
 
@@ -159,9 +165,8 @@ class BoundaryGram:
     dense boundary-edge block for oracle runs on small meshes.
     """
 
-    def __init__(self, ops: SurfaceOperatorSet, dense_limit=5000):
+    def __init__(self, ops: SurfaceOperatorSet):
         self.ops = ops
-        self.dense_limit = dense_limit
         n = ops.n_edge_dofs
         self.shape = (n, n)
         self.dtype = np.dtype(np.float64)
@@ -182,17 +187,12 @@ class BoundaryGram:
         """Explicit symmetric CSR form (dense on the boundary-edge block)."""
         if self._sparse is None:
             bed = self.ops.mesh.boundary_edge_ids
-            if len(bed) > self.dense_limit:
+            if len(bed) > DENSE_LIMIT:
                 raise ValueError(
-                    f"{len(bed)} boundary edge dofs exceed the dense limit {self.dense_limit}"
+                    f"{len(bed)} boundary edge dofs exceed the dense limit {DENSE_LIMIT}"
                 )
             Db = np.asarray(self.ops.D[:, bed].todense())
-            lu = self.ops._factor()
-            X = np.zeros_like(Db)
-            X[1:] = lu.solve(Db[1:])
-            w = self.ops.lumped_mass
-            X -= (w @ X)[None, :] / w.sum()    # lumped-mean-zero shift per column
-            block = Db.T @ X
+            block = Db.T @ self.ops.solve_mean_zero(Db)
             block = 0.5 * (block + block.T)
             rows = np.repeat(bed, len(bed))
             cols = np.tile(bed, len(bed))
@@ -201,8 +201,8 @@ class BoundaryGram:
         return self._sparse
 
 
-def assemble_boundary_form(ops: SurfaceOperatorSet, dense_limit=5000) -> BoundaryGram:
+def assemble_boundary_form(ops: SurfaceOperatorSet) -> BoundaryGram:
     """The boundary Gram form for the Maxwell pencil; cached on the operator set."""
-    if ops._gram is None or ops._gram.dense_limit != dense_limit:
-        ops._gram = BoundaryGram(ops, dense_limit)
+    if ops._gram is None:
+        ops._gram = BoundaryGram(ops)
     return ops._gram

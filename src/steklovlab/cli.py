@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from .boundary_ops import assemble_surface_operators
 from .eigensolver import cluster, sector_census, solve_shift_invert
 from .errors import (
     AssumptionViolation,
@@ -40,11 +40,15 @@ from .errors import (
     MalformedMeshError,
     SolverFailure,
 )
-from .fem_maxwell import assemble_maxwell, kernelS_diagnostic
-from .fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic
 from .materials import PerturbationSpec, build_field, validate
-from .mesh import extract_boundary, generate_ball_mesh, generate_cube_mesh, load_mesh, save_mesh
-from .stability import StudySetup, run_study
+from .mesh import generate_ball_mesh, generate_cube_mesh, load_mesh, save_mesh
+from .stability import Problem, StudySetup, run_study
+
+# Not called here (stability.Problem builds every pencil); perfbench/tracing.py wraps them on cli.
+from .boundary_ops import assemble_surface_operators  # noqa: F401
+from .fem_maxwell import assemble_maxwell, kernelS_diagnostic  # noqa: F401
+from .fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic  # noqa: F401
+from .mesh import extract_boundary  # noqa: F401
 
 DEFAULT_CENSUS_DELTA = np.pi / 3.0
 
@@ -72,7 +76,6 @@ class RunConfig:
     sigma: complex = 1.0 + 0.0j
     k: int = 12
     tol: float = 1e-10
-    dense_limit: int = 3000
     seed: int = 0
     cluster_reltol: float = 1e-6
     krylov_dim: int | None = None
@@ -94,10 +97,7 @@ class RunConfig:
             raise ConfigError("config requires a 'mesh' object")
         if "path" not in mesh_spec and mesh_spec.get("kind") not in ("cube", "ball"):
             raise ConfigError("mesh needs 'path' or kind 'cube'/'ball'")
-        try:
-            omega = float(doc.get("omega", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"omega must be a number: {exc}") from exc
+        omega = _number(doc, "omega", 0.0)
         if problem == "maxwell" and omega == 0.0:
             raise ConfigError("omega must be nonzero for the maxwell problem")
 
@@ -106,33 +106,45 @@ class RunConfig:
             raise ConfigError("materials must provide 'mu_inv' and 'eps' region tables")
 
         perturbations = []
-        for i, p in enumerate(doc.get("perturbations", [])):
+        pert_docs = doc.get("perturbations", [])
+        if not isinstance(pert_docs, list):
+            raise ConfigError("perturbations must be a list")
+        for i, p in enumerate(pert_docs):
             try:
-                perturbations.append(PerturbationSpec(
+                spec = PerturbationSpec(
                     tuple(p["center"]),
                     float(p["h"]),
                     complex(p.get("delta_re", 0.0), p.get("delta_im", 0.0)),
                     p.get("target", "eps"),
-                ))
+                )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"perturbation #{i} invalid: {exc}") from exc
+            if not np.all(np.isfinite([*spec.center, spec.radius, spec.delta])):
+                raise ConfigError(f"perturbation #{i} invalid: values must be finite")
+            perturbations.append(spec)
 
-        solver = doc.get("solver", {})
-        sigma = complex(solver.get("sigma_re", 1.0), solver.get("sigma_im", 0.0))
-        k = int(solver.get("k", 12))
+        solver = _section(doc, "solver")
+        sigma = complex(_number(solver, "sigma_re", 1.0, "solver."),
+                        _number(solver, "sigma_im", 0.0, "solver."))
+        k = _number(solver, "k", 12, "solver.", int)
         if k < 1:
             raise ConfigError("solver.k must be >= 1")
-        tol = float(solver.get("tol", 1e-10))
-        census = doc.get("census", {})
-        diag = doc.get("diagnostics", {})
+        tol = _number(solver, "tol", 1e-10, "solver.")
+        if tol <= 0:
+            raise ConfigError(f"solver.tol must be > 0, got {tol}")
+        census = _section(doc, "census")
+        diag = _section(doc, "diagnostics")
 
         study = doc.get("study")
         if study is not None:
-            if not isinstance(study, dict) or "schedule" not in study:
+            if not isinstance(study, dict) or not isinstance(study.get("schedule"), list):
                 raise ConfigError("study section needs a 'schedule' list")
-            for p in study.get("p_list", [4.0]):
-                if float(p) < 1.0:
-                    raise ConfigError(f"study p values must be >= 1, got {p}")
+            try:
+                bad = [p for p in study.get("p_list", [4.0]) if not float(p) >= 1.0]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"study p_list must hold numbers: {exc}") from None
+            if bad:
+                raise ConfigError(f"study p values must be >= 1, got {bad[0]}")
 
         return cls(
             problem=problem,
@@ -143,16 +155,37 @@ class RunConfig:
             sigma=sigma,
             k=k,
             tol=tol,
-            dense_limit=int(solver.get("dense_limit", 3000)),
-            seed=int(solver.get("seed", 0)),
-            cluster_reltol=float(solver.get("cluster_reltol", 1e-6)),
-            krylov_dim=(None if solver.get("krylov_dim") is None else int(solver["krylov_dim"])),
-            max_krylov=(None if solver.get("max_krylov") is None else int(solver["max_krylov"])),
-            census_delta=float(census.get("delta", DEFAULT_CENSUS_DELTA)),
-            census_radius=(None if census.get("radius") is None else float(census["radius"])),
-            diag_threshold=float(diag.get("threshold", 1e-6)),
+            seed=_number(solver, "seed", 0, "solver.", int),
+            cluster_reltol=_number(solver, "cluster_reltol", 1e-6, "solver."),
+            krylov_dim=_number(solver, "krylov_dim", None, "solver.", int),
+            max_krylov=_number(solver, "max_krylov", None, "solver.", int),
+            census_delta=_number(census, "delta", DEFAULT_CENSUS_DELTA, "census."),
+            census_radius=_number(census, "radius", None, "census."),
+            diag_threshold=_number(diag, "threshold", 1e-6, "diagnostics."),
             study=study,
         )
+
+
+def _section(doc, name):
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {sec!r}")
+    return sec
+
+
+def _number(sec, key, default, where="", cast=float):
+    """``sec[key]`` as a finite ``cast`` value; an absent key gives ``default``
+    (None only where the key is optional)."""
+    value = sec.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        x = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}{key} must be a number, got {value!r}") from None
+    if not np.isfinite(x):
+        raise ConfigError(f"{where}{key} must be finite, got {value!r}")
+    return x
 
 
 def load_config(path) -> RunConfig:
@@ -168,7 +201,10 @@ def load_config(path) -> RunConfig:
 
 def build_mesh(spec: dict):
     if "path" in spec:
-        return load_mesh(spec["path"])
+        try:
+            return load_mesh(spec["path"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read mesh {spec['path']}: {exc}") from exc
     if spec["kind"] == "cube":
         if "n" not in spec:
             raise ConfigError("cube mesh needs 'n'")
@@ -178,8 +214,9 @@ def build_mesh(spec: dict):
     return generate_ball_mesh(int(spec["level"]))
 
 
-def _build_problem(cfg: RunConfig):
-    """Mesh, fields, pencil, and the well-posedness diagnostic for a config."""
+def _diagnosed_pencil(cfg: RunConfig):
+    """The config's pencil, its diagnostic value, and the report head that
+    solve_meta.json and diagnostics.json share (fields, validation, diagnostic)."""
     mesh = build_mesh(cfg.mesh_spec)
     mu = build_field(mesh, "mu_inv", cfg.materials["mu_inv"], cfg.perturbations)
     eps = build_field(mesh, "eps", cfg.materials["eps"], cfg.perturbations)
@@ -187,21 +224,19 @@ def _build_problem(cfg: RunConfig):
         "mu_inv": validate(mu, cfg.omega).as_dict(),
         "eps": validate(eps, cfg.omega).as_dict(),
     }
-    if cfg.problem == "scalar":
-        pencil = assemble_scalar(mesh, mu, eps, cfg.omega)
-        sigma_min = scalar_dirichlet_diagnostic(pencil, dense_limit=cfg.dense_limit)
-        diag = {"kind": "interior_dirichlet", "sigma_min": float(sigma_min)}
-        B = pencil.B_bd
-    else:
-        ops = assemble_surface_operators(extract_boundary(mesh), mesh)
-        pencil = assemble_maxwell(mesh, mu, eps, cfg.omega, ops)
-        sigma_min, details = kernelS_diagnostic(pencil, return_details=True)
-        diag = {"kind": "kernel_subspace", **{k: (float(v) if isinstance(v, float) else v)
-                                              for k, v in details.items()}}
-        B = pencil.B
+    problem = Problem(cfg.problem, mesh, cfg.omega)
+    pencil = problem.assemble(mu, eps)
+    sigma_min, diag = problem.diagnostic(pencil, details=True)
     diag["threshold"] = cfg.diag_threshold
     diag["passed"] = bool(sigma_min >= cfg.diag_threshold)
-    return mesh, pencil, B, reports, diag, float(sigma_min)
+    head = {
+        "problem": cfg.problem,
+        "omega": cfg.omega,
+        "mesh": _mesh_info(mesh),
+        "materials": reports,
+        "diagnostics": diag,
+    }
+    return pencil, float(sigma_min), head
 
 
 def _mesh_info(mesh):
@@ -244,23 +279,16 @@ def cmd_solve(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
-    mesh, pencil, B, reports, diag, sigma_min = _build_problem(cfg)
-    meta = {
-        "problem": cfg.problem,
-        "omega": cfg.omega,
-        "mesh": _mesh_info(mesh),
-        "materials": reports,
-        "diagnostics": diag,
-        "solver": {"sigma": _cx(cfg.sigma), "k": cfg.k, "tol": cfg.tol, "seed": cfg.seed},
-    }
-    if not diag["passed"]:
+    pencil, sigma_min, meta = _diagnosed_pencil(cfg)
+    meta["solver"] = {"sigma": _cx(cfg.sigma), "k": cfg.k, "tol": cfg.tol, "seed": cfg.seed}
+    if not meta["diagnostics"]["passed"]:
         _write_json(out / "solve_meta.json", meta)
         raise AssumptionViolation(
             f"well-posedness diagnostic {sigma_min:.3e} below threshold "
             f"{cfg.diag_threshold:.1e}; no eigenvalue table emitted"
         )
 
-    result = solve_shift_invert(pencil.a0(), B, cfg.sigma, cfg.k,
+    result = solve_shift_invert(pencil.a0(), pencil.B, cfg.sigma, cfg.k,
                                 tol=cfg.tol, seed=cfg.seed,
                                 krylov_dim=cfg.krylov_dim, max_krylov=cfg.max_krylov)
     if len(result) == 0:
@@ -302,6 +330,9 @@ def cmd_study(args) -> int:
         cfg.seed = args.seed
     if cfg.study is None:
         raise ConfigError("config has no 'study' section")
+    if cfg.perturbations:
+        raise ConfigError("perturbations apply to solve and diagnose only; "
+                          "a study perturbs through its schedule")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -310,15 +341,20 @@ def cmd_study(args) -> int:
     schedule = []
     for i, step in enumerate(st["schedule"]):
         try:
-            schedule.append((
-                float(step["h"]),
-                complex(step.get("delta_re", 0.0), step.get("delta_im", 0.0)),
-            ))
+            h = float(step["h"])
+            delta = complex(step.get("delta_re", 0.0), step.get("delta_im", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"study schedule entry #{i} invalid: {exc}") from exc
-    target_lambda = st.get("target_lambda")
-    if target_lambda is not None:
-        target_lambda = complex(target_lambda.get("re", 0.0), target_lambda.get("im", 0.0))
+        if not np.all(np.isfinite([h, delta])):
+            raise ConfigError(f"study schedule entry #{i} invalid: values must be finite")
+        schedule.append((h, delta))
+    try:
+        center = tuple(st.get("center", (0.0, 0.0, 0.0)))
+        target_lambda = st.get("target_lambda")
+        if target_lambda is not None:
+            target_lambda = complex(target_lambda.get("re", 0.0), target_lambda.get("im", 0.0))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"study center or target_lambda invalid: {exc}") from exc
 
     setup = StudySetup(
         mesh=mesh,
@@ -326,7 +362,7 @@ def cmd_study(args) -> int:
         problem=cfg.problem,
         mu_base=cfg.materials["mu_inv"],
         eps_base=cfg.materials["eps"],
-        center=tuple(st.get("center", (0.0, 0.0, 0.0))),
+        center=center,
         target=st.get("target", "eps"),
         schedule=schedule,
         p_list=tuple(float(p) for p in st.get("p_list", [4.0])),
@@ -369,30 +405,22 @@ def cmd_diagnose(args) -> int:
 
     failures = []
     try:
-        mesh, pencil, B, reports, diag, sigma_min = _build_problem(cfg)
+        _, sigma_min, doc = _diagnosed_pencil(cfg)
     except AssumptionViolation as exc:
         # field-level failure: still emit a report with what we know
         doc = {"problem": cfg.problem, "passed": False, "failures": [str(exc)]}
         _write_json(out / "diagnostics.json", doc)
         raise
 
-    for name, rep in reports.items():
+    for name, rep in doc["materials"].items():
         if not rep["passed"]:
             failures.extend(f"{name}: {msg}" for msg in rep["failures"])
-    if not diag["passed"]:
+    if not doc["diagnostics"]["passed"]:
         failures.append(
             f"well-posedness diagnostic {sigma_min:.3e} below threshold {cfg.diag_threshold:.1e}"
         )
-
-    doc = {
-        "problem": cfg.problem,
-        "omega": cfg.omega,
-        "mesh": _mesh_info(mesh),
-        "materials": reports,
-        "diagnostics": diag,
-        "passed": not failures,
-        "failures": failures,
-    }
+    doc["passed"] = not failures
+    doc["failures"] = failures
     _write_json(out / "diagnostics.json", doc)
     if failures:
         raise AssumptionViolation("; ".join(failures))
@@ -429,6 +457,8 @@ _ERROR_KINDS = [
     (MalformedMeshError, "malformed-mesh", 1),
     (AssumptionViolation, "assumption-violation", 2),
     (SolverFailure, "solver-failure", 3),
+    (np.linalg.LinAlgError, "solver-failure", 3),   # a ValueError subclass
+    (ArpackNoConvergence, "solver-failure", 3),
     (ValueError, "invalid-argument", 1),
 ]
 

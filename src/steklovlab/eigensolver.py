@@ -71,22 +71,6 @@ class SectorCensus:
 # operator plumbing
 # --------------------------------------------------------------------- #
 
-def _b_matvec(B):
-    if sp.issparse(B):
-        return lambda v: B @ v
-    if hasattr(B, "matvec"):
-        return B.matvec
-    B = np.asarray(B)
-    return lambda v: B @ v
-
-
-def _a_matvec(A0):
-    if sp.issparse(A0):
-        return lambda v: A0 @ v
-    A0 = np.asarray(A0)
-    return lambda v: A0 @ v
-
-
 def _a0_norm(A0):
     """Max row sum of |A0| (infinity norm)."""
     if sp.issparse(A0):
@@ -103,8 +87,8 @@ def pencil_residual(A0, B, lam, x, a0_norm=None):
     meaningful for lam = 0 eigenpairs (A0 x itself is the residual there,
     so a vector-based denominator would degenerate to ratio one).
     """
-    av = _a_matvec(A0)(x)
-    bv = _b_matvec(B)(x)
+    av = A0 @ x
+    bv = B @ x
     num = np.linalg.norm(av - lam * bv)
     if a0_norm is None:
         a0_norm = _a0_norm(A0)
@@ -126,12 +110,12 @@ class _ShiftedSolver:
     """
 
     def __init__(self, A0, B, sigma, probe_seed=0):
-        self.b_mv = _b_matvec(B)
+        self.A0 = A0
+        self.B = B
         self.sigma = complex(sigma)
-        n = A0.shape[0]
-        self.n = n
+        self.n = A0.shape[0]
 
-        if sp.issparse(A0) and hasattr(B, "ops"):
+        if hasattr(B, "ops"):
             ops = B.ops
             D = ops.D.tocsr()
             L = ops.L.tolil()
@@ -151,38 +135,25 @@ class _ShiftedSolver:
                 raise ShiftAtEigenvalue(f"augmented factorization failed: {exc}") from exc
             self._mode = "augmented"
             self._ns = ns
-        elif sp.issparse(A0):
-            Bm = B if sp.issparse(B) else sp.csr_matrix(np.asarray(B))
-            shifted = (A0.astype(np.complex128) - self.sigma * Bm).tocsc()
+        else:
+            shifted = (A0.astype(np.complex128) - self.sigma * B).tocsc()
             try:
                 self._lu = spla.splu(shifted)
             except RuntimeError as exc:
                 raise ShiftAtEigenvalue(f"factorization failed: {exc}") from exc
             self._mode = "sparse"
-        else:
-            A0 = np.asarray(A0, dtype=np.complex128)
-            Bm = np.asarray(B.to_sparse().todense()) if hasattr(B, "to_sparse") else np.asarray(B)
-            shifted = A0 - self.sigma * Bm
-            try:
-                self._lu = scipy.linalg.lu_factor(shifted)
-            except scipy.linalg.LinAlgError as exc:
-                raise ShiftAtEigenvalue(f"dense factorization failed: {exc}") from exc
-            self._mode = "dense"
 
-        self._a_mv = _a_matvec(A0)
         self._probe(probe_seed)
 
     def solve_shifted(self, b):
         if self._mode == "augmented":
             rhs = np.concatenate([b, np.zeros(self._ns, dtype=np.complex128)])
             return self._lu.solve(rhs)[: self.n]
-        if self._mode == "sparse":
-            return self._lu.solve(b.astype(np.complex128))
-        return scipy.linalg.lu_solve(self._lu, b.astype(np.complex128))
+        return self._lu.solve(b.astype(np.complex128))
 
     def apply(self, v):
         """(A0 - sigma B)^-1 (B v)."""
-        return self.solve_shifted(self.b_mv(v))
+        return self.solve_shifted(self.B @ v)
 
     def _probe(self, seed):
         # backward-stable solves keep this tiny; a (near-)singular shifted
@@ -190,7 +161,7 @@ class _ShiftedSolver:
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
         x = self.solve_shifted(b)
-        resid = np.linalg.norm(self._a_mv(x) - self.sigma * self.b_mv(x) - b)
+        resid = np.linalg.norm(self.A0 @ x - self.sigma * (self.B @ x) - b)
         if not np.isfinite(resid) or resid > 1e-6 * np.linalg.norm(b):
             raise ShiftAtEigenvalue(
                 f"shifted pencil at sigma={self.sigma} is numerically singular "
@@ -312,8 +283,12 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     reported.  Converged pairs are locked and the iteration restarts in
     their orthogonal complement until k pairs are certified, the Krylov
     space is exhausted (meta["exhausted"]), or the sweep budget runs out
-    (meta["partial"]).
+    (meta["partial"]).  Dense ``A0``/``B`` arrays are converted to CSR.
     """
+    if isinstance(A0, np.ndarray):
+        A0 = sp.csr_matrix(A0)
+    if isinstance(B, np.ndarray):
+        B = sp.csr_matrix(B)
     n = A0.shape[0]
     k = int(k)
     if k < 1:

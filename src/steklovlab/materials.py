@@ -116,6 +116,8 @@ def tensor_from_entry(value):
         im = tensor_from_entry(value.get("im", 0.0)).real
         return re + 1j * im
     arr = np.asarray(value, dtype=np.complex128)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"tensor entry must be finite, got {value!r}")
     if arr.ndim == 0:
         return complex(arr) * np.eye(3, dtype=np.complex128)
     if arr.shape == (3, 3):

@@ -3,7 +3,7 @@
 Provides the connectivity needed by vertex- and edge-based finite elements:
 a deterministic global edge numbering (sorted vertex pairs, lexicographic
 order), signed per-tetrahedron edge references, and an oriented boundary
-surface with per-triangle tangent frames.
+surface with per-triangle areas and outward normals.
 
 Conventions
 -----------
@@ -179,8 +179,7 @@ class SurfaceMesh:
 
     ``triangles`` index into the surface vertex numbering; ``tri_vol`` keeps
     the original volume vertex ids (outward orientation preserved).  Each
-    triangle carries its area, outward unit normal and an orthonormal
-    tangent frame (t1, t2, normal).
+    triangle carries its area and outward unit normal.
     """
 
     def __init__(self, mesh: Mesh):
@@ -207,9 +206,6 @@ class SurfaceMesh:
             raise MalformedMeshError("degenerate boundary triangle")
         self.areas = 0.5 * dbl
         self.normals = nrm / dbl[:, None]
-        t1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
-        self.tangent1 = t1
-        self.tangent2 = np.cross(self.normals, t1)
 
         # Per-triangle surface gradients of the three vertex hat functions.
         g0 = np.cross(self.normals, p[:, 2] - p[:, 1]) / dbl[:, None]

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._assembly import p1_mass, p1_stiffness
-from .boundary_ops import assemble_boundary_form, assemble_surface_operators
-from .eigensolver import _b_matvec, cluster, solve_shift_invert
+from .boundary_ops import assemble_surface_operators
+from .eigensolver import cluster, solve_shift_invert
 from .errors import AssumptionViolation, DegenerateCluster, InsufficientData
 from .fem_maxwell import (
     assemble_maxwell,
@@ -96,14 +96,12 @@ def nondegeneracy(B, vectors, gram=None) -> complex:
         raise ValueError("nondegeneracy needs at least one vector")
     if gram is not None:
         vecs = normalize_vectors(vecs, gram)
-    bmv = _b_matvec(B)
-    vals = [np.asarray(vecs[:, j]) @ bmv(vecs[:, j]) for j in range(vecs.shape[1])]
+    vals = [vecs[:, j] @ (B @ vecs[:, j]) for j in range(vecs.shape[1])]
     return complex(np.mean(vals))
 
 
 def _c_scale(B, vecs):
-    bmv = _b_matvec(B)
-    mags = [np.real(np.conj(vecs[:, j]) @ bmv(vecs[:, j])) for j in range(vecs.shape[1])]
+    mags = [np.real(np.conj(vecs[:, j]) @ (B @ vecs[:, j])) for j in range(vecs.shape[1])]
     return float(np.mean(mags))
 
 
@@ -262,46 +260,54 @@ class StudyReport:
         return rows
 
 
-class _MaxwellProblem:
-    def __init__(self, setup):
-        self.setup = setup
-        self.ops = assemble_surface_operators(extract_boundary(setup.mesh), setup.mesh)
-        self.B = assemble_boundary_form(self.ops)
-        self._basis = kernel_subspace_basis(setup.mesh)
+class Problem:
+    """One pencil family on a fixed mesh: the layer behind solve, diagnose and study.
+
+    ``kind`` is "scalar" or "maxwell".  The Maxwell surface operators are
+    assembled here once, the kernel basis on the first diagnostic and the
+    energy Gram on the first ``gram`` call; later pencils on the same mesh
+    reuse all three.
+    """
+
+    def __init__(self, kind, mesh: Mesh, omega):
+        if kind not in ("maxwell", "scalar"):
+            raise ValueError(f"unknown problem {kind!r}")
+        self.kind = kind
+        self.mesh = mesh
+        self.omega = omega
+        self.ops = (assemble_surface_operators(extract_boundary(mesh), mesh)
+                    if kind == "maxwell" else None)
+        self._basis = None
         self._gram = None
 
     def assemble(self, mu, eps):
-        return assemble_maxwell(self.setup.mesh, mu, eps, self.setup.omega, self.ops)
+        if self.kind == "scalar":
+            return assemble_scalar(self.mesh, mu, eps, self.omega)
+        return assemble_maxwell(self.mesh, mu, eps, self.omega, self.ops)
 
-    def diagnostic(self, pencil):
-        return kernelS_diagnostic(pencil, basis=self._basis)
-
-    def gram(self, pencil):
-        if self._gram is None:
-            self._gram = (pencil.K_curl + edge_mass_matrix(self.setup.mesh)).tocsr()
-        return self._gram
-
-
-class _ScalarProblem:
-    def __init__(self, setup):
-        self.setup = setup
-        self.B = None          # set after first assembly (boundary mass)
-        self._gram = None
-
-    def assemble(self, mu, eps):
-        pencil = assemble_scalar(self.setup.mesh, mu, eps, self.setup.omega)
-        if self.B is None:
-            self.B = pencil.B_bd
-        return pencil
-
-    def diagnostic(self, pencil):
-        return scalar_dirichlet_diagnostic(pencil)
+    def diagnostic(self, pencil, details=False):
+        """Well-posedness value sigma_min of ``pencil``; with ``details`` the
+        pair (sigma_min, the diagnostics block that solve_meta.json reports)."""
+        if self.kind == "scalar":
+            sigma = scalar_dirichlet_diagnostic(pencil)
+            info = {"kind": "interior_dirichlet", "sigma_min": float(sigma)}
+            return (sigma, info) if details else sigma
+        if self._basis is None:
+            self._basis = kernel_subspace_basis(self.mesh)
+        if not details:
+            return kernelS_diagnostic(pencil, basis=self._basis)
+        sigma, info = kernelS_diagnostic(pencil, basis=self._basis, return_details=True)
+        return sigma, {"kind": "kernel_subspace", **info}
 
     def gram(self, pencil):
+        """Energy inner product for normalizing eigenvectors, built once."""
         if self._gram is None:
-            mesh = self.setup.mesh
-            ident = np.broadcast_to(np.eye(3), (mesh.n_tets, 3, 3))
-            self._gram = (p1_stiffness(mesh, ident) + p1_mass(mesh, np.ones(mesh.n_tets))).tocsr()
+            mesh = self.mesh
+            if self.kind == "maxwell":
+                self._gram = (pencil.K_curl + edge_mass_matrix(mesh)).tocsr()
+            else:
+                ident = np.broadcast_to(np.eye(3), (mesh.n_tets, 3, 3))
+                self._gram = (p1_stiffness(mesh, ident) + p1_mass(mesh, np.ones(mesh.n_tets))).tocsr()
         return self._gram
 
 
@@ -313,9 +319,7 @@ def run_study(setup: StudySetup) -> StudyReport:
     tracked eigenvalue with the shift placed at it, and matches eigenvalues
     by nearest neighbor inside a guard radius of half the baseline gap.
     """
-    if setup.problem not in ("maxwell", "scalar"):
-        raise ValueError(f"unknown problem {setup.problem!r}")
-    prob = _MaxwellProblem(setup) if setup.problem == "maxwell" else _ScalarProblem(setup)
+    prob = Problem(setup.problem, setup.mesh, setup.omega)
 
     mu0 = build_field(setup.mesh, "mu_inv", setup.mu_base)
     eps0 = build_field(setup.mesh, "eps", setup.eps_base)
@@ -326,7 +330,7 @@ def run_study(setup: StudySetup) -> StudyReport:
             f"baseline diagnostic {baseline_diag:.3e} below threshold {setup.diag_threshold:.1e}"
         )
 
-    base = solve_shift_invert(pencil0.a0(), prob.B, setup.sigma, setup.k,
+    base = solve_shift_invert(pencil0.a0(), pencil0.B, setup.sigma, setup.k,
                               tol=setup.tol, seed=setup.seed)
     if len(base) == 0:
         raise AssumptionViolation("baseline solve produced no certified eigenvalues")
@@ -341,7 +345,7 @@ def run_study(setup: StudySetup) -> StudyReport:
 
     gram = prob.gram(pencil0)
     vectors = normalize_vectors(base.eigenvectors[:, members], gram)
-    c = nondegeneracy(prob.B, vectors)
+    c = nondegeneracy(pencil0.B, vectors)
 
     records = []
     for idx, (h, delta) in enumerate(setup.schedule):
@@ -421,7 +425,7 @@ def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
             return rec
 
     k_step = max(n_members + 4, 6)
-    res = solve_shift_invert(pencil_h.a0(), prob.B, lam0, k_step,
+    res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step,
                              tol=setup.tol, seed=setup.seed)
     cand = res.eigenvalues[np.abs(res.eigenvalues - lam0) < guard]
     rec.n_matched = int(len(cand))

@@ -234,3 +234,67 @@ def test_threads_limit_in_force_during_dispatch(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, scalar_ball_config())
     assert run(["solve", "--config", cfg, "--output", str(tmp_path), "--threads", "1"]) == 0
     assert seen and all(n == 1 for n in seen)
+
+
+def _with(doc, path, value):
+    """Copy of ``doc`` with the entry at key ``path`` (a tuple) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return doc
+
+
+_SMALL = scalar_ball_config(level=0)
+_STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
+
+
+@pytest.mark.parametrize("command, doc, kind, code", [
+    ("solve", _with(_SMALL, ("solver",), [1]), "config-error", 1),
+    ("solve", _with(_SMALL, ("census",), [1]), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "sigma_re"), [1]), "config-error", 1),
+    ("solve", _with(_SMALL, ("mesh",), {"path": "no/such/mesh.json"}), "config-error", 1),
+    ("solve", _with(_SMALL, ("omega",), float("nan")), "config-error", 1),
+    ("diagnose", _with(_SMALL, ("materials", "eps", "1"), float("nan")), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "tol"), -1), "config-error", 1),
+    ("study", _with(_with(_SMALL, ("study",), _STUDY), ("perturbations",),
+                    [{"center": [0, 0, 0], "h": 0.3, "delta_im": 1e-3}]), "config-error", 1),
+    ("study", _with(_SMALL, ("study",), {**_STUDY, "target_lambda": [1]}), "config-error", 1),
+    ("solve", _SMALL, "solver-failure", 3),      # _dispatch raises LinAlgError
+], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
+        "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
+        "linalg-error"])
+def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
+    if kind == "solver-failure":
+        def fail(args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(cli, "_dispatch", fail)
+    cfg = write_config(tmp_path, doc)
+    assert run([command, "--config", cfg, "--output", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
+
+
+def test_solve_diagnose_study_report_one_diagnostic(tmp_path):
+    # all three commands build the pencil and its diagnostic through one layer
+    doc = {
+        "problem": "maxwell",
+        "mesh": {"kind": "cube", "n": 2},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "k": 5, "tol": 1e-9},
+        "study": {"center": [0.5, 0.5, 0.5], "schedule": [{"h": 0.45, "delta_im": 1e-3}]},
+    }
+    cfg = write_config(tmp_path, doc)
+    outs = {c: tmp_path / c for c in ("solve", "diagnose", "study")}
+    for command, out in outs.items():
+        assert run([command, "--config", cfg, "--output", str(out)]) == 0
+    solve_diag = json.loads((outs["solve"] / "solve_meta.json").read_text())["diagnostics"]
+    diag_doc = json.loads((outs["diagnose"] / "diagnostics.json").read_text())["diagnostics"]
+    report = json.loads((outs["study"] / "study_report.json").read_text())
+    assert solve_diag == diag_doc
+    assert solve_diag["kind"] == "kernel_subspace"
+    assert report["baseline_diag"] == solve_diag["sigma_min"]

@@ -87,12 +87,13 @@ def test_shift_invert_exhaustion_flag():
 
 
 def test_shift_invert_matches_oracle_random():
-    for seed in (0, 1, 2):
+    # dense arrays are accepted as well as CSR
+    for seed, convert in [(s, c) for s in (0, 1, 2) for c in (sp.csr_matrix, np.asarray)]:
         A0, B = random_pencil(60, 40, seed)
         oracle = solve_dense_oracle(A0, B)
         sigma = 0.7 + 0.3j
         k = 6
-        res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), sigma, k, tol=1e-10, seed=seed)
+        res = solve_shift_invert(convert(A0), convert(B), sigma, k, tol=1e-10, seed=seed)
         assert len(res) == k
         want = oracle.eigenvalues[np.argsort(np.abs(oracle.eigenvalues - sigma), kind="stable")][:k]
         for lam in res.eigenvalues:
