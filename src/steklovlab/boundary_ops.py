@@ -54,6 +54,10 @@ class SurfaceOperatorSet:
     lumped_mass: np.ndarray = field(repr=False)
     _lu: object = field(default=None, repr=False)
     _gram: object = field(default=None, repr=False)
+    _lscale: float = field(init=False, repr=False)    # max |L_ij|, the roundoff scale
+
+    def __post_init__(self):
+        self._lscale = abs(self.L).max()
 
     @property
     def n_surface_vertices(self):
@@ -93,8 +97,7 @@ class SurfaceOperatorSet:
         resid = np.linalg.norm(self.L @ p - rhs)
         # relative to the data plus a roundoff floor, so a numerically zero
         # right-hand side (e.g. a discrete gradient) is not flagged
-        lscale = abs(self.L).max()
-        tol = 1e-8 * np.linalg.norm(rhs) + 1e-12 * lscale * (1.0 + np.linalg.norm(p))
+        tol = 1e-8 * np.linalg.norm(rhs) + 1e-12 * self._lscale * (1.0 + np.linalg.norm(p))
         if not np.isfinite(resid) or resid > tol:
             raise MalformedMeshError(
                 f"surface solve residual {resid:.2e} exceeds the rank-1 deficiency tolerance"

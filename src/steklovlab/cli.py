@@ -132,7 +132,15 @@ class RunConfig:
         tol = _number(solver, "tol", 1e-10, "solver.")
         if tol <= 0:
             raise ConfigError(f"solver.tol must be > 0, got {tol}")
+        krylov_dim = _number(solver, "krylov_dim", None, "solver.", int)
+        max_krylov = _number(solver, "max_krylov", None, "solver.", int)
+        for name, size in (("krylov_dim", krylov_dim), ("max_krylov", max_krylov)):
+            if size is not None and size < 1:
+                raise ConfigError(f"solver.{name} must be >= 1, got {size}")
         census = _section(doc, "census")
+        census_delta = _number(census, "delta", DEFAULT_CENSUS_DELTA, "census.")
+        if not 0.0 < census_delta < np.pi:
+            raise ConfigError(f"census.delta must be in (0, pi), got {census_delta}")
         diag = _section(doc, "diagnostics")
 
         study = doc.get("study")
@@ -157,9 +165,9 @@ class RunConfig:
             tol=tol,
             seed=_number(solver, "seed", 0, "solver.", int),
             cluster_reltol=_number(solver, "cluster_reltol", 1e-6, "solver."),
-            krylov_dim=_number(solver, "krylov_dim", None, "solver.", int),
-            max_krylov=_number(solver, "max_krylov", None, "solver.", int),
-            census_delta=_number(census, "delta", DEFAULT_CENSUS_DELTA, "census."),
+            krylov_dim=krylov_dim,
+            max_krylov=max_krylov,
+            census_delta=census_delta,
             census_radius=_number(census, "radius", None, "census."),
             diag_threshold=_number(diag, "threshold", 1e-6, "diagnostics."),
             study=study,

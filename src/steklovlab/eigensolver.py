@@ -232,44 +232,63 @@ def solve_dense_oracle(A0, B, dense_limit=DEFAULT_DENSE_LIMIT,
 # shift-invert Arnoldi with locking
 # --------------------------------------------------------------------- #
 
-def _arnoldi(apply_op, n, m, v0, locked):
-    """Full-reorthogonalization Arnoldi, deflated against ``locked`` columns.
+class _Arnoldi:
+    """Full-reorthogonalization Arnoldi factorization, deflated against
+    ``locked`` columns, that ``extend`` resumes from where it stopped.
 
-    Returns (V, H, steps, breakdown, beta); on breakdown the captured space
-    is invariant and beta = 0, otherwise beta is the trailing coupling
-    H[m, m-1] used for cheap Ritz convergence estimates.
+    V (n x (cap + 1)) and H ((cap + 1) x cap) are allocated once; after
+    ``steps`` operator applies, apply_op V[:, :steps] = V[:, :steps + 1]
+    H[:steps + 1, :steps].  On breakdown the captured space is invariant and
+    beta = 0, otherwise beta is the trailing coupling H[steps, steps - 1]
+    used for cheap Ritz convergence estimates.
     """
-    V = np.zeros((n, m + 1), dtype=np.complex128)
-    H = np.zeros((m + 1, m), dtype=np.complex128)
 
-    def deflate(w):
-        if locked is not None and locked.shape[1]:
-            w = w - locked @ (locked.conj().T @ w)
-            w = w - locked @ (locked.conj().T @ w)
+    def __init__(self, apply_op, v0, locked, cap):
+        n = v0.shape[0]
+        self.apply_op = apply_op
+        self.locked = locked
+        self.V = np.zeros((n, cap + 1), dtype=np.complex128)
+        self.H = np.zeros((cap + 1, cap), dtype=np.complex128)
+        self.steps = 0
+        self.beta = 0.0
+        v = self._deflate(v0.astype(np.complex128))
+        nv = np.linalg.norm(v)
+        self.breakdown = nv == 0.0
+        if not self.breakdown:
+            self.V[:, 0] = v / nv
+
+    def _deflate(self, w):
+        locked = self.locked
+        if locked.shape[1]:
+            w = w - locked @ (w.conj() @ locked).conj()
+            w = w - locked @ (w.conj() @ locked).conj()
         return w
 
-    v = deflate(v0.astype(np.complex128))
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return V[:, :0], H[:0, :0], 0, True, 0.0
-
-    V[:, 0] = v / nv
-    for j in range(m):
-        w = apply_op(V[:, j])
-        w = deflate(w)
-        h = V[:, : j + 1].conj().T @ w
-        w = w - V[:, : j + 1] @ h
-        h2 = V[:, : j + 1].conj().T @ w
-        w = w - V[:, : j + 1] @ h2
-        h = h + h2
-        H[: j + 1, j] = h
-        beta = np.linalg.norm(w)
-        H[j + 1, j] = beta
-        scale = np.abs(h).max() if np.abs(h).max() > 0 else 1.0
-        if beta <= 1e-12 * scale or beta == 0.0:
-            return V[:, : j + 1], H[: j + 1, : j + 1], j + 1, True, 0.0
-        V[:, j + 1] = w / beta
-    return V[:, :m], H[:m, :m], m, False, float(np.abs(H[m, m - 1]))
+    def extend(self, m):
+        """Continue the factorization up to ``m`` steps (or a breakdown)."""
+        if self.breakdown:
+            return
+        V, H = self.V, self.H
+        for j in range(self.steps, m):
+            w = self._deflate(self.apply_op(V[:, j]))
+            self.steps = j + 1
+            Vj = V[:, : j + 1]
+            # V^H w as (w^H V)^H: a gemv on V itself, no conjugate copy of V
+            h = (w.conj() @ Vj).conj()
+            w = w - Vj @ h
+            h2 = (w.conj() @ Vj).conj()
+            w = w - Vj @ h2
+            h = h + h2
+            H[: j + 1, j] = h
+            beta = np.linalg.norm(w)
+            H[j + 1, j] = beta
+            scale = np.abs(h).max() if np.abs(h).max() > 0 else 1.0
+            if beta <= 1e-12 * scale or beta == 0.0:
+                self.breakdown = True
+                self.beta = 0.0
+                return
+            V[:, j + 1] = w / beta
+            self.beta = float(beta)
 
 
 def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
@@ -293,14 +312,18 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     k = int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
+    for name, size in (("krylov_dim", krylov_dim), ("max_krylov", max_krylov)):
+        if size is not None and size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     solver = _ShiftedSolver(A0, B, sigma)
     sigma = complex(sigma)
     a0n = _a0_norm(A0)
 
-    m0 = krylov_dim or max(3 * k + 20, 60)
+    m0 = max(3 * k + 20, 60) if krylov_dim is None else krylov_dim
     if max_krylov is None:
         max_krylov = max(2 * m0, 150)
-    m0 = min(m0, n, max_krylov)
+    cap = min(n, max_krylov)
+    m0 = min(m0, cap)
 
     locked_vecs = np.zeros((n, 0), dtype=np.complex128)
     locked_vals: list[complex] = []
@@ -321,14 +344,15 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
         # later sweeps only chase the remaining copies near sigma
         m = m0 if sweep == 0 else min(m0, max(2 * (k - len(locked_vals)) + 10, 30))
         new_pairs = []
-        breakdown = False
+        krylov = _Arnoldi(solver.apply, v0, locked_vecs, cap)
         while True:
-            V, H, steps, breakdown, beta = _arnoldi(solver.apply, n, m, v0, locked_vecs)
-            total_iters += steps
+            # resume the factorization: applied vectors are never applied again
+            krylov.extend(m)
+            steps, beta = krylov.steps, krylov.beta
             if steps == 0:
                 exhausted = True
                 break
-            theta, Y = scipy.linalg.eig(H[:steps, :steps])
+            theta, Y = scipy.linalg.eig(krylov.H[:steps, :steps])
             tmax = np.abs(theta).max() if len(theta) else 0.0
             new_pairs = []
             if tmax > 0:
@@ -345,7 +369,7 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
                     if beta * np.abs(Y[steps - 1, j]) > 0.1 * np.abs(theta[j]):
                         continue
                     lam = sigma + 1.0 / theta[j]
-                    x = V[:, :steps] @ Y[:, j]
+                    x = krylov.V[:, :steps] @ Y[:, j]
                     nx = np.linalg.norm(x)
                     if nx == 0.0:
                         continue
@@ -356,10 +380,11 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
                         failures = 0
                     else:
                         failures += 1
-            if new_pairs or breakdown or m >= min(n, max_krylov):
+            if new_pairs or krylov.breakdown or m >= cap:
                 break
-            m = min(2 * m, n, max_krylov)
-        if breakdown and not new_pairs:
+            m = min(2 * m, cap)
+        total_iters += krylov.steps
+        if krylov.breakdown and not new_pairs:
             exhausted = True
 
         if not new_pairs:

@@ -261,9 +261,14 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
     ("study", _with(_with(_SMALL, ("study",), _STUDY), ("perturbations",),
                     [{"center": [0, 0, 0], "h": 0.3, "delta_im": 1e-3}]), "config-error", 1),
     ("study", _with(_SMALL, ("study",), {**_STUDY, "target_lambda": [1]}), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "krylov_dim"), 0), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "krylov_dim"), -5), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "max_krylov"), 0), "config-error", 1),
+    ("solve", _with(_SMALL, ("census", "delta"), 4.0), "config-error", 1),
     ("solve", _SMALL, "solver-failure", 3),      # _dispatch raises LinAlgError
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
+        "krylov-dim-zero", "krylov-dim-negative", "max-krylov-zero", "census-delta-range",
         "linalg-error"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
     if kind == "solver-failure":

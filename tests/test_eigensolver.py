@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from steklovlab import eigensolver
 from steklovlab.boundary_ops import assemble_surface_operators
 from steklovlab.errors import AssumptionViolation, ShiftAtEigenvalue
 from steklovlab.eigensolver import (
@@ -123,6 +124,67 @@ def test_shift_invert_deterministic():
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def _scalar_ball_pencil():
+    # ball level 1, omega^2 = -1 keeps A0 invertible
+    mesh = generate_ball_mesh(1)
+    mu = build_field(mesh, "mu_inv", {1: 1.0})
+    eps = build_field(mesh, "eps", {1: 1.0})
+    pencil = assemble_scalar(mesh, mu, eps, omega=0.0)
+    A0 = (pencil.K + pencil.M).tocsr().astype(complex)   # K + M = K - (i)^2 M
+    return A0, pencil.B_bd.tocsr()
+
+
+def test_growth_resumes_instead_of_reapplying(monkeypatch):
+    # a tiny first Krylov dimension certifies nothing, so the space grows;
+    # growing must continue the factorization, not restart it from v0
+    seen = []
+    apply = eigensolver._ShiftedSolver.apply
+
+    def recording_apply(self, v):
+        seen.append(np.array(v).tobytes())
+        return apply(self, v)
+
+    monkeypatch.setattr(eigensolver._ShiftedSolver, "apply", recording_apply)
+    A0, B = _scalar_ball_pencil()
+    res = solve_shift_invert(A0, B, 1.5, 6, tol=1e-10, krylov_dim=4, max_sweeps=4, seed=5)
+    assert len(res) == 6 and res.residuals.max() <= 1e-10
+    # more applies than four sweeps of krylov_dim each: some sweep grew
+    assert res.meta["iterations"] > 4 * 4
+    assert len(seen) == res.meta["iterations"]
+    assert len(set(seen)) == len(seen)
+
+
+def test_extended_factorization_equals_single_run():
+    rng = np.random.default_rng(4)
+    n, m = 50, 12
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    locked = np.linalg.qr(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))[0]
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    resumed = eigensolver._Arnoldi(lambda v: M @ v, v0, locked, 3 * m)
+    resumed.extend(m)
+    assert resumed.steps == m
+    resumed.extend(2 * m)
+    single = eigensolver._Arnoldi(lambda v: M @ v, v0, locked, 2 * m)
+    single.extend(2 * m)
+    assert resumed.steps == single.steps == 2 * m
+    assert not resumed.breakdown and not single.breakdown
+    assert np.abs(resumed.V[:, : 2 * m + 1] - single.V).max() <= 1e-13
+    assert np.abs(resumed.H[: 2 * m + 1, : 2 * m] - single.H).max() <= 1e-13
+    assert resumed.beta == pytest.approx(single.beta, rel=1e-13)
+    # the factorization is an Arnoldi relation in the complement of locked
+    V, H = single.V, single.H
+    P = np.eye(n) - locked @ locked.conj().T
+    assert np.abs(P @ M @ V[:, : 2 * m] - V @ H).max() <= 1e-10 * np.abs(M).max()
+    assert np.abs(V.conj().T @ V - np.eye(2 * m + 1)).max() <= 1e-12
+
+
+def test_bad_krylov_sizes_rejected():
+    A0, B = random_pencil(10, 6, 0)
+    for kwargs in ({"krylov_dim": 0}, {"krylov_dim": -5}, {"max_krylov": 0}):
+        with pytest.raises(ValueError):
+            solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), 0.5, 2, **kwargs)
+
+
 def test_shift_at_eigenvalue_detected():
     A0 = sp.csr_matrix(np.diag([2.0, 3.0]).astype(complex))
     B = sp.eye(2, format="csr")
@@ -144,13 +206,8 @@ def test_left_eigenvector_is_unconjugated_right():
 
 
 def test_scalar_pencil_oracle_equivalence():
-    # ball pencil, omega^2 = -1 keeps A0 invertible; 6 eigenvalues nearest 1.5
-    mesh = generate_ball_mesh(1)
-    mu = build_field(mesh, "mu_inv", {1: 1.0})
-    eps = build_field(mesh, "eps", {1: 1.0})
-    pencil = assemble_scalar(mesh, mu, eps, omega=0.0)
-    A0 = (pencil.K + pencil.M).tocsr().astype(complex)   # K + M = K - (i)^2 M
-    B = pencil.B_bd.tocsr()
+    # 6 eigenvalues nearest 1.5
+    A0, B = _scalar_ball_pencil()
     oracle = solve_dense_oracle(A0.toarray(), B.toarray())
     sigma = 1.5
     res = solve_shift_invert(A0, B, sigma, k=6, tol=1e-10)
