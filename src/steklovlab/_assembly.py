@@ -10,21 +10,19 @@ P1_TET_MASS = (np.ones((4, 4)) + np.eye(4)) / 20.0
 P1_TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def scatter_square(local, dofs, n, symmetrize=True):
+def scatter_square(local, dofs, n):
     """Sum (T, k, k) local blocks into an (n, n) CSR matrix via (T, k) dof ids.
 
-    Assembly is deterministic (fixed element order, fixed compression).  With
-    ``symmetrize`` the result is averaged with its transpose, which makes the
-    bilinear forms bit-exactly symmetric regardless of duplicate summation
-    order inside the sparse compression.
+    Assembly is deterministic (fixed element order, fixed compression).  The
+    result is averaged with its transpose, which makes the bilinear forms
+    bit-exactly symmetric regardless of duplicate summation order inside the
+    sparse compression.
     """
     t, k, _ = local.shape
     rows = np.broadcast_to(dofs[:, :, None], (t, k, k)).ravel()
     cols = np.broadcast_to(dofs[:, None, :], (t, k, k)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    if symmetrize:
-        mat = (mat + mat.T.tocsr()) * 0.5
-    return mat.tocsr()
+    return ((mat + mat.T.tocsr()) * 0.5).tocsr()
 
 
 def scatter_rect(local, row_dofs, col_dofs, shape):

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     MalformedMeshError,
     SolverFailure,
 )
-from .materials import PerturbationSpec, build_field, validate
+from .materials import FIELD_NAMES, PerturbationSpec, build_field, tensor_from_entry, validate
 from .mesh import generate_ball_mesh, generate_cube_mesh, load_mesh, save_mesh
 from .stability import Problem, StudySetup, run_study
 
@@ -53,9 +54,14 @@ from .mesh import extract_boundary  # noqa: F401
 DEFAULT_CENSUS_DELTA = np.pi / 3.0
 
 
-def _fmt(x) -> str:
+def _cell(x) -> str:
+    """A CSV cell: None is empty, integers print as such, other numbers with 17 digits."""
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     return format(float(x), ".17g")
 
 
@@ -66,13 +72,17 @@ def _cx(z):
 
 @dataclass
 class RunConfig:
-    """Validated run configuration (see README for the JSON schema)."""
+    """Validated run configuration (see README for the JSON schema).
+
+    ``from_dict`` is the only reader of the raw JSON; every field is typed
+    and range-checked.
+    """
 
     problem: str
-    mesh_spec: dict
+    mesh_spec: dict          # {"path"}, {"kind": "cube", "n"} or {"kind": "ball", "level"}
     omega: float
-    materials: dict
-    perturbations: list
+    materials: dict          # "mu_inv"/"eps" -> {region tag: 3x3 complex tensor}
+    perturbations: list      # PerturbationSpec
     sigma: complex = 1.0 + 0.0j
     k: int = 12
     tol: float = 1e-10
@@ -83,7 +93,7 @@ class RunConfig:
     census_delta: float = DEFAULT_CENSUS_DELTA
     census_radius: float | None = None
     diag_threshold: float = 1e-6
-    study: dict | None = None
+    study: dict | None = None    # StudySetup keyword arguments
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -92,85 +102,46 @@ class RunConfig:
         problem = doc.get("problem")
         if problem not in ("scalar", "maxwell"):
             raise ConfigError(f"problem must be 'scalar' or 'maxwell', got {problem!r}")
-        mesh_spec = doc.get("mesh")
-        if not isinstance(mesh_spec, dict):
-            raise ConfigError("config requires a 'mesh' object")
-        if "path" not in mesh_spec and mesh_spec.get("kind") not in ("cube", "ball"):
-            raise ConfigError("mesh needs 'path' or kind 'cube'/'ball'")
         omega = _number(doc, "omega", 0.0)
         if problem == "maxwell" and omega == 0.0:
             raise ConfigError("omega must be nonzero for the maxwell problem")
 
-        materials = doc.get("materials")
-        if not isinstance(materials, dict) or not {"mu_inv", "eps"} <= set(materials):
-            raise ConfigError("materials must provide 'mu_inv' and 'eps' region tables")
-
-        perturbations = []
         pert_docs = doc.get("perturbations", [])
         if not isinstance(pert_docs, list):
             raise ConfigError("perturbations must be a list")
-        for i, p in enumerate(pert_docs):
-            try:
-                spec = PerturbationSpec(
-                    tuple(p["center"]),
-                    float(p["h"]),
-                    complex(p.get("delta_re", 0.0), p.get("delta_im", 0.0)),
-                    p.get("target", "eps"),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"perturbation #{i} invalid: {exc}") from exc
-            if not np.all(np.isfinite([*spec.center, spec.radius, spec.delta])):
-                raise ConfigError(f"perturbation #{i} invalid: values must be finite")
-            perturbations.append(spec)
 
         solver = _section(doc, "solver")
         sigma = complex(_number(solver, "sigma_re", 1.0, "solver."),
                         _number(solver, "sigma_im", 0.0, "solver."))
-        k = _number(solver, "k", 12, "solver.", int)
-        if k < 1:
-            raise ConfigError("solver.k must be >= 1")
         tol = _number(solver, "tol", 1e-10, "solver.")
         if tol <= 0:
             raise ConfigError(f"solver.tol must be > 0, got {tol}")
-        krylov_dim = _number(solver, "krylov_dim", None, "solver.", int)
-        max_krylov = _number(solver, "max_krylov", None, "solver.", int)
-        for name, size in (("krylov_dim", krylov_dim), ("max_krylov", max_krylov)):
-            if size is not None and size < 1:
-                raise ConfigError(f"solver.{name} must be >= 1, got {size}")
         census = _section(doc, "census")
         census_delta = _number(census, "delta", DEFAULT_CENSUS_DELTA, "census.")
         if not 0.0 < census_delta < np.pi:
             raise ConfigError(f"census.delta must be in (0, pi), got {census_delta}")
+        census_radius = _number(census, "radius", None, "census.")
+        if census_radius is not None and census_radius <= 0:
+            raise ConfigError(f"census.radius must be > 0, got {census_radius}")
         diag = _section(doc, "diagnostics")
-
-        study = doc.get("study")
-        if study is not None:
-            if not isinstance(study, dict) or not isinstance(study.get("schedule"), list):
-                raise ConfigError("study section needs a 'schedule' list")
-            try:
-                bad = [p for p in study.get("p_list", [4.0]) if not float(p) >= 1.0]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"study p_list must hold numbers: {exc}") from None
-            if bad:
-                raise ConfigError(f"study p values must be >= 1, got {bad[0]}")
 
         return cls(
             problem=problem,
-            mesh_spec=mesh_spec,
+            mesh_spec=_mesh_spec(doc.get("mesh")),
             omega=omega,
-            materials=materials,
-            perturbations=perturbations,
+            materials=_materials(doc.get("materials"), problem),
+            perturbations=[_ball(p, f"perturbations[{i}]") for i, p in enumerate(pert_docs)],
             sigma=sigma,
-            k=k,
+            k=_number(solver, "k", 12, "solver.", int, minimum=1),
             tol=tol,
-            seed=_number(solver, "seed", 0, "solver.", int),
-            cluster_reltol=_number(solver, "cluster_reltol", 1e-6, "solver."),
-            krylov_dim=krylov_dim,
-            max_krylov=max_krylov,
+            seed=_number(solver, "seed", 0, "solver.", int, minimum=0),
+            cluster_reltol=_number(solver, "cluster_reltol", 1e-6, "solver.", minimum=0.0),
+            krylov_dim=_number(solver, "krylov_dim", None, "solver.", int, minimum=1),
+            max_krylov=_number(solver, "max_krylov", None, "solver.", int, minimum=1),
             census_delta=census_delta,
-            census_radius=_number(census, "radius", None, "census."),
+            census_radius=census_radius,
             diag_threshold=_number(diag, "threshold", 1e-6, "diagnostics."),
-            study=study,
+            study=_study(doc.get("study")),
         )
 
 
@@ -181,19 +152,148 @@ def _section(doc, name):
     return sec
 
 
-def _number(sec, key, default, where="", cast=float):
-    """``sec[key]`` as a finite ``cast`` value; an absent key gives ``default``
-    (None only where the key is optional)."""
+_REQUIRED = object()     # default of a key that must be present
+
+
+def _number(sec, key, default=_REQUIRED, where="", cast=float, minimum=None):
+    """``sec[key]`` as a finite ``cast`` value, at least ``minimum`` when given.
+
+    An absent key gives ``default`` (None where the key is optional); with no
+    ``default`` the key is required.  With ``cast=int`` a value with
+    a fractional part is rejected, not truncated.
+    """
     value = sec.get(key, default)
     if value is None and default is None:
         return None
+    if value is _REQUIRED:
+        raise ConfigError(f"{where}{key} is required")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}{key} must be a number, got {value!r}")
     try:
-        x = cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}{key} must be a number, got {value!r}") from None
+        x = float(value)
+    except OverflowError:         # an integer beyond the float range
+        x = np.inf
     if not np.isfinite(x):
         raise ConfigError(f"{where}{key} must be finite, got {value!r}")
+    if cast is int:
+        if not x.is_integer():
+            raise ConfigError(f"{where}{key} must be an integer, got {value!r}")
+        x = int(value)
+    if minimum is not None and x < minimum:
+        raise ConfigError(f"{where}{key} must be >= {minimum}, got {value!r}")
     return x
+
+
+def _point(sec, key, where, default=None):
+    """``sec[key]`` as a 3D point: a tuple of three finite floats."""
+    value = sec.get(key, default)
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{where}{key} must be a list of 3 numbers, got {sec.get(key)!r}")
+    return tuple(_number({key: c}, key, where=where) for c in value)
+
+
+def _mesh_spec(spec):
+    if not isinstance(spec, dict):
+        raise ConfigError("config requires a 'mesh' object")
+    if "path" in spec:
+        if not isinstance(spec["path"], str):
+            raise ConfigError(f"mesh.path must be a string, got {spec['path']!r}")
+        return {"path": spec["path"]}
+    kind = spec.get("kind")
+    if kind == "cube":
+        return {"kind": kind, "n": _number(spec, "n", where="mesh.", cast=int, minimum=1)}
+    if kind == "ball":
+        return {"kind": kind, "level": _number(spec, "level", where="mesh.", cast=int, minimum=0)}
+    raise ConfigError("mesh needs 'path' or kind 'cube'/'ball'")
+
+
+def _materials(materials, problem):
+    """Both region tables as {int tag: 3x3 complex tensor}."""
+    if not isinstance(materials, dict) or not {"mu_inv", "eps"} <= set(materials):
+        raise ConfigError("materials must provide 'mu_inv' and 'eps' region tables")
+    tables = {}
+    for name in FIELD_NAMES:
+        table = materials[name]
+        if not isinstance(table, dict) or not table:
+            raise ConfigError(f"materials.{name} must be a JSON object mapping region tags "
+                              f"to tensor entries, got {table!r}")
+        tables[name] = {}
+        for key, entry in table.items():
+            where = f"materials.{name}.{key}"
+            try:
+                tag = int(str(key))
+            except ValueError:
+                raise ConfigError(f"{where}: region tag must be an integer") from None
+            try:
+                tensor = tensor_from_entry(entry)
+            except (ConfigError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{where} invalid: {exc}") from None
+            # the scalar pencil takes one permittivity per element (trace/3)
+            if problem == "scalar" and name == "eps" and not np.array_equal(
+                    tensor, tensor[0, 0] * np.eye(3)):
+                raise ConfigError(f"{where} must be a multiple of I for the scalar problem")
+            tables[name][tag] = tensor
+    return tables
+
+
+def _ball(entry, where, center=None, target=None):
+    """A ball entry {"h", "delta_re", "delta_im"} as a checked PerturbationSpec.
+
+    A ``perturbations`` entry also carries its own "center" and "target"; a
+    study schedule entry is given the study's.
+    """
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {entry!r}")
+    if center is None:
+        center = _point(entry, "center", f"{where}.")
+        target = entry.get("target", "eps")
+    h = _number(entry, "h", where=f"{where}.")
+    delta = complex(_number(entry, "delta_re", 0.0, f"{where}."),
+                    _number(entry, "delta_im", 0.0, f"{where}."))
+    try:
+        return PerturbationSpec(center, h, delta, target)
+    except ValueError as exc:
+        raise ConfigError(f"{where} invalid: {exc}") from None
+
+
+def _study(st):
+    """The ``study`` section as StudySetup keyword arguments; None when absent."""
+    if st is None:
+        return None
+    if not isinstance(st, dict):
+        raise ConfigError(f"study must be a JSON object, got {st!r}")
+    center = _point(st, "center", "study.", (0.0, 0.0, 0.0))
+    target = st.get("target", "eps")
+    if target not in FIELD_NAMES:
+        raise ConfigError(f"study.target must be 'mu_inv' or 'eps', got {target!r}")
+    steps = st.get("schedule")
+    if not isinstance(steps, list) or not steps:
+        raise ConfigError("study section needs a non-empty 'schedule' list")
+    schedule = []
+    for i, entry in enumerate(steps):
+        spec = _ball(entry, f"study.schedule[{i}]", center, target)
+        schedule.append((spec.radius, spec.delta))
+    p_list = st.get("p_list", [4.0])
+    if not isinstance(p_list, list) or not p_list:
+        raise ConfigError(f"study.p_list must be a non-empty list, got {p_list!r}")
+    target_lambda = st.get("target_lambda")
+    if target_lambda is not None:
+        if not isinstance(target_lambda, dict):
+            raise ConfigError(f"study.target_lambda must be a JSON object, got {target_lambda!r}")
+        target_lambda = complex(_number(target_lambda, "re", 0.0, "study.target_lambda."),
+                                _number(target_lambda, "im", 0.0, "study.target_lambda."))
+    step_diagnostics = st.get("step_diagnostics", True)
+    if not isinstance(step_diagnostics, bool):
+        raise ConfigError(f"study.step_diagnostics must be true or false, got {step_diagnostics!r}")
+    return {
+        "center": center,
+        "target": target,
+        "schedule": schedule,
+        "p_list": tuple(_number({"p_list": p}, "p_list", where="study.", minimum=1.0)
+                        for p in p_list),
+        "target_lambda": target_lambda,
+        "step_diagnostics": step_diagnostics,
+    }
 
 
 def load_config(path) -> RunConfig:
@@ -207,19 +307,24 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(doc)
 
 
+def _config(args) -> RunConfig:
+    """The config of ``args``; ``--seed``, checked as ``solver.seed`` is, replaces that key."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = _number(vars(args), "seed", where="--", cast=int, minimum=0)
+    return cfg
+
+
 def build_mesh(spec: dict):
+    """The mesh of a checked ``RunConfig.mesh_spec``."""
     if "path" in spec:
         try:
             return load_mesh(spec["path"])
         except OSError as exc:
             raise ConfigError(f"cannot read mesh {spec['path']}: {exc}") from exc
     if spec["kind"] == "cube":
-        if "n" not in spec:
-            raise ConfigError("cube mesh needs 'n'")
-        return generate_cube_mesh(int(spec["n"]))
-    if "level" not in spec:
-        raise ConfigError("ball mesh needs 'level'")
-    return generate_ball_mesh(int(spec["level"]))
+        return generate_cube_mesh(spec["n"])
+    return generate_ball_mesh(spec["level"])
 
 
 def _diagnosed_pencil(cfg: RunConfig):
@@ -229,8 +334,8 @@ def _diagnosed_pencil(cfg: RunConfig):
     mu = build_field(mesh, "mu_inv", cfg.materials["mu_inv"], cfg.perturbations)
     eps = build_field(mesh, "eps", cfg.materials["eps"], cfg.perturbations)
     reports = {
-        "mu_inv": validate(mu, cfg.omega).as_dict(),
-        "eps": validate(eps, cfg.omega).as_dict(),
+        "mu_inv": asdict(validate(mu, cfg.omega)),
+        "eps": asdict(validate(eps, cfg.omega)),
     }
     problem = Problem(cfg.problem, mesh, cfg.omega)
     pencil = problem.assemble(mu, eps)
@@ -263,6 +368,13 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _write_csv(path, rows):
+    """``rows[0]`` is the header; see ``_cell`` for the cell format."""
+    with open(path, "w", newline="") as fh:
+        for row in rows:
+            fh.write(",".join(_cell(c) for c in row) + "\n")
+
+
 # --------------------------------------------------------------------- #
 # subcommands
 # --------------------------------------------------------------------- #
@@ -281,9 +393,7 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _config(args)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -309,17 +419,13 @@ def cmd_solve(args) -> int:
     census = sector_census(clustered.eigenvalues, cfg.census_delta, radius)
 
     csv_path = out / "eigenvalues.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("index,re,im,residual,cluster_id,cluster_size\n")
-        for i, lam in enumerate(clustered.eigenvalues):
-            fh.write(",".join([
-                str(i), _fmt(lam.real), _fmt(lam.imag),
-                _fmt(clustered.residuals[i]),
-                str(int(clustered.cluster_labels[i])),
-                str(int(clustered.cluster_sizes[i])),
-            ]) + "\n")
+    _write_csv(csv_path, [["index", "re", "im", "residual", "cluster_id", "cluster_size"]] + [
+        [i, lam.real, lam.imag, clustered.residuals[i],
+         clustered.cluster_labels[i], clustered.cluster_sizes[i]]
+        for i, lam in enumerate(clustered.eigenvalues)
+    ])
 
-    meta["census"] = census.as_dict()
+    meta["census"] = asdict(census)
     meta["solver"].update({
         "converged": int(result.meta["converged"]),
         "iterations": int(result.meta["iterations"]),
@@ -333,9 +439,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _config(args)
     if cfg.study is None:
         raise ConfigError("config has no 'study' section")
     if cfg.perturbations:
@@ -344,70 +448,29 @@ def cmd_study(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
-    mesh = build_mesh(cfg.mesh_spec)
-    st = cfg.study
-    schedule = []
-    for i, step in enumerate(st["schedule"]):
-        try:
-            h = float(step["h"])
-            delta = complex(step.get("delta_re", 0.0), step.get("delta_im", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"study schedule entry #{i} invalid: {exc}") from exc
-        if not np.all(np.isfinite([h, delta])):
-            raise ConfigError(f"study schedule entry #{i} invalid: values must be finite")
-        schedule.append((h, delta))
-    try:
-        center = tuple(st.get("center", (0.0, 0.0, 0.0)))
-        target_lambda = st.get("target_lambda")
-        if target_lambda is not None:
-            target_lambda = complex(target_lambda.get("re", 0.0), target_lambda.get("im", 0.0))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"study center or target_lambda invalid: {exc}") from exc
-
-    setup = StudySetup(
-        mesh=mesh,
+    report = run_study(StudySetup(
+        mesh=build_mesh(cfg.mesh_spec),
         omega=cfg.omega,
         problem=cfg.problem,
         mu_base=cfg.materials["mu_inv"],
         eps_base=cfg.materials["eps"],
-        center=center,
-        target=st.get("target", "eps"),
-        schedule=schedule,
-        p_list=tuple(float(p) for p in st.get("p_list", [4.0])),
         sigma=cfg.sigma,
-        target_lambda=target_lambda,
         k=cfg.k,
         tol=cfg.tol,
         cluster_reltol=cfg.cluster_reltol,
         diag_threshold=cfg.diag_threshold,
-        step_diagnostics=bool(st.get("step_diagnostics", True)),
         seed=cfg.seed,
-    )
-    report = run_study(setup)
-
+        **cfg.study,
+    ))
     _write_json(out / "study_report.json", report.as_dict())
     csv_path = out / "study_summary.csv"
-    with open(csv_path, "w", newline="") as fh:
-        rows = report.csv_rows()
-        fh.write(",".join(str(c) for c in rows[0]) + "\n")
-        for row in rows[1:]:
-            cells = []
-            for c in row:
-                if c is None:
-                    cells.append("")
-                elif isinstance(c, str):
-                    cells.append(c)
-                elif isinstance(c, (int, np.integer)):
-                    cells.append(str(int(c)))
-                else:
-                    cells.append(_fmt(c))
-            fh.write(",".join(cells) + "\n")
+    _write_csv(csv_path, report.csv_rows())
     print(f"wrote {csv_path} ({len(report.steps)} steps)")
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -123,11 +123,11 @@ def scalar_dirichlet_diagnostic(pencil: ScalarPencil, dense_limit: int = 3000) -
     return _sparse_sigma_ratio(A.tocsc())
 
 
-def _sparse_sigma_ratio(A, tol=1e-9, seed=0):
+def _sparse_sigma_ratio(A):
     """sigma_min/sigma_max via Lanczos on A and on the factorized inverse."""
     n = A.shape[0]
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    smax = float(spla.svds(A, k=1, which="LM", v0=v0, tol=tol,
+    v0 = np.random.default_rng(0).standard_normal(n)
+    smax = float(spla.svds(A, k=1, which="LM", v0=v0, tol=1e-9,
                            return_singular_vectors=False)[0])
     try:
         lu = spla.splu(A)
@@ -139,7 +139,7 @@ def _sparse_sigma_ratio(A, tol=1e-9, seed=0):
         rmatvec=lambda b: lu.solve(b, trans="H"),
         dtype=np.complex128,
     )
-    inv_max = float(spla.svds(op, k=1, which="LM", v0=v0, tol=tol,
+    inv_max = float(spla.svds(op, k=1, which="LM", v0=v0, tol=1e-9,
                               return_singular_vectors=False)[0])
     if not np.isfinite(inv_max) or inv_max == 0.0:
         return 0.0

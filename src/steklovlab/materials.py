@@ -89,18 +89,6 @@ class MaterialReport:
     passed: bool
     failures: list
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "coercivity_min": self.coercivity_min,
-            "symmetry_defect": self.symmetry_defect,
-            "normality_defect": self.normality_defect,
-            "realness_defect": self.realness_defect,
-            "conductivity_min": self.conductivity_min,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
-
 
 def tensor_from_entry(value):
     """Coerce a config entry to a 3x3 complex tensor.

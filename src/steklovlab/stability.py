@@ -18,7 +18,7 @@ perturbation (delta K - omega^2 delta M) is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,10 @@ from .fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic
 from .materials import PerturbationSpec, build_field, lp_diff_norm
 from .mesh import Mesh, extract_boundary
 
+# first_order_prediction refuses a cluster whose |c| falls below this
+# fraction of its sesquilinear B average (the nondegeneracy condition fails)
+C_THRESHOLD = 1e-8
+
 
 @dataclass
 class FitResult:
@@ -43,14 +47,6 @@ class FitResult:
     intercept: float
     residual: float          # rms deviation in log-log space
     bound_ratio_max: float   # max over steps of (drift/norm) / (drift_0/norm_0)
-
-    def as_dict(self):
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "bound_ratio_max": self.bound_ratio_max,
-        }
 
 
 def fit_rate(pairs) -> FitResult:
@@ -83,19 +79,17 @@ def normalize_vectors(vectors, gram):
     return vecs
 
 
-def nondegeneracy(B, vectors, gram=None) -> complex:
+def nondegeneracy(B, vectors) -> complex:
     """Bilinear cluster coefficient c = (1/N) sum_n u_n^T B u_n.
 
     ``vectors`` are the cluster eigenvectors as columns, normalized in the
-    discrete energy inner product (pass ``gram`` to normalize here).
+    discrete energy inner product (see :func:`normalize_vectors`).
     """
     vecs = np.asarray(vectors, dtype=np.complex128)
     if vecs.ndim == 1:
         vecs = vecs[:, None]
     if vecs.shape[1] == 0:
         raise ValueError("nondegeneracy needs at least one vector")
-    if gram is not None:
-        vecs = normalize_vectors(vecs, gram)
     vals = [vecs[:, j] @ (B @ vecs[:, j]) for j in range(vecs.shape[1])]
     return complex(np.mean(vals))
 
@@ -105,31 +99,28 @@ def _c_scale(B, vecs):
     return float(np.mean(mags))
 
 
-def first_order_prediction(pencil0, pencil_h, vectors, gram=None, c=None,
-                           c_threshold=1e-8):
+def first_order_prediction(pencil0, pencil_h, vectors, c=None):
     """Predicted eigenvalue shift lambda_h - lambda_0 for a tracked cluster.
 
     Both pencils must live on the same mesh; the boundary form is unchanged
     by material perturbations, so the pencil perturbation is
-    delta A = (K_h - K_0) - omega^2 (M_h - M_0).  Refuses (DegenerateCluster)
-    when |c| falls below ``c_threshold`` relative to the sesquilinear
-    cluster average of B, mirroring the failure of the nondegeneracy
-    condition.
+    delta A = (K_h - K_0) - omega^2 (M_h - M_0).  ``vectors`` are normalized
+    as for :func:`nondegeneracy`.  Refuses (DegenerateCluster) when |c| falls
+    below ``C_THRESHOLD`` relative to the sesquilinear cluster average of B,
+    mirroring the failure of the nondegeneracy condition.
     """
     vecs = np.asarray(vectors, dtype=np.complex128)
     if vecs.ndim == 1:
         vecs = vecs[:, None]
     if vecs.shape[1] == 0:
         raise ValueError("prediction needs at least one vector")
-    if gram is not None:
-        vecs = normalize_vectors(vecs, gram)
     B = pencil0.B
     if c is None:
         c = nondegeneracy(B, vecs)
     scale = max(_c_scale(B, vecs), 1e-300)
-    if abs(c) <= c_threshold * scale:
+    if abs(c) <= C_THRESHOLD * scale:
         raise DegenerateCluster(
-            f"|c| = {abs(c):.3e} below threshold {c_threshold:.1e} x {scale:.3e}"
+            f"|c| = {abs(c):.3e} below threshold {C_THRESHOLD:.1e} x {scale:.3e}"
         )
     delta_a = pencil_h.a0() - pencil0.a0()
     vals = [vecs[:, j] @ (delta_a @ vecs[:, j]) for j in range(vecs.shape[1])]
@@ -161,7 +152,6 @@ class StudySetup:
     diag_threshold: float = 1e-6
     step_diagnostics: bool = True
     seed: int = 0
-    c_threshold: float = 1e-8
 
 
 @dataclass
@@ -231,8 +221,8 @@ class StudyReport:
             "guard_radius": self.guard_radius,
             "baseline_diag": self.baseline_diag,
             "steps": [s.as_dict() for s in self.steps],
-            "fits": {str(p): f.as_dict() for p, f in self.fits.items()},
-            "mean_fits": {str(p): f.as_dict() for p, f in self.mean_fits.items()},
+            "fits": {str(p): asdict(f) for p, f in self.fits.items()},
+            "mean_fits": {str(p): asdict(f) for p, f in self.mean_fits.items()},
             "meta": self.meta,
         }
 
@@ -445,10 +435,7 @@ def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
     rec.cluster_diameter = float(np.abs(cand[:, None] - cand[None, :]).max()) if len(cand) > 1 else 0.0
 
     try:
-        predicted, _ = first_order_prediction(
-            pencil0, pencil_h, vectors, c=c, c_threshold=setup.c_threshold
-        )
-        rec.predicted = predicted
+        rec.predicted, _ = first_order_prediction(pencil0, pencil_h, vectors, c=c)
     except DegenerateCluster as exc:
         rec.prediction_note = str(exc)
     return rec

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklovlab import cli
 from steklovlab.cli import run
@@ -237,11 +243,12 @@ def test_threads_limit_in_force_during_dispatch(tmp_path, monkeypatch):
 
 
 def _with(doc, path, value):
-    """Copy of ``doc`` with the entry at key ``path`` (a tuple) set to ``value``."""
+    """Copy of ``doc`` with the entry at key ``path`` (a tuple of keys and list
+    indices) set to ``value``; missing sections are created."""
     doc = json.loads(json.dumps(doc))
     node = doc
     for key in path[:-1]:
-        node = node.setdefault(key, {})
+        node = node[key] if isinstance(node, list) else node.setdefault(key, {})
     node[path[-1]] = value
     return doc
 
@@ -266,21 +273,97 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
     ("solve", _with(_SMALL, ("solver", "max_krylov"), 0), "config-error", 1),
     ("solve", _with(_SMALL, ("census", "delta"), 4.0), "config-error", 1),
     ("solve", _SMALL, "solver-failure", 3),      # _dispatch raises LinAlgError
+    ("solve", _with(_SMALL, ("materials", "mu_inv"), [1.0]), "config-error", 1),
+    ("study", _with(_SMALL, ("study",), {**_STUDY, "target": "foo"}), "config-error", 1),
+    ("study", _with(_SMALL, ("study",), {**_STUDY, "center": [0.5, 0.5]}), "config-error", 1),
+    ("study", _with(_SMALL, ("study",), {"schedule": [{"h": -0.3}]}), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "seed"), -1), "config-error", 1),
+    ("solve --seed -1", _SMALL, "config-error", 1),
+    ("solve", _with(_SMALL, ("mesh",), {"kind": "cube", "n": 0}), "config-error", 1),
+    ("solve", _with(_SMALL, ("mesh",), {"kind": "cube", "n": "abc"}), "config-error", 1),
+    ("solve", _with(_SMALL, ("mesh", "level"), -1), "config-error", 1),
+    ("solve", _with(_SMALL, ("materials", "mu_inv"), {"a": 1.0}), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "k"), 4.5), "config-error", 1),
+    ("solve", _with(_SMALL, ("mesh",), {"kind": "cube", "n": 2.7}), "config-error", 1),
+    ("study", _with(_SMALL, ("study",), {**_STUDY, "step_diagnostics": "no"}), "config-error", 1),
+    ("solve", _with(_SMALL, ("census", "radius"), -1), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "cluster_reltol"), -1), "config-error", 1),
+    ("solve", _with(_SMALL, ("materials", "eps", "1"), [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "config-error", 1),
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
         "krylov-dim-zero", "krylov-dim-negative", "max-krylov-zero", "census-delta-range",
-        "linalg-error"])
+        "linalg-error", "mu-inv-list", "study-target-name", "study-center-2d",
+        "schedule-negative-h", "negative-seed", "negative-seed-flag", "cube-n-zero",
+        "cube-n-string", "ball-level-negative", "region-tag-name", "fractional-k",
+        "fractional-cube-n", "step-diagnostics-string", "census-radius-negative",
+        "cluster-reltol-negative", "scalar-anisotropic-eps"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
     if kind == "solver-failure":
         def fail(args):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         monkeypatch.setattr(cli, "_dispatch", fail)
     cfg = write_config(tmp_path, doc)
-    assert run([command, "--config", cfg, "--output", str(tmp_path / "out")]) == code
+    out = tmp_path / "out"
+    assert run([*command.split(), "--config", cfg, "--output", str(out)]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
+    if kind == "config-error" and "path" not in doc["mesh"]:
+        assert not out.exists()      # rejected before any work; a mesh file is read later
+
+
+def _key_paths(node, prefix=()):
+    """Every key path of a JSON document, through objects and lists."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+_MALFORMED = [None, "x", [], {}, [1], -1, 0, 2.5, float("nan"), float("inf")]
+_FULL_SECTIONS = {
+    "perturbations": [{"center": [0.1, 0.0, 0.0], "h": 0.5, "delta_im": 1e-3, "target": "eps"}],
+    "census": {"delta": 1.0, "radius": 5.0},
+    "diagnostics": {"threshold": 1e-6},
+    "study": {"target": "eps", "center": [0.0, 0.0, 0.0],
+              "schedule": [{"h": 0.4, "delta_re": 0.0, "delta_im": 1e-3}],
+              "p_list": [2, 4], "target_lambda": {"re": 1.0, "im": 0.0},
+              "step_diagnostics": True},
+}
+# tiny meshes only: no pool value turns a mesh size into a large valid one
+_FUZZ_BASES = {
+    "scalar-ball-l0": {**scalar_ball_config(level=0), **_FULL_SECTIONS},
+    "maxwell-cube-n1": {
+        "problem": "maxwell",
+        "mesh": {"kind": "cube", "n": 1},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "sigma_im": 0.0, "k": 4, "tol": 1e-9, "seed": 0,
+                   "cluster_reltol": 1e-6, "krylov_dim": 20, "max_krylov": 40},
+        **_FULL_SECTIONS,
+    },
+}
+
+
+@pytest.mark.parametrize("base", list(_FUZZ_BASES.values()), ids=list(_FUZZ_BASES))
+def test_malformed_config_value_is_at_most_one_error_line(base):
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(path=st.sampled_from(list(_key_paths(base))), value=st.sampled_from(_MALFORMED))
+    def check(path, value):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), _with(base, path, value))
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(["diagnose", "--config", cfg, "--output", str(Path(tmp) / "out")])
+        text = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in text
+        assert sum(ln.startswith("error:") for ln in text.splitlines()) <= 1
+
+    check()
 
 
 def test_solve_diagnose_study_report_one_diagnostic(tmp_path):

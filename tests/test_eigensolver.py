@@ -293,7 +293,10 @@ def test_census_delta_range():
 def test_pencil_residual_matches_definition():
     A0, B = random_pencil(8, 6, 2)
     res = solve_dense_oracle(A0, B)
-    lam, x = res.eigenvalues[0], res.eigenvectors[:, 0]
+    # a shifted lambda keeps the residual far above roundoff, so the relative
+    # comparison (no absolute slack) can tell the two denominators apart
+    lam, x = res.eigenvalues[0] + 0.1, res.eigenvectors[:, 0]
     num = np.linalg.norm(A0 @ x - lam * (B @ x))
-    den = np.linalg.norm(A0 @ x) + abs(lam) * np.linalg.norm(B @ x)
-    assert pencil_residual(A0, B, lam, x) == pytest.approx(num / den, rel=1e-12)
+    den = np.abs(A0).sum(axis=1).max() * np.linalg.norm(x) + abs(lam) * np.linalg.norm(B @ x)
+    assert num / den > 1e-3
+    assert pencil_residual(A0, B, lam, x) == pytest.approx(num / den, rel=1e-12, abs=0)
