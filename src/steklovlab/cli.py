@@ -327,10 +327,10 @@ def build_mesh(spec: dict):
     return generate_ball_mesh(spec["level"])
 
 
-def _diagnosed_pencil(cfg: RunConfig):
-    """The config's pencil, its diagnostic value, and the report head that
-    solve_meta.json and diagnostics.json share (fields, validation, diagnostic)."""
-    mesh = build_mesh(cfg.mesh_spec)
+def _diagnosed_pencil(cfg: RunConfig, mesh):
+    """The config's pencil on ``mesh``, its diagnostic value, and the report
+    head that solve_meta.json and diagnostics.json share (fields, validation,
+    diagnostic)."""
     mu = build_field(mesh, "mu_inv", cfg.materials["mu_inv"], cfg.perturbations)
     eps = build_field(mesh, "eps", cfg.materials["eps"], cfg.perturbations)
     reports = {
@@ -394,10 +394,11 @@ def cmd_mesh(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _config(args)
+    mesh = build_mesh(cfg.mesh_spec)    # a missing mesh file leaves no directory behind
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
-    pencil, sigma_min, meta = _diagnosed_pencil(cfg)
+    pencil, sigma_min, meta = _diagnosed_pencil(cfg, mesh)
     meta["solver"] = {"sigma": _cx(cfg.sigma), "k": cfg.k, "tol": cfg.tol, "seed": cfg.seed}
     if not meta["diagnostics"]["passed"]:
         _write_json(out / "solve_meta.json", meta)
@@ -431,6 +432,8 @@ def cmd_solve(args) -> int:
         "iterations": int(result.meta["iterations"]),
         "partial": bool(result.meta["partial"]),
         "exhausted": bool(result.meta["exhausted"]),
+        "sweeps": result.meta["sweeps"],
+        "schur_defect": result.meta["schur_defect"],
     })
     meta["cluster_means"] = [_cx(m) for m in clustered.cluster_means]
     _write_json(out / "solve_meta.json", meta)
@@ -445,11 +448,12 @@ def cmd_study(args) -> int:
     if cfg.perturbations:
         raise ConfigError("perturbations apply to solve and diagnose only; "
                           "a study perturbs through its schedule")
+    mesh = build_mesh(cfg.mesh_spec)    # a missing mesh file leaves no directory behind
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
     report = run_study(StudySetup(
-        mesh=build_mesh(cfg.mesh_spec),
+        mesh=mesh,
         omega=cfg.omega,
         problem=cfg.problem,
         mu_base=cfg.materials["mu_inv"],
@@ -471,12 +475,13 @@ def cmd_study(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _config(args)
+    mesh = build_mesh(cfg.mesh_spec)    # a missing mesh file leaves no directory behind
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
     failures = []
     try:
-        _, sigma_min, doc = _diagnosed_pencil(cfg)
+        _, sigma_min, doc = _diagnosed_pencil(cfg, mesh)
     except AssumptionViolation as exc:
         # field-level failure: still emit a report with what we know
         doc = {"problem": cfg.problem, "passed": False, "failures": [str(exc)]}

@@ -10,11 +10,18 @@ certificate (see :func:`pencil_residual`)
 
 so downstream consumers never rely on solver-internal convergence estimates.
 
-The Arnoldi driver runs with full reorthogonalization and deterministic
-seeded start vectors, and locks converged Ritz vectors between restarts;
-restarting orthogonally to the locked set is what recovers the remaining
-copies of (numerically) multiple eigenvalues, which a single Krylov vector
-cannot see.
+The shift-invert Arnoldi driver runs with full reorthogonalization and
+deterministic seeded start vectors.  Certified pairs are locked as a partial
+Schur form T Q = Q R of T = (A0 - sigma B)^-1 B (orthonormal Q, triangular
+R), and each later sweep runs on T deflated by Q, which is what recovers the
+remaining copies of (numerically) multiple eigenvalues that a single Krylov
+vector cannot see.  Since the pencils are non-normal, a Ritz vector of the
+deflated operator is not an eigenvector; it is lifted to one through R
+before it is certified.  Once k pairs are locked, a sweep whose dominant
+Ritz value has settled outside the disk of the k nearest locked values ends
+the solve (Saad, Numerical Methods for Large Eigenvalue Problems, 2nd ed.,
+SIAM 2011, ch. 4; Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17(4),
+1996).
 """
 
 from __future__ import annotations
@@ -223,15 +230,69 @@ def solve_dense_oracle(A0, B, dense_limit=DEFAULT_DENSE_LIMIT,
 # shift-invert Arnoldi with locking
 # --------------------------------------------------------------------- #
 
-class _Arnoldi:
-    """Full-reorthogonalization Arnoldi factorization, deflated against
-    ``locked`` columns, that ``extend`` resumes from where it stopped.
+def _cgs2(Q, w):
+    """w minus its component in the orthonormal columns of Q, by two
+    classical Gram-Schmidt passes, and that component Q^H w."""
+    # Q^H w as (w^H Q)^H: a gemv on Q itself, no conjugate copy of Q
+    c = (w.conj() @ Q).conj()
+    w = w - Q @ c
+    c2 = (w.conj() @ Q).conj()
+    return w - Q @ c2, c + c2
 
-    V (n x (cap + 1)) and H ((cap + 1) x cap) are allocated once; after
-    ``steps`` operator applies, apply_op V[:, :steps] = V[:, :steps + 1]
-    H[:steps + 1, :steps].  On breakdown the captured space is invariant and
-    beta = 0, otherwise beta is the trailing coupling H[steps, steps - 1]
-    used for cheap Ritz convergence estimates.
+
+class _PartialSchur:
+    """Partial Schur form T Q = Q R of T = (A0 - sigma B)^-1 B: orthonormal
+    Q (n x p), upper-triangular R (p x p) carrying the locked theta on its
+    diagonal.  It holds to the accuracy of the certified pairs it is built
+    from.
+    """
+
+    def __init__(self, n):
+        self.Q = np.zeros((n, 0), dtype=np.complex128)
+        self.R = np.zeros((0, 0), dtype=np.complex128)
+
+    def lock(self, theta, x):
+        """Extend by a certified pair: x = Q c + r q, and T x = theta x gives
+        T q = Q (theta c - R c) / r + theta q, so no operator apply is needed."""
+        w, c = _cgs2(self.Q, x)
+        r = np.linalg.norm(w)
+        p = len(c)
+        R = np.zeros((p + 1, p + 1), dtype=np.complex128)
+        R[:p, :p] = self.R
+        R[:p, p] = (theta * c - self.R @ c) / r
+        R[p, p] = theta
+        self.Q = np.concatenate([self.Q, (w / r)[:, None]], axis=1)
+        self.R = R
+
+    def recover(self, theta, y, g):
+        """Eigenvector x = y + Q z of T for a Ritz pair (theta, y) of the
+        deflated operator, where T y = theta y + Q g: (theta I - R) z = g.
+
+        The min-norm solve drops the directions where theta meets a locked
+        value, so a further copy of a locked eigenvalue gets no Q-component.
+        """
+        z = np.linalg.lstsq(theta * np.eye(len(g)) - self.R, g, rcond=1e-8)[0]
+        return y + self.Q @ z
+
+    def defect(self):
+        """max |Q^H Q - I|."""
+        p = self.Q.shape[1]
+        return float(np.abs(self.Q.conj().T @ self.Q - np.eye(p)).max()) if p else 0.0
+
+
+class _Arnoldi:
+    """Full-reorthogonalization Arnoldi factorization, deflated against the
+    orthonormal ``locked`` columns Q, that ``extend`` resumes from where it
+    stopped.
+
+    V (n x (cap + 1)), H ((cap + 1) x cap) and G (p x cap) are allocated
+    once; after ``steps`` operator applies,
+
+        apply_op V[:, :steps] = Q G[:, :steps] + V[:, :steps + 1] H[:steps + 1, :steps].
+
+    On breakdown the captured space is invariant and beta = 0, otherwise
+    beta is the trailing coupling H[steps, steps - 1] used for cheap Ritz
+    convergence estimates.
     """
 
     def __init__(self, apply_op, v0, locked, cap):
@@ -240,20 +301,14 @@ class _Arnoldi:
         self.locked = locked
         self.V = np.zeros((n, cap + 1), dtype=np.complex128)
         self.H = np.zeros((cap + 1, cap), dtype=np.complex128)
+        self.G = np.zeros((locked.shape[1], cap), dtype=np.complex128)
         self.steps = 0
         self.beta = 0.0
-        v = self._deflate(v0.astype(np.complex128))
+        v = _cgs2(locked, v0.astype(np.complex128))[0]
         nv = np.linalg.norm(v)
         self.breakdown = nv == 0.0
         if not self.breakdown:
             self.V[:, 0] = v / nv
-
-    def _deflate(self, w):
-        locked = self.locked
-        if locked.shape[1]:
-            w = w - locked @ (w.conj() @ locked).conj()
-            w = w - locked @ (w.conj() @ locked).conj()
-        return w
 
     def extend(self, m):
         """Continue the factorization up to ``m`` steps (or a breakdown)."""
@@ -261,15 +316,9 @@ class _Arnoldi:
             return
         V, H = self.V, self.H
         for j in range(self.steps, m):
-            w = self._deflate(self.apply_op(V[:, j]))
+            w, self.G[:, j] = _cgs2(self.locked, self.apply_op(V[:, j]))
             self.steps = j + 1
-            Vj = V[:, : j + 1]
-            # V^H w as (w^H V)^H: a gemv on V itself, no conjugate copy of V
-            h = (w.conj() @ Vj).conj()
-            w = w - Vj @ h
-            h2 = (w.conj() @ Vj).conj()
-            w = w - Vj @ h2
-            h = h + h2
+            w, h = _cgs2(V[:, : j + 1], w)
             H[: j + 1, j] = h
             beta = np.linalg.norm(w)
             H[j + 1, j] = beta
@@ -282,17 +331,36 @@ class _Arnoldi:
             self.beta = float(beta)
 
 
+# Relative slack in "outside the k-nearest disk": a further copy of the k-th
+# nearest eigenvalue sits at the k-th distance up to roundoff and changes no
+# answer, so it must count as outside rather than keep a sweep growing.
+TIE_MARGIN = 1e-8
+
+
 def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
                        max_krylov=None, max_sweeps=12, seed=0) -> EigenResult:
     """Shift-invert Arnoldi for the k eigenvalues nearest ``sigma``.
 
     ``B`` may be a sparse matrix or a matrix-free boundary Gram form.  Ritz
-    values theta map back through lambda = sigma + 1/theta; near-zero theta
-    are infinite-eigenvalue modes of the singular pencil and are never
-    reported.  Converged pairs are locked and the iteration restarts in
-    their orthogonal complement until k pairs are certified, the Krylov
-    space is exhausted (meta["exhausted"]), or the sweep budget runs out
-    (meta["partial"]).  Dense ``A0``/``B`` arrays are converted to CSR.
+    values theta of T = (A0 - sigma B)^-1 B map back through
+    lambda = sigma + 1/theta; near-zero theta are infinite-eigenvalue modes
+    of the singular pencil and are never reported.
+
+    Certified pairs are locked into a partial Schur form T Q = Q R, and
+    every later sweep runs Arnoldi on T deflated by Q from a fresh seeded
+    start, which is what recovers further copies of multiple eigenvalues.
+    A Ritz pair (theta, y) of a deflated sweep is lifted to an eigenvector
+    of T through R (see ``_PartialSchur.recover``) and certified as such.
+    Each sweep grows its Krylov space until a checkpoint certifies a pair
+    (the next sweep starts), or, once k pairs are locked, until the dominant
+    Ritz value has settled outside the disk of the k nearest locked values
+    (the answer is final).  The solve also ends when a sweep's space breaks
+    down without a new pair (meta["exhausted"] if fewer than k were found),
+    reaches ``max_krylov`` without one, or ``max_sweeps`` runs out
+    (meta["partial"] whenever fewer than k pairs are reported).
+    meta["sweeps"] records per sweep the operator applies, the pairs locked
+    and the stop reason; meta["schur_defect"] is max |Q^H Q - I|.  Dense
+    ``A0``/``B`` arrays are converted to CSR.
     """
     if isinstance(A0, np.ndarray):
         A0 = sp.csr_matrix(A0)
@@ -315,112 +383,102 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     cap = min(n, max_krylov)
     m0 = min(m0, cap)
 
-    locked_vecs = np.zeros((n, 0), dtype=np.complex128)
+    schur = _PartialSchur(n)
+    locked_vecs: list[np.ndarray] = []
     locked_vals: list[complex] = []
     locked_res: list[float] = []
-    total_iters = 0
-    exhausted = False
-    stale_sweeps = 0
-
-    def k_nearest_radius():
-        if len(locked_vals) < k:
-            return np.inf
-        dist = np.sort(np.abs(np.array(locked_vals) - sigma))
-        return dist[k - 1]
+    sweeps: list[dict] = []
 
     for sweep in range(max_sweeps):
         rng = np.random.default_rng(seed + 1000 * sweep)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         # later sweeps only chase the remaining copies near sigma
         m = m0 if sweep == 0 else min(m0, max(2 * (k - len(locked_vals)) + 10, 30))
+        # distance of the k-th nearest locked value; a Ritz value farther out
+        # cannot change the answer
+        dist = np.sort(np.abs(np.array(locked_vals) - sigma))
+        r_k = (1.0 - TIE_MARGIN) * dist[k - 1] if len(dist) >= k else np.inf
+        krylov = _Arnoldi(solver.apply, v0, schur.Q, cap)
+        stop = None
         new_pairs = []
-        krylov = _Arnoldi(solver.apply, v0, locked_vecs, cap)
-        while True:
+        while stop is None:
             # resume the factorization: applied vectors are never applied again
             krylov.extend(m)
             steps, beta = krylov.steps, krylov.beta
             if steps == 0:
-                exhausted = True
+                stop = "breakdown"
                 break
             theta, Y = scipy.linalg.eig(krylov.H[:steps, :steps])
-            tmax = np.abs(theta).max() if len(theta) else 0.0
-            new_pairs = []
-            if tmax > 0:
-                finite = np.nonzero(np.abs(theta) > DEFAULT_THETA_CUT * tmax)[0]
-                # certify dominant Ritz values first; the Arnoldi coupling
-                # beta |y_m| prefilters clearly unconverged candidates, a
-                # patience counter stops wasted certification far from sigma
-                order = finite[np.argsort(-np.abs(theta[finite]), kind="stable")]
-                budget = (k - len(locked_vals)) + 10
-                failures = 0
-                for j in order:
-                    if len(new_pairs) >= budget or failures >= 10:
-                        break
-                    if beta * np.abs(Y[steps - 1, j]) > 0.1 * np.abs(theta[j]):
-                        continue
-                    lam = sigma + 1.0 / theta[j]
-                    x = krylov.V[:, :steps] @ Y[:, j]
-                    nx = np.linalg.norm(x)
-                    if nx == 0.0:
-                        continue
-                    x = x / nx
-                    res = pencil_residual(A0, B, lam, x, a0n)
-                    if res <= tol:
-                        new_pairs.append((lam, x, res))
-                        failures = 0
-                    else:
-                        failures += 1
-            if new_pairs or krylov.breakdown or m >= cap:
-                break
-            m = min(2 * m, cap)
-        total_iters += krylov.steps
-        if krylov.breakdown and not new_pairs:
-            exhausted = True
-
-        if not new_pairs:
-            stale_sweeps += 1
-            if exhausted or stale_sweeps >= 2:
-                break
-            continue
-        stale_sweeps = 0
-        radius_before = k_nearest_radius()
-        added_closer = False
-        for lam, x, res in new_pairs:
-            # the sweep ran deflated, so x is already independent of the
-            # locked set; a certified duplicate of a simple eigenvalue cannot
-            # occur orthogonally to its own eigenvector
-            locked_vecs = np.concatenate([locked_vecs, x[:, None]], axis=1)
-            locked_vals.append(lam)
+            tmax = np.abs(theta).max()
+            finite = np.nonzero(np.abs(theta) > DEFAULT_THETA_CUT * tmax)[0]
+            # dominant Ritz values first; the Arnoldi coupling beta |y_m|
+            # tells settled ones, and prefilters certification candidates
+            order = finite[np.argsort(-np.abs(theta[finite]), kind="stable")]
+            settle = beta * np.abs(Y[steps - 1])
+            if len(order):
+                j = order[0]
+                if settle[j] <= 1e-2 * np.abs(theta[j]) and 1.0 / np.abs(theta[j]) > r_k:
+                    stop = "spectral"
+                    break
+            # a patience counter stops wasted certification far from sigma
+            budget = max(k - len(locked_vals), 0) + 10
+            failures = 0
+            for j in order:
+                if len(new_pairs) >= budget or failures >= 10 or 1.0 / np.abs(theta[j]) > r_k:
+                    break
+                if settle[j] > 0.1 * np.abs(theta[j]):
+                    continue
+                x = schur.recover(theta[j], krylov.V[:, :steps] @ Y[:, j],
+                                  krylov.G[:, :steps] @ Y[:, j])
+                x = x / np.linalg.norm(x)
+                lam = sigma + 1.0 / theta[j]
+                res = pencil_residual(A0, B, lam, x, a0n)
+                if res <= tol:
+                    new_pairs.append((theta[j], x, res))
+                    failures = 0
+                else:
+                    failures += 1
+            if new_pairs:
+                stop = "certified"
+            elif krylov.breakdown:
+                stop = "breakdown"
+            elif m >= cap:
+                stop = "budget"
+            else:
+                m = min(2 * m, cap)
+        for th, x, res in new_pairs:
+            schur.lock(th, x)
+            locked_vecs.append(x)
+            locked_vals.append(sigma + 1.0 / th)
             locked_res.append(res)
-            if abs(lam - sigma) < radius_before:
-                added_closer = True
-        # stop only once a deflated restart no longer changes the k nearest:
-        # degenerate eigenvalues surface one copy per sweep
-        if len(locked_vals) >= k and not added_closer:
+        sweeps.append({"applies": krylov.steps, "locked": len(new_pairs), "stop": stop})
+        if stop != "certified":
             break
 
     lam = np.array(locked_vals, dtype=np.complex128)
     res = np.array(locked_res)
     order = np.lexsort((lam.imag, lam.real, np.abs(lam - sigma)))
     order = order[: min(k, len(order))]
-    result = EigenResult(
+    vecs = np.stack(locked_vecs, axis=1) if locked_vecs else np.zeros((n, 0), dtype=np.complex128)
+    return EigenResult(
         eigenvalues=lam[order],
-        eigenvectors=locked_vecs[:, order] if locked_vecs.size else locked_vecs,
+        eigenvectors=vecs[:, order],
         residuals=res[order],
         meta={
             "method": "shift_invert_arnoldi",
             "sigma": sigma,
             "requested": k,
             "converged": int(len(order)),
-            "iterations": total_iters,
+            "iterations": sum(s["applies"] for s in sweeps),
             "krylov_dim": m0,
             "seed": seed,
             "tol": tol,
-            "exhausted": bool(exhausted and len(order) < k),
+            "exhausted": bool(sweeps[-1]["stop"] == "breakdown" and len(order) < k),
             "partial": bool(len(order) < k),
+            "sweeps": sweeps,
+            "schur_defect": schur.defect(),
         },
     )
-    return result
 
 
 # --------------------------------------------------------------------- #

@@ -60,6 +60,13 @@ def test_solve_scalar_ball(tmp_path, capsys):
     means = sorted((m["re"] for m in meta["cluster_means"]))
     assert abs(means[0]) < 0.05
     assert means[1] == pytest.approx(1.0, abs=0.2)
+    # the solver history: per sweep applies, locked pairs and stop reason
+    solver = meta["solver"]
+    sweeps = solver["sweeps"]
+    assert sum(s["applies"] for s in sweeps) == solver["iterations"]
+    assert sum(s["locked"] for s in sweeps) >= solver["converged"] == 18
+    assert [s["stop"] for s in sweeps] == ["certified"] * (len(sweeps) - 1) + ["spectral"]
+    assert 0.0 <= solver["schur_defect"] <= 1e-12
 
 
 def test_solve_determinism(tmp_path):
@@ -310,8 +317,8 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc
     assert "Traceback" not in err
     lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
-    if kind == "config-error" and "path" not in doc["mesh"]:
-        assert not out.exists()      # rejected before any work; a mesh file is read later
+    if kind == "config-error":
+        assert not out.exists()      # rejected before any output is written
 
 
 def _key_paths(node, prefix=()):

@@ -154,6 +154,87 @@ def test_growth_resumes_instead_of_reapplying(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def _nearest(oracle, sigma, k):
+    return oracle.eigenvalues[np.argsort(np.abs(oracle.eigenvalues - sigma), kind="stable")][:k]
+
+
+def _assert_k_nearest(res, want):
+    """``res`` reports the values ``want``, each as often as the oracle does."""
+    assert len(res) == len(want) and not res.meta["partial"]
+    got = res.eigenvalues
+    for lam in want:
+        tol = 1e-8 * max(1.0, abs(lam))
+        assert np.sum(np.abs(got - lam) <= tol) == np.sum(np.abs(want - lam) <= tol)
+
+
+@pytest.mark.parametrize("krylov_dim", [2, 4, 8, 16])
+def test_small_krylov_dim_nonnormal_pencil(krylov_dim):
+    # eigenvectors of this pencil are far from orthogonal: deflated sweeps
+    # must lift their Ritz vectors to eigenvectors to certify anything
+    A0, B = random_pencil(60, 40, 0)
+    sigma = 0.7 + 0.3j
+    want = _nearest(solve_dense_oracle(A0, B), sigma, 6)
+    res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), sigma, 6, tol=1e-10,
+                             krylov_dim=krylov_dim, seed=5)
+    _assert_k_nearest(res, want)
+    assert res.residuals.max() <= 1e-10
+
+
+@pytest.mark.parametrize("krylov_dim", [2, 4, 8])
+def test_small_krylov_dim_scalar_ball(krylov_dim):
+    # the first sweeps lock values far from sigma; the solve must not stop
+    # before the closer ones are found
+    A0, B = _scalar_ball_pencil()
+    sigma = 1.5
+    want = _nearest(solve_dense_oracle(A0.toarray(), B.toarray()), sigma, 6)
+    res = solve_shift_invert(A0, B, sigma, 6, tol=1e-10, krylov_dim=krylov_dim, seed=5)
+    _assert_k_nearest(res, want)
+    assert res.residuals.max() <= 1e-10
+
+
+def test_locked_pairs_form_a_partial_schur_form(monkeypatch):
+    forms = []
+    init = eigensolver._PartialSchur.__init__
+
+    def recording_init(self, n):
+        init(self, n)
+        forms.append(self)
+
+    monkeypatch.setattr(eigensolver._PartialSchur, "__init__", recording_init)
+    A0, B = random_pencil(60, 40, 0)
+    sigma = 0.7 + 0.3j
+    res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), sigma, 6, tol=1e-10,
+                             krylov_dim=4, seed=5)
+    assert len(res) == 6
+    assert sum(s["locked"] > 0 for s in res.meta["sweeps"]) >= 3
+    (schur,) = forms
+    Q, R = schur.Q, schur.R
+    assert Q.shape[1] == sum(s["locked"] for s in res.meta["sweeps"])
+    assert np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
+    assert res.meta["schur_defect"] == schur.defect() <= 1e-12
+    assert np.array_equal(R, np.triu(R))
+    T = np.linalg.solve(A0 - sigma * B, B)
+    assert np.linalg.norm(T @ Q - Q @ R) <= 1e-8 * np.linalg.norm(R)
+
+
+def test_double_at_kth_distance_stops_at_first_checkpoint():
+    # lambda = 3 is a double and the k-th nearest value; the first sweep locks
+    # one copy, so the second one is the dominant Ritz value of the
+    # confirmation sweep.  It sits at the k-th locked distance up to roundoff
+    # and changes no answer: the sweep must end at its first checkpoint
+    # (without the tie margin it goes on to certify and lock the copy)
+    rng = np.random.default_rng(0)
+    d = np.concatenate([[1.0, 2.0, 3.0, 3.0], np.linspace(10.0, 60.0, 116)])
+    Q = np.linalg.qr(rng.standard_normal((120, 120)))[0]
+    A0 = sp.csr_matrix((Q * d) @ Q.T)
+    B = sp.eye(120, format="csr")
+    res = solve_shift_invert(A0, B, 0.0, 3, tol=1e-10, krylov_dim=20, seed=1)
+    assert np.allclose(np.sort(res.eigenvalues.real), [1.0, 2.0, 3.0])
+    first, confirm = res.meta["sweeps"]
+    assert first["stop"] == "certified" and first["locked"] == 3
+    assert confirm == {"applies": 20, "locked": 0, "stop": "spectral"}
+
+
 def test_extended_factorization_equals_single_run():
     rng = np.random.default_rng(4)
     n, m = 50, 12
@@ -171,10 +252,12 @@ def test_extended_factorization_equals_single_run():
     assert np.abs(resumed.V[:, : 2 * m + 1] - single.V).max() <= 1e-13
     assert np.abs(resumed.H[: 2 * m + 1, : 2 * m] - single.H).max() <= 1e-13
     assert resumed.beta == pytest.approx(single.beta, rel=1e-13)
-    # the factorization is an Arnoldi relation in the complement of locked
-    V, H = single.V, single.H
+    # the factorization is an Arnoldi relation in the complement of locked,
+    # and G holds the locked components of the applied vectors
+    V, H, G = single.V, single.H, single.G
     P = np.eye(n) - locked @ locked.conj().T
     assert np.abs(P @ M @ V[:, : 2 * m] - V @ H).max() <= 1e-10 * np.abs(M).max()
+    assert np.abs(M @ V[:, : 2 * m] - locked @ G - V @ H).max() <= 1e-10 * np.abs(M).max()
     assert np.abs(V.conj().T @ V - np.eye(2 * m + 1)).max() <= 1e-12
 
 
