@@ -431,6 +431,7 @@ def cmd_solve(args) -> int:
         "converged": int(result.meta["converged"]),
         "iterations": int(result.meta["iterations"]),
         "partial": bool(result.meta["partial"]),
+        "confirmed": bool(result.meta["confirmed"]),
         "exhausted": bool(result.meta["exhausted"]),
         "sweeps": result.meta["sweeps"],
         "schur_defect": result.meta["schur_defect"],

@@ -358,8 +358,12 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     down without a new pair (meta["exhausted"] if fewer than k were found),
     reaches ``max_krylov`` without one, or ``max_sweeps`` runs out
     (meta["partial"] whenever fewer than k pairs are reported).
-    meta["sweeps"] records per sweep the operator applies, the pairs locked
-    and the stop reason; meta["schur_defect"] is max |Q^H Q - I|.  Dense
+    meta["confirmed"] holds when k pairs are reported and the last sweep
+    ended on the spectral test or a breakdown; a sweep cut by ``max_krylov``
+    or ``max_sweeps`` leaves the k nearest unconfirmed.  meta["sweeps"]
+    records per sweep the operator applies, the pairs locked, the stop
+    reason and the Ritz values discarded as infinite modes at its last
+    checkpoint; meta["schur_defect"] is max |Q^H Q - I|.  Dense
     ``A0``/``B`` arrays are converted to CSR.
     """
     if isinstance(A0, np.ndarray):
@@ -401,6 +405,7 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
         krylov = _Arnoldi(solver.apply, v0, schur.Q, cap)
         stop = None
         new_pairs = []
+        n_infinite = 0
         while stop is None:
             # resume the factorization: applied vectors are never applied again
             krylov.extend(m)
@@ -408,9 +413,10 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
             if steps == 0:
                 stop = "breakdown"
                 break
-            theta, Y = scipy.linalg.eig(krylov.H[:steps, :steps])
+            theta, Y = np.linalg.eig(krylov.H[:steps, :steps])
             tmax = np.abs(theta).max()
             finite = np.nonzero(np.abs(theta) > DEFAULT_THETA_CUT * tmax)[0]
+            n_infinite = steps - len(finite)
             # dominant Ritz values first; the Arnoldi coupling beta |y_m|
             # tells settled ones, and prefilters certification candidates
             order = finite[np.argsort(-np.abs(theta[finite]), kind="stable")]
@@ -451,7 +457,8 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
             locked_vecs.append(x)
             locked_vals.append(sigma + 1.0 / th)
             locked_res.append(res)
-        sweeps.append({"applies": krylov.steps, "locked": len(new_pairs), "stop": stop})
+        sweeps.append({"applies": krylov.steps, "locked": len(new_pairs), "stop": stop,
+                       "discarded_infinite": n_infinite})
         if stop != "certified":
             break
 
@@ -475,6 +482,8 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
             "tol": tol,
             "exhausted": bool(sweeps[-1]["stop"] == "breakdown" and len(order) < k),
             "partial": bool(len(order) < k),
+            # k pairs, and a last sweep that saw nothing closer
+            "confirmed": bool(len(order) == k and sweeps[-1]["stop"] in ("spectral", "breakdown")),
             "sweeps": sweeps,
             "schur_defect": schur.defect(),
         },

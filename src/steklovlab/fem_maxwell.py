@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -174,22 +173,32 @@ def kernel_subspace_basis(mesh: Mesh):
     """Orthonormal basis of the spanned part of the discrete smoothing-operator
     kernel: all gradients plus all interior-edge unit fields.
 
+    The span splits by coordinates: interior-edge coordinates are free, and
+    boundary edges carry only surface gradients G_s z.  So Q = blockdiag(I,
+    G_s0 R^-T), with G_s0 the surface gradient grounded at one vertex per
+    surface component and R R^T = G_s0^T G_s0 (Cholesky); its dimension
+    n_interior_edges + n_boundary_vertices - components needs no rank
+    tolerance.
+
     Returns (Q, info): Q is (n_edges, r) orthonormal; info records the
     subspace dimension and, for comparison, the dimension of the full kernel
     of the coupling matrix implied by its rank, so an unspanned remainder is
     detectable rather than silent.
     """
-    ne = mesh.n_edges
+    # imported here: csgraph adds start-up time to every run, scalar ones too
+    from scipy.sparse.csgraph import connected_components
     interior = mesh.interior_edge_ids
-    G = discrete_gradient(mesh)
-    Z = np.zeros((ne, mesh.n_vertices + len(interior)))
-    Z[:, :mesh.n_vertices] = G.toarray()
-    Z[interior, mesh.n_vertices + np.arange(len(interior))] = 1.0
-    Q, R, _ = scipy.linalg.qr(Z, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > 1e-12 * diag[0]))
-    Q = np.ascontiguousarray(Q[:, :rank])
-    info = {"subspace_dim": rank, "n_edges": ne, "n_interior_edges": int(len(interior))}
+    bed = mesh.boundary_edge_ids
+    Gs = discrete_gradient(mesh)[bed][:, mesh.boundary_vertex_ids]
+    comp = connected_components(Gs.T @ Gs, directed=False)[1]
+    grounded = np.unique(comp, return_index=True)[1]
+    Gs0 = Gs[:, np.setdiff1d(np.arange(Gs.shape[1]), grounded)]
+    R = np.linalg.cholesky((Gs0.T @ Gs0).toarray())
+    ni, nb = len(interior), Gs0.shape[1]
+    Q = np.zeros((mesh.n_edges, ni + nb))
+    Q[interior, np.arange(ni)] = 1.0
+    Q[np.ix_(bed, ni + np.arange(nb))] = np.linalg.solve(R, Gs0.T.toarray()).T
+    info = {"subspace_dim": ni + nb, "n_edges": mesh.n_edges, "n_interior_edges": int(ni)}
     return Q, info
 
 
@@ -204,22 +213,14 @@ def kernelS_diagnostic(pencil: MaxwellPencil, basis=None, return_details=False):
     report the subspace dimension and the rank of the coupling matrix so a
     kernel remainder not covered by gradients + interior edges is visible.
     """
-    if basis is None:
-        Q, info = kernel_subspace_basis(pencil.mesh)
-    else:
-        Q, info = basis
-    A = pencil.a0()
-    AQ = A @ Q
-    proj = Q.T @ AQ
-    s = scipy.linalg.svdvals(proj)
+    Q, info = kernel_subspace_basis(pencil.mesh) if basis is None else basis
+    s = np.linalg.svd(Q.T @ (pencil.a0() @ Q), compute_uv=False)
     sigma = float(s[-1] / s[0]) if s[0] > 0 else 0.0
 
     if not return_details:
         return sigma
-    D = pencil.ops.D
     bed = pencil.mesh.boundary_edge_ids
-    Db = np.asarray(D[:, bed].todense())
-    sd = scipy.linalg.svdvals(Db)
+    sd = np.linalg.svd(pencil.ops.D[:, bed].toarray(), compute_uv=False)
     rank_D = int(np.sum(sd > 1e-12 * sd[0])) if sd.size and sd[0] > 0 else 0
     details = dict(info)
     details["rank_D"] = rank_D

@@ -66,7 +66,24 @@ def test_solve_scalar_ball(tmp_path, capsys):
     assert sum(s["applies"] for s in sweeps) == solver["iterations"]
     assert sum(s["locked"] for s in sweeps) >= solver["converged"] == 18
     assert [s["stop"] for s in sweeps] == ["certified"] * (len(sweeps) - 1) + ["spectral"]
+    assert all(s["discarded_infinite"] >= 0 for s in sweeps)
+    assert solver["confirmed"] is True and solver["partial"] is False
     assert 0.0 <= solver["schur_defect"] <= 1e-12
+
+
+def test_solve_reports_unconfirmed_answer(tmp_path):
+    # a Krylov cap of 12 lets the sweeps lock k = 4 pairs, but the last sweep
+    # runs out of space before it can settle, so the 4 nearest are unconfirmed
+    doc = scalar_ball_config(sigma=0.7)
+    doc["solver"].update({"k": 4, "krylov_dim": 4, "max_krylov": 12})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert run(["solve", "--config", cfg, "--output", str(out)]) == 0
+    solver = json.loads((out / "solve_meta.json").read_text())["solver"]
+    assert solver["converged"] == 4
+    assert solver["partial"] is False
+    assert solver["sweeps"][-1]["stop"] == "budget"
+    assert solver["confirmed"] is False
 
 
 def test_solve_determinism(tmp_path):
@@ -85,6 +102,15 @@ def test_diagnose_negative_eps_fails(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error: assumption-violation" in err
+
+
+def test_diagnose_scalar_cube_one_interior_vertex(tmp_path):
+    doc = {**scalar_ball_config(), "mesh": {"kind": "cube", "n": 2}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "d"
+    assert run(["diagnose", "--config", cfg, "--output", str(out)]) == 0
+    doc = json.loads((out / "diagnostics.json").read_text())
+    assert doc["diagnostics"]["sigma_min"] == 1.0
 
 
 def test_diagnose_passes(tmp_path):
@@ -393,3 +419,34 @@ def test_solve_diagnose_study_report_one_diagnostic(tmp_path):
     assert solve_diag == diag_doc
     assert solve_diag["kind"] == "kernel_subspace"
     assert report["baseline_diag"] == solve_diag["sigma_min"]
+
+
+class _ScipyDenseCall(Exception):
+    pass
+
+
+def test_run_path_keeps_dense_kernels_on_numpy(tmp_path, monkeypatch):
+    # numpy and scipy each load their own BLAS; a run that alternates between
+    # them makes the two thread pools compete for the cores, so solve,
+    # diagnose and study must not call scipy's dense linear algebra
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise _ScipyDenseCall("scipy.linalg called on the run path")
+
+    for name in ("eig", "svd", "svdvals", "qr", "cholesky", "solve_triangular",
+                 "lu_factor", "lu_solve"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    maxwell = {
+        "problem": "maxwell",
+        "mesh": {"kind": "cube", "n": 2},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "k": 5, "tol": 1e-9},
+        "study": {"center": [0.5, 0.5, 0.5],
+                  "schedule": [{"h": 0.45, "delta_im": 2e-3}, {"h": 0.45, "delta_im": 1e-3}]},
+    }
+    runs = [("solve", maxwell), ("diagnose", scalar_ball_config()), ("study", maxwell)]
+    for i, (command, doc) in enumerate(runs):
+        cfg = write_config(tmp_path, doc, name=f"config{i}.json")
+        assert run([command, "--config", cfg, "--output", str(tmp_path / f"out{i}")]) == 0

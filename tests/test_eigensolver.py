@@ -192,6 +192,20 @@ def test_small_krylov_dim_scalar_ball(krylov_dim):
     assert res.residuals.max() <= 1e-10
 
 
+def test_sweeps_count_discarded_infinite_modes():
+    # B has rank 40, so the pencil has 40 finite eigenvalues and T has a
+    # zero eigenvalue of multiplicity 20 (the infinite modes).  The first
+    # sweep's space becomes invariant: its Ritz values are the 40 finite
+    # theta plus the zero ones reached from the start vector
+    A0, B = random_pencil(60, 40, 0)
+    res = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, seed=5)
+    first = res.meta["sweeps"][0]
+    assert first["applies"] > 40
+    assert first["applies"] - first["discarded_infinite"] == 40
+    again = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, seed=5)
+    assert again.meta["sweeps"] == res.meta["sweeps"]
+
+
 def test_locked_pairs_form_a_partial_schur_form(monkeypatch):
     forms = []
     init = eigensolver._PartialSchur.__init__
@@ -232,7 +246,7 @@ def test_double_at_kth_distance_stops_at_first_checkpoint():
     assert np.allclose(np.sort(res.eigenvalues.real), [1.0, 2.0, 3.0])
     first, confirm = res.meta["sweeps"]
     assert first["stop"] == "certified" and first["locked"] == 3
-    assert confirm == {"applies": 20, "locked": 0, "stop": "spectral"}
+    assert confirm == {"applies": 20, "locked": 0, "stop": "spectral", "discarded_infinite": 0}
 
 
 def test_extended_factorization_equals_single_run():

@@ -12,7 +12,7 @@ from steklovlab.fem_maxwell import (
     project_Vh,
 )
 from steklovlab.materials import build_field
-from steklovlab.mesh import Mesh, extract_boundary, generate_cube_mesh
+from steklovlab.mesh import Mesh, extract_boundary, generate_ball_mesh, generate_cube_mesh
 
 
 def make_pencil(mesh, eps_entry=1.0, omega=1.0):
@@ -172,6 +172,49 @@ def test_kernel_diagnostic_drops_at_projected_eigenvalue():
     s_base = kernelS_diagnostic(base, basis=basis)
     s_hit = kernelS_diagnostic(assemble_maxwell(mesh, mu, eps, omega_hit, ops), basis=basis)
     assert s_hit <= 1e-8 * s_base
+
+
+def two_cubes():
+    # two disjoint unit cubes: a boundary surface with two components
+    cube = generate_cube_mesh(2)
+    verts = np.concatenate([cube.vertices, cube.vertices + [2.0, 0.0, 0.0]])
+    return Mesh(verts, np.concatenate([cube.tets, cube.tets + cube.n_vertices]))
+
+
+BLOCK_BASIS_MESHES = {
+    "cube2": (lambda: generate_cube_mesh(2), 1),
+    "ball1": (lambda: generate_ball_mesh(1), 1),
+    "two-cubes": (two_cubes, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_BASIS_MESHES))
+def test_block_kernel_basis_matches_pivoted_qr(name):
+    # reference: the span of all gradients plus all interior-edge unit
+    # fields, orthonormalized by a pivoted QR with a rank tolerance
+    import scipy.linalg
+
+    build, components = BLOCK_BASIS_MESHES[name]
+    mesh = build()
+    Q, info = kernel_subspace_basis(mesh)
+    interior = mesh.interior_edge_ids
+    n_bv = len(mesh.boundary_vertex_ids)
+    assert Q.shape == (mesh.n_edges, len(interior) + n_bv - components)
+    assert info["subspace_dim"] == Q.shape[1]
+    assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
+
+    Z = np.zeros((mesh.n_edges, mesh.n_vertices + len(interior)))
+    Z[:, :mesh.n_vertices] = discrete_gradient(mesh).toarray()
+    Z[interior, mesh.n_vertices + np.arange(len(interior))] = 1.0
+    Qr, R, _ = scipy.linalg.qr(Z, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    Qr = Qr[:, : int(np.sum(diag > 1e-12 * diag[0]))]
+    assert Qr.shape[1] == Q.shape[1]
+    assert np.abs(Q @ Q.T - Qr @ Qr.T).max() <= 1e-10
+
+    pencil = make_pencil(mesh, eps_entry={"re": 4.0, "im": 1.0})
+    s = np.linalg.svd(Qr.T @ (pencil.a0() @ Qr), compute_uv=False)
+    assert kernelS_diagnostic(pencil, basis=(Q, info)) == pytest.approx(s[-1] / s[0], rel=1e-12)
 
 
 def test_kernel_diagnostic_details(cube2_pencil):
