@@ -5,7 +5,7 @@ field u to the surface gradient of a scalar potential:
 
     S u = grad_G p,  where  L p = D u  (p mean-zero),
 
-with L the surface P1 stiffness (kernel = constants on the single boundary
+with L the surface P1 stiffness (kernel = constants on each boundary
 component) and D the duality coupling D[j, i] = -int_G (n x phi_i) . grad_G q_j,
 i.e. (D u)_j tests div_G of the tangential trace of u against the surface hat
 function q_j.  The associated boundary Gram form is B = D^T L^+ D, a real
@@ -17,10 +17,10 @@ inside D, so the returned field grad_G p realizes the smoothing operator
 including its leading sign.  The Gram form is quadratic and therefore
 sign-independent.
 
-The mean-zero constraint is enforced by grounding one surface vertex in the
-factorization (the right-hand sides are compatible: they sum to zero because
-the hat functions partition unity) followed by a rank-1 lumped-mass
-projection, so L is factored once and reused.
+L is inverted mean-zero by ``GroundedLaplacian``, which grounds one vertex
+per boundary component (the right-hand sides sum to zero on each component
+because the hat functions partition unity) and factors L once; it serves the
+V_h projection (fem_maxwell) and the shifted solve (eigensolver) as well.
 """
 
 from __future__ import annotations
@@ -32,32 +32,82 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._assembly import scatter_rect, scatter_square
-from .errors import MalformedMeshError
+from .errors import MalformedMeshError, SolverFailure
 from .mesh import Mesh, SurfaceMesh
 
 # midpoint quadrature on the reference triangle: exact for quadratic integrands
 _MID_BARY = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
 _TRI_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
 
-# most boundary edge dofs whose Gram block BoundaryGram.to_sparse densifies
+# most dofs a dense path takes (the explicit Gram block, the dense oracle)
 DENSE_LIMIT = 5000
+
+
+def ground(L):
+    """The free vertices, all but the first of each connected component of
+    the graph of L, and the component label of every vertex."""
+    # imported here: csgraph adds start-up time to every run, scalar ones too
+    from scipy.sparse.csgraph import connected_components
+    labels = connected_components(abs(L), directed=False)[1]
+    grounded = np.unique(labels, return_index=True)[1]
+    return np.setdiff1d(np.arange(L.shape[0]), grounded), labels
+
+
+class GroundedLaplacian:
+    """Solves L p = b for a Laplacian L whose kernel is the constants on each
+    connected component of its graph, with p of zero ``weights``-mean on every
+    component; b must sum to zero on each component.
+
+    The first vertex of each component is grounded (its row and column
+    dropped), and the nonsingular rest L_ff is factored once (Bochev &
+    Lehoucq, SIAM Review 47(1), 2005).
+    """
+
+    def __init__(self, L, weights):
+        self.L = L.tocsr()
+        self.free, labels = ground(self.L)
+        self.L_ff = self.L[self.free][:, self.free].tocsc()
+        parts = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+        self._parts = [(idx, weights[idx]) for idx in parts]
+        self._scale = abs(self.L).max()       # max |L_ij|, the roundoff scale
+        try:
+            self._lu = spla.splu(self.L_ff)
+        except RuntimeError as exc:
+            raise SolverFailure(f"grounded Laplacian not factorizable: {exc}") from exc
+
+    def _solve_free(self, r):
+        x = np.zeros(r.shape, dtype=np.result_type(r, self.L_ff.dtype))
+        x[self.free] = self._lu.solve(r[self.free])
+        return x
+
+    def solve(self, b):
+        """p for a 1-D or 2-D (column by column), real or complex ``b``."""
+        b = np.asarray(b)
+        if np.iscomplexobj(b) and not np.iscomplexobj(self.L):
+            p = self._solve_free(b.real) + 1j * self._solve_free(b.imag)
+        else:
+            p = self._solve_free(b)
+        for idx, w in self._parts:
+            p[idx] -= (w @ p[idx]) / w.sum()
+        resid = np.linalg.norm(self.L @ p - b)
+        # relative to the data plus a roundoff floor, so a numerically zero
+        # right-hand side (e.g. a discrete gradient) is not flagged
+        tol = 1e-10 * np.linalg.norm(b) + 1e-12 * self._scale * (1.0 + np.linalg.norm(p))
+        if not np.isfinite(resid) or resid > tol:
+            raise SolverFailure(f"grounded Laplacian solve residual {resid:.2e} exceeds {tol:.2e}")
+        return p
 
 
 @dataclass
 class SurfaceOperatorSet:
-    """Surface stiffness L, coupling D, and the data to invert L mean-zero."""
+    """Surface stiffness L, coupling D, and the grounded solve of L."""
 
     surface: SurfaceMesh
     mesh: Mesh = field(repr=False)
     L: sp.csr_matrix = field(repr=False)
     D: sp.csr_matrix = field(repr=False)          # (surface vertices) x (edge dofs)
-    lumped_mass: np.ndarray = field(repr=False)
-    _lu: object = field(default=None, repr=False)
+    laplacian: GroundedLaplacian = field(repr=False)
     _gram: object = field(default=None, repr=False)
-    _lscale: float = field(init=False, repr=False)    # max |L_ij|, the roundoff scale
-
-    def __post_init__(self):
-        self._lscale = abs(self.L).max()
 
     @property
     def n_surface_vertices(self):
@@ -66,43 +116,6 @@ class SurfaceOperatorSet:
     @property
     def n_edge_dofs(self):
         return self.D.shape[1]
-
-    def _factor(self):
-        if self._lu is None:
-            grounded = self.L.tocsc()[1:, 1:]
-            try:
-                self._lu = spla.splu(grounded)
-            except RuntimeError as exc:
-                raise MalformedMeshError(f"surface stiffness not factorizable: {exc}") from exc
-        return self._lu
-
-    def solve_mean_zero(self, rhs):
-        """Solve L p = rhs with lumped-mass mean zero; rhs must be compatible.
-
-        A 2-D ``rhs`` is solved column by column (each column mean zero).
-        """
-        lu = self._factor()
-        rhs = np.asarray(rhs)
-
-        def solve_real(b):
-            x = np.zeros(b.shape)
-            x[1:] = lu.solve(b[1:])
-            return x
-
-        if np.iscomplexobj(rhs):
-            p = solve_real(rhs.real) + 1j * solve_real(rhs.imag)
-        else:
-            p = solve_real(rhs)
-        p = p - (self.lumped_mass @ p) / self.lumped_mass.sum()
-        resid = np.linalg.norm(self.L @ p - rhs)
-        # relative to the data plus a roundoff floor, so a numerically zero
-        # right-hand side (e.g. a discrete gradient) is not flagged
-        tol = 1e-8 * np.linalg.norm(rhs) + 1e-12 * self._lscale * (1.0 + np.linalg.norm(p))
-        if not np.isfinite(resid) or resid > tol:
-            raise MalformedMeshError(
-                f"surface solve residual {resid:.2e} exceeds the rank-1 deficiency tolerance"
-            )
-        return p
 
 
 def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> SurfaceOperatorSet:
@@ -138,7 +151,7 @@ def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> SurfaceOpera
     D = scatter_rect(local_D, surface.triangles, edge_ids,
                      (surface.n_vertices, mesh.n_edges))
 
-    return SurfaceOperatorSet(surface, mesh, L, D, surface.lumped_mass())
+    return SurfaceOperatorSet(surface, mesh, L, D, GroundedLaplacian(L, surface.lumped_mass()))
 
 
 def apply_S(ops: SurfaceOperatorSet, u):
@@ -149,7 +162,7 @@ def apply_S(ops: SurfaceOperatorSet, u):
     """
     u = np.asarray(u)
     rhs = ops.D @ u
-    p = ops.solve_mean_zero(rhs)
+    p = ops.laplacian.solve(rhs)
     tri = ops.surface.triangles
     fld = np.einsum("fj,fjc->fc", p[tri], ops.surface.hat_gradients)
     return fld, p
@@ -177,7 +190,7 @@ class BoundaryGram:
 
     def matvec(self, v):
         v = np.asarray(v)
-        p = self.ops.solve_mean_zero(self.ops.D @ v)
+        p = self.ops.laplacian.solve(self.ops.D @ v)
         return self.ops.D.T @ p
 
     def __matmul__(self, other):
@@ -195,7 +208,7 @@ class BoundaryGram:
                     f"{len(bed)} boundary edge dofs exceed the dense limit {DENSE_LIMIT}"
                 )
             Db = np.asarray(self.ops.D[:, bed].todense())
-            block = Db.T @ self.ops.solve_mean_zero(Db)
+            block = Db.T @ self.ops.laplacian.solve(Db)
             block = 0.5 * (block + block.T)
             rows = np.repeat(bed, len(bed))
             cols = np.tile(bed, len(bed))

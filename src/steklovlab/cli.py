@@ -362,9 +362,18 @@ def _mesh_info(mesh):
     }
 
 
+def _json_safe(x):
+    """``x`` with every non-finite float replaced by None, written as null."""
+    if isinstance(x, dict):
+        return {key: _json_safe(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return None if isinstance(x, float) and not np.isfinite(x) else x
+
+
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

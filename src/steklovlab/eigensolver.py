@@ -34,9 +34,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .boundary_ops import DENSE_LIMIT
 from .errors import AssumptionViolation, ShiftAtEigenvalue
 
-DEFAULT_DENSE_LIMIT = 3000
 DEFAULT_THETA_CUT = 1e-10
 
 
@@ -98,13 +98,14 @@ class _ShiftedSolver:
     """Factorization of (A0 - sigma B) with an apply for (A0 - sigma B)^-1 B.
 
     For a matrix-free boundary Gram form B = D^T L^+ D the shifted solve is
-    done through the sparse augmented system
+    done through the sparse augmented system on the free (non-grounded)
+    surface vertices f of its GroundedLaplacian,
 
-        [A0  -sigma D^T] [x]   [b]
-        [D      -L     ] [y] = [0]   (one surface row grounded),
+        [A0   -sigma D_f^T] [x]   [b]
+        [D_f      -L_ff   ] [y] = [0],
 
-    which avoids densifying B; the grounded row is harmless because D^T
-    annihilates constant surface functions.
+    which avoids densifying B; dropping the grounded rows and columns is
+    harmless because D^T annihilates functions constant on each component.
     """
 
     def __init__(self, A0, B, sigma):
@@ -114,17 +115,10 @@ class _ShiftedSolver:
         self.n = A0.shape[0]
 
         if hasattr(B, "ops"):
-            ops = B.ops
-            D = ops.D.tocsr()
-            L = ops.L.tolil()
-            ns = D.shape[0]
-            D0 = D.tolil()
-            D0[0, :] = 0.0
-            C = (-L).tolil()
-            C[0, :] = 0.0
-            C[0, 0] = 1.0
+            grounded = B.ops.laplacian
+            Df = B.ops.D.tocsr()[grounded.free]
             aug = sp.bmat(
-                [[A0.astype(np.complex128), -self.sigma * D.T], [D0.tocsr(), C.tocsr()]],
+                [[A0.astype(np.complex128), -self.sigma * Df.T], [Df, -grounded.L_ff]],
                 format="csc",
             )
             try:
@@ -132,7 +126,6 @@ class _ShiftedSolver:
             except RuntimeError as exc:
                 raise ShiftAtEigenvalue(f"augmented factorization failed: {exc}") from exc
             self._mode = "augmented"
-            self._ns = ns
         else:
             shifted = (A0.astype(np.complex128) - self.sigma * B).tocsc()
             try:
@@ -145,7 +138,7 @@ class _ShiftedSolver:
 
     def solve_shifted(self, b):
         if self._mode == "augmented":
-            rhs = np.concatenate([b, np.zeros(self._ns, dtype=np.complex128)])
+            rhs = np.concatenate([b, np.zeros(self._lu.shape[0] - self.n, dtype=np.complex128)])
             return self._lu.solve(rhs)[: self.n]
         return self._lu.solve(b.astype(np.complex128))
 
@@ -171,8 +164,7 @@ class _ShiftedSolver:
 # dense oracle
 # --------------------------------------------------------------------- #
 
-def solve_dense_oracle(A0, B, dense_limit=DEFAULT_DENSE_LIMIT,
-                       residual_tol=1e-10) -> EigenResult:
+def solve_dense_oracle(A0, B, residual_tol=1e-10) -> EigenResult:
     """Brute-force reference: all finite eigenvalues of the pencil via the
     dense spectrum of A0^-1 B.
 
@@ -186,8 +178,8 @@ def solve_dense_oracle(A0, B, dense_limit=DEFAULT_DENSE_LIMIT,
         B = B.to_sparse()
     Bd = np.asarray(B.todense()) if sp.issparse(B) else np.asarray(B)
     n = A0.shape[0]
-    if n > dense_limit:
-        raise ValueError(f"problem size {n} exceeds dense limit {dense_limit}")
+    if n > DENSE_LIMIT:
+        raise ValueError(f"problem size {n} exceeds dense limit {DENSE_LIMIT}")
 
     A0c = A0.astype(np.complex128)
     try:

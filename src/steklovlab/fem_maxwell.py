@@ -12,7 +12,8 @@ K_curl . G = 0 for the vertex-to-edge gradient matrix G.
 
 Eigenvectors of the pencil are discretely eps-divergence-free; project_Vh
 realizes the corresponding projection by subtracting the gradient of a
-mean-zero scalar potential solved from the eps-weighted Laplacian G^T M_eps G.
+mean-zero scalar potential solved from the eps-weighted Laplacian G^T M_eps G
+(one grounded vertex per component, boundary_ops.GroundedLaplacian).
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._assembly import P1_TET_MASS, scatter_square
-from .boundary_ops import BoundaryGram, SurfaceOperatorSet, assemble_boundary_form
-from .errors import ConfigError, SolverFailure
+from .boundary_ops import (
+    BoundaryGram,
+    GroundedLaplacian,
+    SurfaceOperatorSet,
+    assemble_boundary_form,
+    ground,
+)
+from .errors import ConfigError
 from .materials import MaterialField
 from .mesh import LOCAL_EDGES, Mesh
 
@@ -42,7 +48,7 @@ class MaxwellPencil:
     mesh: Mesh = field(repr=False)
     ops: SurfaceOperatorSet = field(repr=False)
     _a0: sp.csr_matrix | None = field(default=None, repr=False)
-    _proj_lu: object = field(default=None, repr=False)
+    _projector: GroundedLaplacian | None = field(default=None, repr=False)
 
     @property
     def n_dofs(self):
@@ -58,7 +64,6 @@ class MaxwellPencil:
 class ProjectionResult:
     projected: np.ndarray
     potential: np.ndarray     # mean-zero vertex potential
-    residual: float
 
 
 def discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
@@ -127,11 +132,10 @@ def assemble_maxwell(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField,
     return MaxwellPencil(K, M, B, G, float(omega), mesh, ops)
 
 
-def project_Vh(pencil: MaxwellPencil, u, eps: MaterialField | None = None,
-               tol: float = 1e-10) -> ProjectionResult:
+def project_Vh(pencil: MaxwellPencil, u, eps: MaterialField | None = None) -> ProjectionResult:
     """Remove the eps-weighted gradient part: u - grad w with
 
-        G^T M_eps G w = G^T M_eps u,   w mean-zero.
+        G^T M_eps G w = G^T M_eps u,   w of zero lumped-mass mean per component.
 
     With ``eps`` None the pencil's own mass matrix is reused (factorization
     cached); passing a field re-assembles the weighted mass.
@@ -139,34 +143,16 @@ def project_Vh(pencil: MaxwellPencil, u, eps: MaterialField | None = None,
     u = np.asarray(u, dtype=np.complex128)
     mesh = pencil.mesh
     G = pencil.G
-    if eps is None:
-        M = pencil.M_eps
-        lu = pencil._proj_lu
-    else:
-        M = edge_mass_matrix(mesh, eps.tensors)
-        lu = None
-    L_eps = (G.T @ (M @ G)).tocsc()
-    if lu is None:
-        lu = spla.splu(L_eps[1:, 1:])
+    M = pencil.M_eps if eps is None else edge_mass_matrix(mesh, eps.tensors)
+    solver = pencil._projector if eps is None else None
+    if solver is None:
+        lumped = np.zeros(mesh.n_vertices)
+        np.add.at(lumped, mesh.tets.ravel(), np.repeat(mesh.volumes / 4.0, 4))
+        solver = GroundedLaplacian(G.T @ (M @ G), lumped)
         if eps is None:
-            pencil._proj_lu = lu
-
-    rhs = G.T @ (M @ u)
-    w = np.zeros(mesh.n_vertices, dtype=np.complex128)
-    w[1:] = lu.solve(rhs[1:])
-    lumped = np.zeros(mesh.n_vertices)
-    np.add.at(lumped, mesh.tets.ravel(), np.repeat(mesh.volumes / 4.0, 4))
-    w -= (lumped @ w) / lumped.sum()
-
-    resid = np.linalg.norm(L_eps @ w - rhs)
-    # anchor the scale to the operator so a numerically zero right-hand side
-    # (input already divergence-free) is not flagged
-    lscale = abs(L_eps).max()
-    denom = np.linalg.norm(rhs) + lscale * (1.0 + np.linalg.norm(w))
-    rel = float(resid / denom)
-    if not np.isfinite(rel) or rel > tol:
-        raise SolverFailure(f"projection scalar solve residual {rel:.2e} > {tol:.1e}")
-    return ProjectionResult(u - G @ w, w, rel)
+            pencil._projector = solver
+    w = solver.solve(G.T @ (M @ u))
+    return ProjectionResult(u - G @ w, w)
 
 
 def kernel_subspace_basis(mesh: Mesh):
@@ -185,14 +171,10 @@ def kernel_subspace_basis(mesh: Mesh):
     of the coupling matrix implied by its rank, so an unspanned remainder is
     detectable rather than silent.
     """
-    # imported here: csgraph adds start-up time to every run, scalar ones too
-    from scipy.sparse.csgraph import connected_components
     interior = mesh.interior_edge_ids
     bed = mesh.boundary_edge_ids
     Gs = discrete_gradient(mesh)[bed][:, mesh.boundary_vertex_ids]
-    comp = connected_components(Gs.T @ Gs, directed=False)[1]
-    grounded = np.unique(comp, return_index=True)[1]
-    Gs0 = Gs[:, np.setdiff1d(np.arange(Gs.shape[1]), grounded)]
+    Gs0 = Gs[:, ground(Gs.T @ Gs)[0]]
     R = np.linalg.cholesky((Gs0.T @ Gs0).toarray())
     ni, nb = len(interior), Gs0.shape[1]
     Q = np.zeros((mesh.n_edges, ni + nb))

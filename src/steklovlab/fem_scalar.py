@@ -116,9 +116,10 @@ def scalar_dirichlet_diagnostic(pencil: ScalarPencil) -> float:
     if len(interior) == 0:
         return np.inf
     A = pencil.a0()[interior][:, interior]
-    if A.shape[0] == 1:
-        # Lanczos needs n >= 2; a 1 x 1 block is its own singular value
-        return 1.0 if A[0, 0] != 0 else 0.0
+    if A.shape[0] <= 2:
+        # svds needs k < n - 1, so a block this small takes a dense SVD
+        s = np.linalg.svd(A.toarray(), compute_uv=False)
+        return float(s[-1] / s[0]) if s[0] > 0 else 0.0
     return _sparse_sigma_ratio(A.tocsc())
 
 

@@ -206,7 +206,7 @@ def _complete_spectrum_scalar(level, eps_entry, omega):
     mu, eps = unit_fields(mesh, eps_entry)
     pencil = assemble_scalar(mesh, mu, eps, omega)
     return solve_dense_oracle(pencil.a0().toarray(), pencil.B_bd.toarray(),
-                              dense_limit=4000, residual_tol=1e-8)
+                              residual_tol=1e-8)
 
 
 def _complete_spectrum_maxwell(level, eps_entry, omega):
@@ -215,7 +215,7 @@ def _complete_spectrum_maxwell(level, eps_entry, omega):
     ops = assemble_surface_operators(extract_boundary(mesh), mesh)
     pencil = assemble_maxwell(mesh, mu, eps, omega, ops)
     return solve_dense_oracle(pencil.a0().toarray(), pencil.B.to_sparse().toarray(),
-                              dense_limit=4000, residual_tol=1e-8)
+                              residual_tol=1e-8)
 
 
 def test_criterion_5_sector_property():

@@ -138,3 +138,27 @@ def test_gram_complex_matvec(ops):
     out = B @ u
     assert np.iscomplexobj(out)
     assert np.abs((B @ u.real) + 1j * (B @ u.imag) - out).max() <= 1e-12 * np.abs(out).max()
+
+
+def test_apply_S_potential_mean_zero_per_component(two_cubes):
+    ops = assemble_surface_operators(extract_boundary(two_cubes), two_cubes)
+    w = ops.surface.lumped_mass()
+    for seed in range(3):
+        _, p = apply_S(ops, random_edge_vector(two_cubes, seed, complex_=seed == 2))
+        for part in (ops.surface.points[:, 0] < 1.5, ops.surface.points[:, 0] > 1.5):
+            assert abs(w[part] @ p[part]) / w[part].sum() <= 1e-12 * np.abs(p).max()
+
+
+def test_gram_of_two_cubes_is_block_diagonal(two_cubes):
+    # the second cube's edges follow the first cube's in the same order
+    cube = generate_cube_mesh(2)
+    assert np.array_equal(two_cubes.edges,
+                          np.concatenate([cube.edges, cube.edges + cube.n_vertices]))
+    B1 = assemble_boundary_form(assemble_surface_operators(extract_boundary(cube), cube))
+    B2 = assemble_boundary_form(
+        assemble_surface_operators(extract_boundary(two_cubes), two_cubes))
+    ne = cube.n_edges
+    for seed in range(3):
+        u = random_edge_vector(two_cubes, seed)
+        ref = np.concatenate([B1 @ u[:ne], B1 @ u[ne:]])
+        assert np.abs(B2 @ u - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from steklovlab import cli
 from steklovlab.cli import run
+from steklovlab.mesh import save_mesh
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -111,6 +112,36 @@ def test_diagnose_scalar_cube_one_interior_vertex(tmp_path):
     assert run(["diagnose", "--config", cfg, "--output", str(out)]) == 0
     doc = json.loads((out / "diagnostics.json").read_text())
     assert doc["diagnostics"]["sigma_min"] == 1.0
+
+
+def _strict_json(path):
+    """The JSON document at ``path``; NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"{path} holds the non-standard constant {name}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_diagnose_scalar_cube_no_interior_vertex_writes_null(tmp_path):
+    doc = {**scalar_ball_config(), "mesh": {"kind": "cube", "n": 1}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "d"
+    assert run(["diagnose", "--config", cfg, "--output", str(out)]) == 0
+    doc = _strict_json(out / "diagnostics.json")
+    assert doc["diagnostics"]["sigma_min"] is None
+    # a study whose baseline has one cluster has an infinite guard radius
+    cli._write_json(tmp_path / "report.json", {"guard_radius": np.inf, "fits": [np.nan, 1.5]})
+    assert _strict_json(tmp_path / "report.json") == {"guard_radius": None, "fits": [None, 1.5]}
+
+
+def test_diagnose_scalar_two_cubes_from_mesh_path(tmp_path, capsys, two_cubes):
+    # one interior vertex per cube: the diagnostic's block is 2 x 2
+    save_mesh(two_cubes, tmp_path / "two_cubes.json")
+    doc = {**scalar_ball_config(), "mesh": {"path": str(tmp_path / "two_cubes.json")}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "d"
+    assert run(["diagnose", "--config", cfg, "--output", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert _strict_json(out / "diagnostics.json")["diagnostics"]["sigma_min"] > 0
 
 
 def test_diagnose_passes(tmp_path):
@@ -391,6 +422,8 @@ def test_malformed_config_value_is_at_most_one_error_line(base):
             cfg = write_config(Path(tmp), _with(base, path, value))
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = run(["diagnose", "--config", cfg, "--output", str(Path(tmp) / "out")])
+            for path in Path(tmp).glob("out/**/*.json"):
+                _strict_json(path)
         text = err.getvalue()
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in text

@@ -62,9 +62,10 @@ def test_oracle_rejects_singular_A0():
         solve_dense_oracle(A0, np.eye(2))
 
 
-def test_oracle_size_guard():
+def test_oracle_size_guard(monkeypatch):
+    monkeypatch.setattr(eigensolver, "DENSE_LIMIT", 5)
     with pytest.raises(ValueError):
-        solve_dense_oracle(np.eye(10, dtype=complex), np.eye(10), dense_limit=5)
+        solve_dense_oracle(np.eye(10, dtype=complex), np.eye(10))
 
 
 # ------------------------------------------------------------- shift-invert

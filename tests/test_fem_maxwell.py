@@ -128,6 +128,39 @@ def test_project_with_explicit_eps(cube2_pencil):
     assert np.abs(div).max() <= 1e-10
 
 
+def test_project_potential_mean_zero_per_component(two_cubes):
+    # each cube carries its own constant mode: the potential has zero lumped
+    # mean on each of them, not only on their union
+    pencil = make_pencil(two_cubes, eps_entry={"re": 4.0, "im": 1.0})
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(pencil.n_dofs) + 1j * rng.standard_normal(pencil.n_dofs)
+    res = project_Vh(pencil, u)
+    w = res.potential
+    lumped = np.zeros(two_cubes.n_vertices)
+    np.add.at(lumped, two_cubes.tets.ravel(), np.repeat(two_cubes.volumes / 4.0, 4))
+    for part in (two_cubes.vertices[:, 0] < 1.5, two_cubes.vertices[:, 0] > 1.5):
+        assert abs(lumped[part] @ w[part]) / lumped[part].sum() <= 1e-12 * np.abs(w).max()
+    div = pencil.G.T @ (pencil.M_eps @ res.projected)
+    assert np.abs(div).max() <= 1e-10
+
+
+def test_two_cubes_solve_doubles_single_cube_eigenvalues(two_cubes):
+    # the pencil of two disjoint cubes is block diagonal, so each eigenvalue
+    # of one cube comes back with twice its multiplicity
+    from steklovlab.eigensolver import cluster, solve_shift_invert
+
+    single = make_pencil(generate_cube_mesh(2), eps_entry={"re": 4.0, "im": 1.0})
+    double = make_pencil(two_cubes, eps_entry={"re": 4.0, "im": 1.0})
+    one = cluster(solve_shift_invert(single.a0(), single.B, 2.3 + 0j, 3, tol=1e-10))
+    two = cluster(solve_shift_invert(double.a0(), double.B, 2.3 + 0j, 6, tol=1e-10))
+    assert len(two) == 6
+    assert len(two.cluster_means) == len(one.cluster_means)
+    for mean, size in zip(one.cluster_means, np.bincount(one.cluster_labels)):
+        j = np.argmin(np.abs(two.cluster_means - mean))
+        assert abs(two.cluster_means[j] - mean) <= 1e-8 * abs(mean)
+        assert np.sum(two.cluster_labels == j) == 2 * size
+
+
 def test_kernel_diagnostic_gradient_block(cube2_pencil):
     # on the gradient block the curl part vanishes, so the compression
     # reduces to -omega^2 G^T M_eps G, invertible for coercive eps
@@ -174,28 +207,21 @@ def test_kernel_diagnostic_drops_at_projected_eigenvalue():
     assert s_hit <= 1e-8 * s_base
 
 
-def two_cubes():
-    # two disjoint unit cubes: a boundary surface with two components
-    cube = generate_cube_mesh(2)
-    verts = np.concatenate([cube.vertices, cube.vertices + [2.0, 0.0, 0.0]])
-    return Mesh(verts, np.concatenate([cube.tets, cube.tets + cube.n_vertices]))
-
-
 BLOCK_BASIS_MESHES = {
-    "cube2": (lambda: generate_cube_mesh(2), 1),
-    "ball1": (lambda: generate_ball_mesh(1), 1),
-    "two-cubes": (two_cubes, 2),
+    "cube2": (lambda request: generate_cube_mesh(2), 1),
+    "ball1": (lambda request: generate_ball_mesh(1), 1),
+    "two-cubes": (lambda request: request.getfixturevalue("two_cubes"), 2),
 }
 
 
 @pytest.mark.parametrize("name", list(BLOCK_BASIS_MESHES))
-def test_block_kernel_basis_matches_pivoted_qr(name):
+def test_block_kernel_basis_matches_pivoted_qr(name, request):
     # reference: the span of all gradients plus all interior-edge unit
     # fields, orthonormalized by a pivoted QR with a rank tolerance
     import scipy.linalg
 
     build, components = BLOCK_BASIS_MESHES[name]
-    mesh = build()
+    mesh = build(request)
     Q, info = kernel_subspace_basis(mesh)
     interior = mesh.interior_edge_ids
     n_bv = len(mesh.boundary_vertex_ids)

@@ -143,16 +143,19 @@ def test_sparse_sigma_path_matches_dense():
     assert scalar_dirichlet_diagnostic(pencil) == pytest.approx(s[-1] / s[0], rel=1e-10)
 
 
-def test_dirichlet_diagnostic_tiny_interior():
-    # cube n=1 has no interior vertex, cube n=2 exactly one: a 1 x 1 block
-    # is its own singular value, and zero at omega^2 = K_cc / M_cc
+def test_dirichlet_diagnostic_tiny_interior(two_cubes):
+    # cube n=1 has no interior vertex, cube n=2 exactly one and two disjoint
+    # cubes n=2 two: blocks this small take a dense SVD, zero at
+    # omega^2 = K_cc / M_cc
     mu, eps = fields(generate_cube_mesh(1))
     assert scalar_dirichlet_diagnostic(assemble_scalar(mu.mesh, mu, eps, omega=1.0)) == np.inf
-    mesh = generate_cube_mesh(2)
-    mu, eps = fields(mesh)
-    base = assemble_scalar(mesh, mu, eps, omega=0.0)
-    (c,) = base.interior_vertices
-    assert scalar_dirichlet_diagnostic(base) == 1.0
-    hit = assemble_scalar(mesh, mu, eps, omega=float(np.sqrt(base.K[c, c] / base.M[c, c].real)))
-    assert hit.a0()[c, c] == 0.0
-    assert scalar_dirichlet_diagnostic(hit) == 0.0
+    for mesh, n_interior in ((generate_cube_mesh(2), 1), (two_cubes, 2)):
+        mu, eps = fields(mesh)
+        base = assemble_scalar(mesh, mu, eps, omega=0.0)
+        c = base.interior_vertices
+        assert len(c) == n_interior
+        assert scalar_dirichlet_diagnostic(base) == 1.0
+        omega = float(np.sqrt(base.K[c[0], c[0]] / base.M[c[0], c[0]].real))
+        hit = assemble_scalar(mesh, mu, eps, omega=omega)
+        assert hit.a0()[c[0], c[0]] == 0.0
+        assert scalar_dirichlet_diagnostic(hit) == 0.0
