@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ._assembly import P1_TET_MASS, scatter_square
 from .boundary_ops import (
@@ -31,9 +32,12 @@ from .boundary_ops import (
     assemble_boundary_form,
     ground,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SolverFailure
 from .materials import MaterialField
 from .mesh import LOCAL_EDGES, Mesh
+
+# Lanczos steps allowed for each extreme singular value of kernelS_diagnostic
+LANCZOS_MAX_STEPS = 500
 
 
 @dataclass
@@ -155,33 +159,64 @@ def project_Vh(pencil: MaxwellPencil, u, eps: MaterialField | None = None) -> Pr
     return ProjectionResult(u - G @ w, w)
 
 
+@dataclass
+class KernelBasis:
+    """Orthonormal kernel basis Q = Z blockdiag(I, R^-T) kept in factored form.
+
+    Z is blockdiag(I on interior edges, G_s0 on boundary edges) as an
+    (n_edges, r) sparse matrix, its first ``n_interior`` columns the
+    interior-edge unit fields; N_B = G_s0^T G_s0 = R R^T is the grounded
+    surface graph Laplacian, so Z^T Z = blockdiag(I, N_B) =: N.
+    """
+
+    Z: sp.csr_matrix
+    n_interior: int
+    N_B: sp.csc_matrix
+    N_B_lu: object = field(repr=False)
+
+    def gram(self, x):
+        """N x."""
+        y = x.copy()
+        y[self.n_interior:] = self.N_B @ x[self.n_interior:]
+        return y
+
+    def gram_solve(self, x):
+        """N^-1 x; N_B is real, so a complex x is solved as Re and Im."""
+        y = x.copy()
+        b = x[self.n_interior:]
+        re_im = self.N_B_lu.solve(np.column_stack([b.real, b.imag]))
+        y[self.n_interior:] = re_im[:, 0] + 1j * re_im[:, 1]
+        return y
+
+
 def kernel_subspace_basis(mesh: Mesh):
-    """Orthonormal basis of the spanned part of the discrete smoothing-operator
-    kernel: all gradients plus all interior-edge unit fields.
+    """Basis of the spanned part of the discrete smoothing-operator kernel:
+    all gradients plus all interior-edge unit fields.
 
     The span splits by coordinates: interior-edge coordinates are free, and
-    boundary edges carry only surface gradients G_s z.  So Q = blockdiag(I,
-    G_s0 R^-T), with G_s0 the surface gradient grounded at one vertex per
-    surface component and R R^T = G_s0^T G_s0 (Cholesky); its dimension
-    n_interior_edges + n_boundary_vertices - components needs no rank
-    tolerance.
+    boundary edges carry only surface gradients G_s z.  So the orthonormal
+    basis is Q = blockdiag(I, G_s0 R^-T), with G_s0 the surface gradient
+    grounded at one vertex per surface component and R R^T = G_s0^T G_s0;
+    its dimension n_interior_edges + n_boundary_vertices - components needs
+    no rank tolerance.  Q is never formed: the KernelBasis holds Z, N_B and
+    the sparse factor of N_B.
 
-    Returns (Q, info): Q is (n_edges, r) orthonormal; info records the
-    subspace dimension and, for comparison, the dimension of the full kernel
-    of the coupling matrix implied by its rank, so an unspanned remainder is
-    detectable rather than silent.
+    Returns (KernelBasis, info): info records the subspace dimension and, for
+    comparison, the dimension of the full kernel of the coupling matrix
+    implied by its rank, so an unspanned remainder is detectable rather than
+    silent.
     """
     interior = mesh.interior_edge_ids
     bed = mesh.boundary_edge_ids
     Gs = discrete_gradient(mesh)[bed][:, mesh.boundary_vertex_ids]
     Gs0 = Gs[:, ground(Gs.T @ Gs)[0]]
-    R = np.linalg.cholesky((Gs0.T @ Gs0).toarray())
-    ni, nb = len(interior), Gs0.shape[1]
-    Q = np.zeros((mesh.n_edges, ni + nb))
-    Q[interior, np.arange(ni)] = 1.0
-    Q[np.ix_(bed, ni + np.arange(nb))] = np.linalg.solve(R, Gs0.T.toarray()).T
-    info = {"subspace_dim": ni + nb, "n_edges": mesh.n_edges, "n_interior_edges": int(ni)}
-    return Q, info
+    E = sp.identity(mesh.n_edges, format="csc")
+    Z = sp.hstack([E[:, interior], E[:, bed] @ Gs0], format="csr")
+    N_B = (Gs0.T @ Gs0).tocsc()
+    ni = len(interior)
+    basis = KernelBasis(Z, ni, N_B, spla.splu(N_B))
+    info = {"subspace_dim": Z.shape[1], "n_edges": mesh.n_edges, "n_interior_edges": ni}
+    return basis, info
 
 
 def kernelS_diagnostic(pencil: MaxwellPencil, basis=None, return_details=False):
@@ -194,19 +229,78 @@ def kernelS_diagnostic(pencil: MaxwellPencil, basis=None, return_details=False):
     well-posedness assumption behind the eigenvalue problem.  The details
     report the subspace dimension and the rank of the coupling matrix so a
     kernel remainder not covered by gradients + interior edges is visible.
+
+    With Q = Z T, T = blockdiag(I, R^-T), the compression is Q^T A0 Q =
+    T^T C T with the sparse C = Z^T A0 Z, and its squared singular values
+    are the eigenvalues of M = N^-1 C^H N^-1 C, self-adjoint in the inner
+    product <x, y>_N = y^H N x.  Lanczos gives the largest eigenvalue of M
+    (sigma_max^2) and, through one sparse LU of C, of
+    M^-1 = C^-1 N C^-H N (sigma_min^-2).
     """
-    Q, info = kernel_subspace_basis(pencil.mesh) if basis is None else basis
-    s = np.linalg.svd(Q.T @ (pencil.a0() @ Q), compute_uv=False)
-    sigma = float(s[-1] / s[0]) if s[0] > 0 else 0.0
+    basis, info = kernel_subspace_basis(pencil.mesh) if basis is None else basis
+    sigma = _sigma_ratio((basis.Z.T @ (pencil.a0() @ basis.Z)).tocsc(), basis)
 
     if not return_details:
         return sigma
-    bed = pencil.mesh.boundary_edge_ids
-    sd = np.linalg.svd(pencil.ops.D[:, bed].toarray(), compute_uv=False)
-    rank_D = int(np.sum(sd > 1e-12 * sd[0])) if sd.size and sd[0] > 0 else 0
+    Db = pencil.ops.D[:, pencil.mesh.boundary_edge_ids]
+    # the singular values of D on boundary edges, squared, from its small Gram;
+    # squaring leaves roundoff at 1e-16 sigma_max^2, so the rank counts the
+    # singular values above 1e-6 sigma_max
+    ev = np.linalg.eigvalsh((Db @ Db.T).toarray())
+    rank_D = int(np.sum(ev > 1e-12 * ev[-1])) if ev.size and ev[-1] > 0 else 0
     details = dict(info)
     details["rank_D"] = rank_D
     details["kernel_dim_from_rank"] = pencil.n_dofs - rank_D
     details["unspanned_kernel_dim"] = details["kernel_dim_from_rank"] - info["subspace_dim"]
     details["sigma_min"] = sigma
     return sigma, details
+
+
+def _sigma_ratio(C, basis):
+    """sigma_min/sigma_max of T^T C T, 0.0 if C is exactly singular."""
+    n = C.shape[0]
+    CH = C.conj().T.tocsr()
+    smax2 = _lanczos_top(lambda v: basis.gram_solve(CH @ basis.gram_solve(C @ v)), basis.gram, n)
+    if smax2 <= 0:
+        return 0.0
+    try:
+        lu = spla.splu(C)
+    except RuntimeError:
+        return 0.0
+    inv_smin2 = _lanczos_top(
+        lambda v: lu.solve(basis.gram(lu.solve(basis.gram(v), trans="H"))), basis.gram, n)
+    return float(1.0 / np.sqrt(smax2 * inv_smin2))
+
+
+def _lanczos_top(apply, gram, n):
+    """Largest eigenvalue of ``apply``, an operator self-adjoint and positive
+    semidefinite in <x, y>_N = y^H N x with N x = gram(x).
+
+    Lanczos in the N-inner product with full reorthogonalization (two
+    Gram-Schmidt passes) from a fixed start vector; stops once the top Ritz
+    pair's residual beta |s_m| is at most 1e-10 of its Ritz value.
+    """
+    v = np.random.default_rng(0).standard_normal(n).astype(np.complex128)
+    v /= np.sqrt(np.vdot(v, gram(v)).real)
+    V = np.empty((16, n), dtype=np.complex128)      # Lanczos vectors as rows
+    alpha, beta = [], []
+    for m in range(LANCZOS_MAX_STEPS):
+        if m == len(V):
+            V = np.concatenate([V, np.empty_like(V)])
+        V[m] = v
+        w = apply(v)
+        a = 0.0
+        for _ in range(2):
+            h = (V[: m + 1] @ gram(w).conj()).conj()
+            w -= h @ V[: m + 1]
+            a += h[m].real
+        alpha.append(a)
+        b = np.sqrt(max(np.vdot(w, gram(w)).real, 0.0))
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, S = np.linalg.eigh(T)
+        if b * abs(S[-1, -1]) <= 1e-10 * theta[-1]:
+            return float(theta[-1])
+        beta.append(b)
+        v = w / b
+    raise SolverFailure(
+        f"kernel diagnostic Lanczos did not converge in {LANCZOS_MAX_STEPS} steps")

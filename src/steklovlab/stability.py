@@ -25,7 +25,7 @@ import numpy as np
 from ._assembly import p1_mass, p1_stiffness
 from .boundary_ops import assemble_surface_operators
 from .eigensolver import cluster, solve_shift_invert
-from .errors import AssumptionViolation, DegenerateCluster, InsufficientData
+from .errors import AssumptionViolation, DegenerateCluster, InsufficientData, ShiftAtEigenvalue
 from .fem_maxwell import (
     assemble_maxwell,
     edge_mass_matrix,
@@ -39,6 +39,10 @@ from .mesh import Mesh, extract_boundary
 # first_order_prediction refuses a cluster whose |c| falls below this
 # fraction of its sesquilinear B average (the nondegeneracy condition fails)
 C_THRESHOLD = 1e-8
+
+# a study step whose pencil is singular at the tracked eigenvalue itself is
+# solved once more at a shift this fraction of the guard radius away
+SHIFT_OFFSET = 1e-3
 
 
 @dataclass
@@ -415,8 +419,15 @@ def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
             return rec
 
     k_step = max(n_members + 4, 6)
-    res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step,
-                             tol=setup.tol, seed=setup.seed)
+    try:
+        res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step,
+                                 tol=setup.tol, seed=setup.seed)
+    except ShiftAtEigenvalue:
+        # lam0 is an eigenvalue of the step pencil too (at omega = 0 an eps
+        # perturbation does not enter it), so the shift moves off it once
+        offset = SHIFT_OFFSET * (guard if np.isfinite(guard) else abs(lam0))
+        res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0 + offset, k_step,
+                                 tol=setup.tol, seed=setup.seed)
     cand = res.eigenvalues[np.abs(res.eigenvalues - lam0) < guard]
     rec.n_matched = int(len(cand))
     if len(cand) == 0:

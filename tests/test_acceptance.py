@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 from ball_steklov_oracle import verified_spectrum
+from kernel_basis_oracle import dense_kernel_basis
 from steklovlab.boundary_ops import apply_S, assemble_surface_operators
 from steklovlab.cli import run as cli_run
 from steklovlab.eigensolver import (
@@ -344,7 +345,7 @@ def test_criterion_7_assumption_diagnostics():
     cube = generate_cube_mesh(2)
     ops = assemble_surface_operators(extract_boundary(cube), cube)
     basis = kernel_subspace_basis(cube)
-    Q, _ = basis
+    Q = dense_kernel_basis(basis[0])
     mu_c, eps_real = unit_fields(cube, 4.0)
     pencil = assemble_maxwell(cube, mu_c, eps_real, 1.0, ops)
     Kq = Q.T @ (pencil.K_curl @ Q)

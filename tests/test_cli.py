@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovlab import cli
+from steklovlab import cli, fem_maxwell
 from steklovlab.cli import run
 from steklovlab.mesh import save_mesh
 
@@ -463,13 +463,16 @@ def test_run_path_keeps_dense_kernels_on_numpy(tmp_path, monkeypatch):
     # them makes the two thread pools compete for the cores, so solve,
     # diagnose and study must not call scipy's dense linear algebra
     import scipy.linalg
+    import scipy.sparse.linalg
 
     def refuse(*args, **kwargs):
-        raise _ScipyDenseCall("scipy.linalg called on the run path")
+        raise _ScipyDenseCall("scipy dense or ARPACK routine called on the run path")
 
     for name in ("eig", "svd", "svdvals", "qr", "cholesky", "solve_triangular",
                  "lu_factor", "lu_solve"):
         monkeypatch.setattr(scipy.linalg, name, refuse)
+    # ARPACK runs on scipy's BLAS as well; only the scalar diagnostic uses it
+    arpack = {name: getattr(scipy.sparse.linalg, name) for name in ("eigs", "eigsh", "svds")}
     maxwell = {
         "problem": "maxwell",
         "mesh": {"kind": "cube", "n": 2},
@@ -481,5 +484,50 @@ def test_run_path_keeps_dense_kernels_on_numpy(tmp_path, monkeypatch):
     }
     runs = [("solve", maxwell), ("diagnose", scalar_ball_config()), ("study", maxwell)]
     for i, (command, doc) in enumerate(runs):
+        for name, func in arpack.items():
+            monkeypatch.setattr(scipy.sparse.linalg, name,
+                                refuse if doc is maxwell else func)
         cfg = write_config(tmp_path, doc, name=f"config{i}.json")
         assert run([command, "--config", cfg, "--output", str(tmp_path / f"out{i}")]) == 0
+
+
+def test_kernel_diagnostic_lanczos_cap_is_solver_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fem_maxwell, "LANCZOS_MAX_STEPS", 2)
+    cfg = write_config(tmp_path, {
+        "problem": "maxwell",
+        "mesh": {"kind": "cube", "n": 2},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "k": 5, "tol": 1e-9},
+    })
+    assert run(["diagnose", "--config", cfg, "--output", str(tmp_path / "d")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: solver-failure:")
+
+
+def test_study_step_at_exact_eigenvalue_shifts_off_it(tmp_path, capsys):
+    # at omega = 0 an eps perturbation does not enter the scalar pencil, so a
+    # step pencil equals the baseline and lambda0 is one of its eigenvalues
+    doc = {**scalar_ball_config(), "study": {
+        "target": "eps", "center": [0.0, 0.0, 0.0],
+        "schedule": [{"h": 0.5, "delta_re": 1e-3}]}}
+    doc["solver"] = {"sigma_re": 1.5, "k": 1, "tol": 1e-9, "seed": 0}
+    cfg = write_config(tmp_path, doc)
+    assert run(["study", "--config", cfg, "--output", str(tmp_path / "k1")]) == 0
+    assert "error:" not in capsys.readouterr().err
+
+    # a simple eigenvalue with a neighboring cluster (finite guard) is matched
+    doc["solver"]["k"] = 3
+    doc["study"]["target_lambda"] = {"re": 1.01842, "im": 0.0}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "k3"
+    assert run(["study", "--config", cfg, "--output", str(out)]) == 0
+    report = json.loads((out / "study_report.json").read_text())
+    lam0 = complex(report["lambda0"]["re"], report["lambda0"]["im"])
+    assert report["cluster_size"] == 1 and report["guard_radius"] is not None
+    (step,) = report["steps"]
+    assert step["status"] == "ok"
+    assert step["drift"] <= 1e-9 * abs(lam0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kernel_basis_oracle import dense_kernel_basis
 from steklovlab.boundary_ops import assemble_surface_operators
 from steklovlab.errors import ConfigError
 from steklovlab.fem_maxwell import (
@@ -195,7 +196,7 @@ def test_kernel_diagnostic_drops_at_projected_eigenvalue():
     eps = build_field(mesh, "eps", {1: 4.0})
     ops = assemble_surface_operators(extract_boundary(mesh), mesh)
     basis = kernel_subspace_basis(mesh)
-    Q, _ = basis
+    Q = dense_kernel_basis(basis[0])
     base = assemble_maxwell(mesh, mu, eps, 1.0, ops)
     Kq = Q.T @ (base.K_curl @ Q)
     Mq = Q.T @ (base.M_eps.real @ Q)
@@ -222,7 +223,8 @@ def test_block_kernel_basis_matches_pivoted_qr(name, request):
 
     build, components = BLOCK_BASIS_MESHES[name]
     mesh = build(request)
-    Q, info = kernel_subspace_basis(mesh)
+    basis, info = kernel_subspace_basis(mesh)
+    Q = dense_kernel_basis(basis)
     interior = mesh.interior_edge_ids
     n_bv = len(mesh.boundary_vertex_ids)
     assert Q.shape == (mesh.n_edges, len(interior) + n_bv - components)
@@ -240,7 +242,26 @@ def test_block_kernel_basis_matches_pivoted_qr(name, request):
 
     pencil = make_pencil(mesh, eps_entry={"re": 4.0, "im": 1.0})
     s = np.linalg.svd(Qr.T @ (pencil.a0() @ Qr), compute_uv=False)
-    assert kernelS_diagnostic(pencil, basis=(Q, info)) == pytest.approx(s[-1] / s[0], rel=1e-12)
+    assert kernelS_diagnostic(pencil, basis=(basis, info)) == pytest.approx(s[-1] / s[0], rel=1e-12)
+
+
+def test_kernel_diagnostic_ball2_matches_dense_value_in_small_memory():
+    # reference: sigma_min/sigma_max of the explicit 4673 x 4673 compression
+    # Q^T A0 Q by a dense SVD (Q alone is 5184 x 4673 doubles, 194 MB)
+    import tracemalloc
+
+    mesh = generate_ball_mesh(2)
+    pencil = make_pencil(mesh, eps_entry={"re": 4.0, "im": 1.0})
+    basis = kernel_subspace_basis(mesh)
+    pencil.a0()
+    tracemalloc.start()
+    try:
+        sigma = kernelS_diagnostic(pencil, basis=basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sigma == pytest.approx(5.008227890113886e-04, rel=1e-12)
+    assert peak < 50e6
 
 
 def test_kernel_diagnostic_details(cube2_pencil):
