@@ -12,10 +12,12 @@ Exit codes: 0 success, 1 configuration error, 2 assumption violation
 (diagnostic failure), 3 solver failure.  Every failure prints one
 machine-parsable line on stderr: ``error: <kind>: <message>``.
 
-``--threads N`` (fallback: the ``STEKLOV_THREADS`` environment variable) caps
-the BLAS threads only when ``threadpoolctl`` is installed; without it the run
-goes ahead at the library default and prints one ``note:`` line on stderr.  A
-thread count that is not an integer >= 1 is a configuration error.
+A run sets every OpenBLAS runtime in the process (numpy and scipy each bundle
+one) to one thread, or to ``--threads N`` (fallback: the ``STEKLOV_THREADS``
+environment variable), and restores the previous counts on return.  Where no
+runtime is found, ``--threads N`` prints one ``note:`` line on stderr and the
+run goes ahead at the library default.  A thread count that is not an integer
+>= 1 is a configuration error.
 
 Identical config and seed produce byte-identical CSV outputs; no timestamps
 or environment-dependent values are written.
@@ -24,6 +26,7 @@ or environment-dependent values are written.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import numbers
 import os
@@ -550,16 +553,14 @@ _ERROR_KINDS = [
 
 
 def _thread_limit(args):
-    """BLAS thread cap and where it came from: ``--threads``, else ``STEKLOV_THREADS``.
-
-    Returns ``(None, None)`` when neither is set.
-    """
+    """BLAS thread count and where it came from: ``--threads``, else
+    ``STEKLOV_THREADS``, else ``(1, None)``."""
     threads = getattr(args, "threads", None)
     source = "--threads"
     if threads is None:
         env = os.environ.get("STEKLOV_THREADS")
         if not env:
-            return None, None
+            return 1, None
         source = "STEKLOV_THREADS"
         try:
             threads = int(env)
@@ -570,20 +571,55 @@ def _thread_limit(args):
     return threads, source
 
 
+# thread-count (getter, setter) of the OpenBLAS builds numpy and scipy bundle
+# (64-bit and 32-bit integer interfaces), then of a plain OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _blas_pools():
+    """(get, set) thread-count functions of each OpenBLAS mapped into the process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((get, set_))
+                break
+    return pools
+
+
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         threads, source = _thread_limit(args)
-        if threads is None:
-            return _dispatch(args)
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            print(f"note: {source} {threads} not enforced: threadpoolctl is not installed",
+        pools = _blas_pools()
+        if not pools and source is not None:
+            print(f"note: {source} {threads} not enforced: no OpenBLAS runtime found",
                   file=sys.stderr)
+        previous = [get() for get, _ in pools]
+        for _, set_ in pools:
+            set_(threads)
+        try:
             return _dispatch(args)
-        with threadpool_limits(limits=threads):
-            return _dispatch(args)
+        finally:
+            for (_, set_), n in zip(pools, previous):
+                set_(n)
     except Exception as exc:   # mapped onto documented exit codes
         for klass, kind, code in _ERROR_KINDS:
             if isinstance(exc, klass):

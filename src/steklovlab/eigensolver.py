@@ -99,13 +99,16 @@ class _ShiftedSolver:
 
     For a matrix-free boundary Gram form B = D^T L^+ D the shifted solve is
     done through the sparse augmented system on the free (non-grounded)
-    surface vertices f of its GroundedLaplacian,
+    surface vertices f of its GroundedLaplacian, with the surface unknown
+    scaled by sigma,
 
-        [A0   -sigma D_f^T] [x]   [b]
-        [D_f      -L_ff   ] [y] = [0],
+        K = [A0         -D_f^T]     K [x; y] = [b; 0]  gives  (A0 - sigma B) x = b,
+            [sigma D_f  -L_ff ],    K [x; y] = [0; -D_f v]  gives  (A0 - sigma B) x = B v,
 
-    which avoids densifying B; dropping the grounded rows and columns is
-    harmless because D^T annihilates functions constant on each component.
+    which avoids densifying B, stays nonsingular at sigma = 0, and makes an
+    apply one solve with no B product; dropping the grounded rows and
+    columns is harmless because D^T annihilates functions constant on each
+    component.
     """
 
     def __init__(self, A0, B, sigma):
@@ -116,9 +119,10 @@ class _ShiftedSolver:
 
         if hasattr(B, "ops"):
             grounded = B.ops.laplacian
-            Df = B.ops.D.tocsr()[grounded.free]
+            self._Df = B.ops.D.tocsr()[grounded.free]
             aug = sp.bmat(
-                [[A0.astype(np.complex128), -self.sigma * Df.T], [Df, -grounded.L_ff]],
+                [[A0.astype(np.complex128), -self._Df.T],
+                 [self.sigma * self._Df, -grounded.L_ff]],
                 format="csc",
             )
             try:
@@ -138,12 +142,15 @@ class _ShiftedSolver:
 
     def solve_shifted(self, b):
         if self._mode == "augmented":
-            rhs = np.concatenate([b, np.zeros(self._lu.shape[0] - self.n, dtype=np.complex128)])
+            rhs = np.concatenate([b, np.zeros(self._Df.shape[0], dtype=np.complex128)])
             return self._lu.solve(rhs)[: self.n]
         return self._lu.solve(b.astype(np.complex128))
 
     def apply(self, v):
         """(A0 - sigma B)^-1 (B v)."""
+        if self._mode == "augmented":
+            rhs = np.concatenate([np.zeros(self.n, dtype=np.complex128), -(self._Df @ v)])
+            return self._lu.solve(rhs)[: self.n]
         return self.solve_shifted(self.B @ v)
 
     def _probe(self):

@@ -44,6 +44,10 @@ C_THRESHOLD = 1e-8
 # solved once more at a shift this fraction of the guard radius away
 SHIFT_OFFSET = 1e-3
 
+# fewest eigenvalues a study solve asks for; the baseline asks for as many
+# as a step, so a neighboring cluster sets a finite guard radius
+MIN_STUDY_K = 6
+
 
 @dataclass
 class FitResult:
@@ -324,7 +328,7 @@ def run_study(setup: StudySetup) -> StudyReport:
             f"baseline diagnostic {baseline_diag:.3e} below threshold {setup.diag_threshold:.1e}"
         )
 
-    base = solve_shift_invert(pencil0.a0(), pencil0.B, setup.sigma, setup.k,
+    base = solve_shift_invert(pencil0.a0(), pencil0.B, setup.sigma, max(setup.k, MIN_STUDY_K),
                               tol=setup.tol, seed=setup.seed)
     if len(base) == 0:
         raise AssumptionViolation("baseline solve produced no certified eigenvalues")
@@ -418,7 +422,7 @@ def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
             rec.status = "aborted-diagnostic"
             return rec
 
-    k_step = max(n_members + 4, 6)
+    k_step = max(n_members + 4, MIN_STUDY_K)
     try:
         res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step,
                                  tol=setup.tol, seed=setup.seed)

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -258,20 +260,53 @@ def test_threads_flag_accepted(tmp_path):
     assert run(["solve", "--config", cfg, "--output", str(out), "--threads", "1"]) == 0
 
 
-def test_threads_without_threadpoolctl_runs_uncapped(tmp_path, monkeypatch, capsys):
-    # a None entry in sys.modules makes the import fail even where the package exists
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+def test_blas_threads_pinned_during_dispatch(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("STEKLOV_THREADS", raising=False)
+    pools = cli._blas_pools()      # numpy and scipy each bundle an OpenBLAS
+    assert pools
+    before = [get() for get, _ in pools]
+    seen = []
+
+    def probe(args):
+        seen.append([get() for get, _ in pools])
+        return 0
+
+    monkeypatch.setattr(cli, "_dispatch", probe)
     cfg = write_config(tmp_path, scalar_ball_config())
-    capped, plain = tmp_path / "capped", tmp_path / "plain"
-    assert run(["solve", "--config", cfg, "--output", str(capped), "--threads", "1"]) == 0
-    err = capsys.readouterr().err.splitlines()
-    notes = [ln for ln in err if ln.startswith("note:")]
-    assert len(notes) == 1 and "threadpoolctl" in notes[0]
-    assert not any(ln.startswith("error:") for ln in err)
-    assert run(["solve", "--config", cfg, "--output", str(plain)]) == 0
+    try:
+        for _, set_ in pools:      # so that the default run has something to change
+            set_(2)
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path)]) == 0
+        assert [get() for get, _ in pools] == [2] * len(pools)
+        for _, set_ in pools:
+            set_(1)
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path), "--threads", "2"]) == 0
+        assert [get() for get, _ in pools] == [1] * len(pools)
+    finally:
+        for (_, set_), n in zip(pools, before):
+            set_(n)
+    assert seen == [[1] * len(pools), [2] * len(pools)]
     assert capsys.readouterr().err == ""
-    assert (capped / "eigenvalues.csv").read_bytes() == (plain / "eigenvalues.csv").read_bytes()
+
+    monkeypatch.setattr(cli, "_blas_pools", lambda: [])
+    assert run(["solve", "--config", cfg, "--output", str(tmp_path), "--threads", "1"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("note: --threads 1 not enforced")
+
+
+def test_outputs_do_not_depend_on_openblas_thread_count(tmp_path):
+    cfg = write_config(tmp_path, scalar_ball_config())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        env.pop("STEKLOV_THREADS", None)
+        subprocess.run([sys.executable, "-m", "steklovlab.cli", "solve", "--config", cfg,
+                        "--output", str(out)], env=env, check=True, capture_output=True,
+                       timeout=300)
+        outputs.append([(out / f).read_bytes() for f in ("eigenvalues.csv", "solve_meta.json")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("flag, env", [
@@ -289,21 +324,6 @@ def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, flag, e
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: config-error: ")
     assert not out.exists()
-
-
-def test_threads_limit_in_force_during_dispatch(tmp_path, monkeypatch):
-    threadpoolctl = pytest.importorskip("threadpoolctl")
-    seen = []
-
-    def probe(args):
-        seen.extend(info["num_threads"] for info in threadpoolctl.threadpool_info()
-                    if info["user_api"] == "blas")
-        return 0
-
-    monkeypatch.setattr(cli, "_dispatch", probe)
-    cfg = write_config(tmp_path, scalar_ball_config())
-    assert run(["solve", "--config", cfg, "--output", str(tmp_path), "--threads", "1"]) == 0
-    assert seen and all(n == 1 for n in seen)
 
 
 def _with(doc, path, value):
@@ -531,3 +551,19 @@ def test_study_step_at_exact_eigenvalue_shifts_off_it(tmp_path, capsys):
     (step,) = report["steps"]
     assert step["status"] == "ok"
     assert step["drift"] <= 1e-9 * abs(lam0)
+
+
+def test_study_with_k1_baseline_finds_a_guard(tmp_path, capsys):
+    # the baseline solve asks for as many eigenvalues as a step solve, so a
+    # k=1 study still sees a neighboring cluster and gets a finite guard
+    doc = {**scalar_ball_config(omega=1.0, eps={"re": 2.0, "im": 1.0}), "study": {
+        "target": "eps", "center": [0.0, 0.0, 0.0],
+        "schedule": [{"h": 0.5, "delta_re": 1e-3}]}}
+    doc["solver"] = {"sigma_re": 1.5, "k": 1, "tol": 1e-9, "seed": 0}
+    cfg = write_config(tmp_path, doc)
+    assert run(["study", "--config", cfg, "--output", str(tmp_path)]) == 0
+    assert "error:" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "study_report.json").read_text())
+    assert report["guard_radius"] is not None and 0.0 < report["guard_radius"] < np.inf
+    (step,) = report["steps"]
+    assert step["status"] == "ok" and step["n_matched"] == report["cluster_size"]

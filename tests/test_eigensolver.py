@@ -315,20 +315,38 @@ def test_scalar_pencil_oracle_equivalence():
         assert np.abs(want - lam).min() <= 1e-8 * abs(lam)
 
 
-def test_maxwell_augmented_path_matches_oracle():
-    mesh = generate_cube_mesh(2)
+def _maxwell_pencil(mesh):
     mu = build_field(mesh, "mu_inv", {1: 1.0})
     eps = build_field(mesh, "eps", {1: {"re": 4.0, "im": 1.0}})
     ops = assemble_surface_operators(extract_boundary(mesh), mesh)
-    pencil = assemble_maxwell(mesh, mu, eps, 1.0, ops)
+    return assemble_maxwell(mesh, mu, eps, 1.0, ops)
+
+
+def test_maxwell_augmented_path_matches_oracle():
+    pencil = _maxwell_pencil(generate_cube_mesh(2))
     A0 = pencil.a0()
     oracle = solve_dense_oracle(A0.toarray(), pencil.B.to_sparse().toarray())
-    sigma = 1.0 + 0.0j
-    res = solve_shift_invert(A0, pencil.B, sigma, k=4, tol=1e-9)
-    assert len(res) == 4
-    want = oracle.eigenvalues[np.argsort(np.abs(oracle.eigenvalues - sigma), kind="stable")][:4]
-    for lam in res.eigenvalues:
-        assert np.abs(want - lam).min() <= 1e-7 * abs(lam)
+    # sigma = 0 leaves the sigma-scaled coupling block of the augmented system empty
+    for sigma in (1.0 + 0.0j, 0.0j):
+        res = solve_shift_invert(A0, pencil.B, sigma, k=4, tol=1e-9)
+        assert len(res) == 4 and not res.meta["partial"]
+        want = oracle.eigenvalues[np.argsort(np.abs(oracle.eigenvalues - sigma),
+                                             kind="stable")][:4]
+        for lam in res.eigenvalues:
+            assert np.abs(want - lam).min() <= 1e-7 * abs(lam)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.3, 3.0 - 2.0j])
+@pytest.mark.parametrize("mesh_name", ["cube2", "two-cubes"])
+def test_folded_apply_equals_gram_product_then_solve(request, mesh_name, sigma):
+    # the apply solves the augmented system for B v without forming B v
+    mesh = generate_cube_mesh(2) if mesh_name == "cube2" else request.getfixturevalue("two_cubes")
+    pencil = _maxwell_pencil(mesh)
+    solver = eigensolver._ShiftedSolver(pencil.a0(), pencil.B, sigma)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(mesh.n_edges) + 1j * rng.standard_normal(mesh.n_edges)
+    want = solver.solve_shifted(pencil.B @ v)
+    assert np.linalg.norm(solver.apply(v) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # ------------------------------------------------------------------- cluster
