@@ -50,6 +50,14 @@ def p1_mass(mesh, values):
     return scatter_square(local, mesh.tets, mesh.n_vertices)
 
 
+def h1_gram(mesh):
+    """<grad u, grad v> + <u, v> for P1 on tets: the coefficient-free H^1 Gram."""
+    g = mesh.tet_gradients
+    local = np.einsum("tic,tjc->tij", g, g) + P1_TET_MASS
+    local *= mesh.volumes[:, None, None]
+    return scatter_square(local, mesh.tets, mesh.n_vertices)
+
+
 def boundary_p1_mass(mesh):
     """<tr u, tr v> over the boundary triangles, on volume vertex dofs."""
     tri = mesh.boundary_faces

@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from .eigensolver import cluster, sector_census, solve_shift_invert
 from .errors import (
@@ -547,7 +546,6 @@ _ERROR_KINDS = [
     (AssumptionViolation, "assumption-violation", 2),
     (SolverFailure, "solver-failure", 3),
     (np.linalg.LinAlgError, "solver-failure", 3),   # a ValueError subclass
-    (ArpackNoConvergence, "solver-failure", 3),
     (ValueError, "invalid-argument", 1),
 ]
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._assembly import P1_TET_MASS, scatter_square
 from .boundary_ops import (
@@ -32,12 +31,10 @@ from .boundary_ops import (
     assemble_boundary_form,
     ground,
 )
-from .errors import ConfigError, SolverFailure
+from .errors import ConfigError
+from .fem_scalar import continuity_bound, inf_sup
 from .materials import MaterialField
 from .mesh import LOCAL_EDGES, Mesh
-
-# Lanczos steps allowed for each extreme singular value of kernelS_diagnostic
-LANCZOS_MAX_STEPS = 500
 
 
 @dataclass
@@ -49,6 +46,7 @@ class MaxwellPencil:
     B: BoundaryGram
     G: sp.csr_matrix                      # edges x vertices discrete gradient
     omega: float
+    beta: float                           # continuity bound, see fem_scalar.continuity_bound
     mesh: Mesh = field(repr=False)
     ops: SurfaceOperatorSet = field(repr=False)
     _a0: sp.csr_matrix | None = field(default=None, repr=False)
@@ -115,17 +113,20 @@ def curl_curl_matrix(mesh: Mesh, tensors) -> sp.csr_matrix:
     return scatter_square(local, mesh.tet_edges, mesh.n_edges)
 
 
+def hcurl_gram(mesh: Mesh) -> sp.csr_matrix:
+    """<curl u, curl v> + <u, v> for edge elements: the coefficient-free
+    H(curl) Gram."""
+    ident = np.tile(np.eye(3), (mesh.n_tets, 1, 1))
+    return (curl_curl_matrix(mesh, ident) + edge_mass_matrix(mesh)).tocsr()
+
+
 def assemble_maxwell(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField,
                      omega: float, ops: SurfaceOperatorSet) -> MaxwellPencil:
     """Assemble the Maxwell pencil; piecewise-constant coefficients are
     integrated exactly (the integrands are at most quadratic)."""
     if omega == 0:
         raise ValueError("omega must be nonzero for the Maxwell pencil")
-    if mu_inv.name != "mu_inv" or eps.name != "eps":
-        raise ConfigError("fields must be passed as (mu_inv, eps)")
-    for fld in (mu_inv, eps):
-        if fld.mesh is not mesh and not np.array_equal(fld.mesh.tets, mesh.tets):
-            raise ConfigError(f"field {fld.name!r} was built on a different mesh")
+    beta = continuity_bound(mesh, mu_inv, eps, omega)
     if ops.mesh is not mesh:
         raise ConfigError("surface operators belong to a different mesh")
 
@@ -133,7 +134,7 @@ def assemble_maxwell(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField,
     M = edge_mass_matrix(mesh, eps.tensors)
     B = assemble_boundary_form(ops)
     G = discrete_gradient(mesh)
-    return MaxwellPencil(K, M, B, G, float(omega), mesh, ops)
+    return MaxwellPencil(K, M, B, G, float(omega), beta, mesh, ops)
 
 
 def project_Vh(pencil: MaxwellPencil, u, eps: MaterialField | None = None) -> ProjectionResult:
@@ -161,45 +162,25 @@ def project_Vh(pencil: MaxwellPencil, u, eps: MaterialField | None = None) -> Pr
 
 @dataclass
 class KernelBasis:
-    """Orthonormal kernel basis Q = Z blockdiag(I, R^-T) kept in factored form.
-
-    Z is blockdiag(I on interior edges, G_s0 on boundary edges) as an
-    (n_edges, r) sparse matrix, its first ``n_interior`` columns the
-    interior-edge unit fields; N_B = G_s0^T G_s0 = R R^T is the grounded
-    surface graph Laplacian, so Z^T Z = blockdiag(I, N_B) =: N.
-    """
+    """The kernel subspace in coordinates: Z = blockdiag(I on interior edges,
+    G_s0 on boundary edges) as an (n_edges, r) sparse matrix of full column
+    rank, and W = Z^T H Z, the H(curl) Gram H restricted to its span."""
 
     Z: sp.csr_matrix
-    n_interior: int
-    N_B: sp.csc_matrix
-    N_B_lu: object = field(repr=False)
-
-    def gram(self, x):
-        """N x."""
-        y = x.copy()
-        y[self.n_interior:] = self.N_B @ x[self.n_interior:]
-        return y
-
-    def gram_solve(self, x):
-        """N^-1 x; N_B is real, so a complex x is solved as Re and Im."""
-        y = x.copy()
-        b = x[self.n_interior:]
-        re_im = self.N_B_lu.solve(np.column_stack([b.real, b.imag]))
-        y[self.n_interior:] = re_im[:, 0] + 1j * re_im[:, 1]
-        return y
+    W: sp.csr_matrix
 
 
-def kernel_subspace_basis(mesh: Mesh):
+def kernel_subspace_basis(mesh: Mesh, gram=None):
     """Basis of the spanned part of the discrete smoothing-operator kernel:
     all gradients plus all interior-edge unit fields.
 
     The span splits by coordinates: interior-edge coordinates are free, and
-    boundary edges carry only surface gradients G_s z.  So the orthonormal
-    basis is Q = blockdiag(I, G_s0 R^-T), with G_s0 the surface gradient
-    grounded at one vertex per surface component and R R^T = G_s0^T G_s0;
-    its dimension n_interior_edges + n_boundary_vertices - components needs
-    no rank tolerance.  Q is never formed: the KernelBasis holds Z, N_B and
-    the sparse factor of N_B.
+    boundary edges carry only surface gradients G_s z.  So Z =
+    blockdiag(I, G_s0), with G_s0 the surface gradient grounded at one vertex
+    per surface component, has full column rank; its dimension
+    n_interior_edges + n_boundary_vertices - components needs no rank
+    tolerance.  ``gram`` is the H(curl) Gram on all edges (built from the
+    mesh when None).
 
     Returns (KernelBasis, info): info records the subspace dimension and, for
     comparison, the dimension of the full kernel of the coupling matrix
@@ -212,33 +193,28 @@ def kernel_subspace_basis(mesh: Mesh):
     Gs0 = Gs[:, ground(Gs.T @ Gs)[0]]
     E = sp.identity(mesh.n_edges, format="csc")
     Z = sp.hstack([E[:, interior], E[:, bed] @ Gs0], format="csr")
-    N_B = (Gs0.T @ Gs0).tocsc()
-    ni = len(interior)
-    basis = KernelBasis(Z, ni, N_B, spla.splu(N_B))
-    info = {"subspace_dim": Z.shape[1], "n_edges": mesh.n_edges, "n_interior_edges": ni}
+    H = hcurl_gram(mesh) if gram is None else gram
+    basis = KernelBasis(Z, (Z.T @ (H @ Z)).tocsr())
+    info = {"subspace_dim": Z.shape[1], "n_edges": mesh.n_edges, "n_interior_edges": len(interior)}
     return basis, info
 
 
 def kernelS_diagnostic(pencil: MaxwellPencil, basis=None, return_details=False):
-    """Smallest singular value (normalized by the largest) of the pencil
-    matrix compressed to the spanned kernel subspace of the smoothing
-    operator.
+    """Inf-sup constant, in the H(curl) norm and normalized by the continuity
+    bound ``pencil.beta``, of the pencil matrix compressed to the spanned
+    kernel subspace of the smoothing operator: sigma_min of C = Z^T A0 Z in
+    the norm of W = Z^T H Z (fem_scalar.inf_sup), a value in [0, 1] that
+    does not shrink under refinement.
 
     A value near zero signals that the variational problem restricted to that
     subspace is (numerically) singular at this omega, breaking the
     well-posedness assumption behind the eigenvalue problem.  The details
     report the subspace dimension and the rank of the coupling matrix so a
     kernel remainder not covered by gradients + interior edges is visible.
-
-    With Q = Z T, T = blockdiag(I, R^-T), the compression is Q^T A0 Q =
-    T^T C T with the sparse C = Z^T A0 Z, and its squared singular values
-    are the eigenvalues of M = N^-1 C^H N^-1 C, self-adjoint in the inner
-    product <x, y>_N = y^H N x.  Lanczos gives the largest eigenvalue of M
-    (sigma_max^2) and, through one sparse LU of C, of
-    M^-1 = C^-1 N C^-H N (sigma_min^-2).
     """
     basis, info = kernel_subspace_basis(pencil.mesh) if basis is None else basis
-    sigma = _sigma_ratio((basis.Z.T @ (pencil.a0() @ basis.Z)).tocsc(), basis)
+    C = basis.Z.T @ (pencil.a0() @ basis.Z)
+    sigma = inf_sup(C, basis.W) / pencil.beta
 
     if not return_details:
         return sigma
@@ -254,53 +230,3 @@ def kernelS_diagnostic(pencil: MaxwellPencil, basis=None, return_details=False):
     details["unspanned_kernel_dim"] = details["kernel_dim_from_rank"] - info["subspace_dim"]
     details["sigma_min"] = sigma
     return sigma, details
-
-
-def _sigma_ratio(C, basis):
-    """sigma_min/sigma_max of T^T C T, 0.0 if C is exactly singular."""
-    n = C.shape[0]
-    CH = C.conj().T.tocsr()
-    smax2 = _lanczos_top(lambda v: basis.gram_solve(CH @ basis.gram_solve(C @ v)), basis.gram, n)
-    if smax2 <= 0:
-        return 0.0
-    try:
-        lu = spla.splu(C)
-    except RuntimeError:
-        return 0.0
-    inv_smin2 = _lanczos_top(
-        lambda v: lu.solve(basis.gram(lu.solve(basis.gram(v), trans="H"))), basis.gram, n)
-    return float(1.0 / np.sqrt(smax2 * inv_smin2))
-
-
-def _lanczos_top(apply, gram, n):
-    """Largest eigenvalue of ``apply``, an operator self-adjoint and positive
-    semidefinite in <x, y>_N = y^H N x with N x = gram(x).
-
-    Lanczos in the N-inner product with full reorthogonalization (two
-    Gram-Schmidt passes) from a fixed start vector; stops once the top Ritz
-    pair's residual beta |s_m| is at most 1e-10 of its Ritz value.
-    """
-    v = np.random.default_rng(0).standard_normal(n).astype(np.complex128)
-    v /= np.sqrt(np.vdot(v, gram(v)).real)
-    V = np.empty((16, n), dtype=np.complex128)      # Lanczos vectors as rows
-    alpha, beta = [], []
-    for m in range(LANCZOS_MAX_STEPS):
-        if m == len(V):
-            V = np.concatenate([V, np.empty_like(V)])
-        V[m] = v
-        w = apply(v)
-        a = 0.0
-        for _ in range(2):
-            h = (V[: m + 1] @ gram(w).conj()).conj()
-            w -= h @ V[: m + 1]
-            a += h[m].real
-        alpha.append(a)
-        b = np.sqrt(max(np.vdot(w, gram(w)).real, 0.0))
-        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        theta, S = np.linalg.eigh(T)
-        if b * abs(S[-1, -1]) <= 1e-10 * theta[-1]:
-            return float(theta[-1])
-        beta.append(b)
-        v = w / b
-    raise SolverFailure(
-        f"kernel diagnostic Lanczos did not converge in {LANCZOS_MAX_STEPS} steps")

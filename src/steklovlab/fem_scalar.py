@@ -27,10 +27,13 @@ import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._assembly import boundary_p1_mass, p1_mass, p1_stiffness
-from .errors import ConfigError
+from ._assembly import boundary_p1_mass, h1_gram, p1_mass, p1_stiffness
+from .errors import ConfigError, SolverFailure
 from .materials import MaterialField
 from .mesh import Mesh
+
+# Lanczos steps allowed for the smallest singular value of inf_sup
+LANCZOS_MAX_STEPS = 500
 
 
 @dataclass
@@ -41,6 +44,7 @@ class ScalarPencil:
     M: sp.csr_matrix
     B_bd: sp.csr_matrix
     omega: float
+    beta: float                           # continuity bound, see continuity_bound
     mesh: Mesh = field(repr=False)
     boundary_vertices: np.ndarray = field(repr=False)
     _a0: sp.csr_matrix | None = field(default=None, repr=False)
@@ -67,19 +71,29 @@ class ScalarPencil:
 
 def assemble_scalar(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField, omega: float) -> ScalarPencil:
     """Assemble the scalar pencil with exact per-element integration."""
-    _check_fields(mesh, mu_inv, eps)
+    beta = continuity_bound(mesh, mu_inv, eps, omega)
     K = p1_stiffness(mesh, np.ascontiguousarray(mu_inv.tensors.real))
     M = p1_mass(mesh, eps.scalar_values())
     B = boundary_p1_mass(mesh)
-    return ScalarPencil(K, M, B, float(omega), mesh, mesh.boundary_vertex_ids)
+    return ScalarPencil(K, M, B, float(omega), beta, mesh, mesh.boundary_vertex_ids)
 
 
-def _check_fields(mesh, mu_inv, eps):
+def continuity_bound(mesh, mu_inv, eps, omega) -> float:
+    """beta = max(||mu_inv||_inf, omega^2 ||eps||_inf), the pointwise spectral
+    norm maximized over elements: it bounds the volume form
+    <mu_inv curl u, curl v> - omega^2 <eps u, v> (grad for the scalar pencil)
+    in the energy norm, so sigma_min / beta lies in [0, 1].
+
+    Checks first that the fields come in the roles (mu_inv, eps) and live on
+    ``mesh``; both assemblers call it.
+    """
     if mu_inv.name != "mu_inv" or eps.name != "eps":
         raise ConfigError("fields must be passed as (mu_inv, eps)")
     for fld in (mu_inv, eps):
         if fld.mesh is not mesh and not np.array_equal(fld.mesh.tets, mesh.tets):
             raise ConfigError(f"field {fld.name!r} was built on a different mesh")
+    mu_sup, eps_sup = (np.linalg.norm(f.tensors, 2, axis=(1, 2)).max() for f in (mu_inv, eps))
+    return float(max(mu_sup, omega**2 * eps_sup))
 
 
 def dump_matrix_market(pencil, directory):
@@ -103,44 +117,74 @@ def dump_matrix_market(pencil, directory):
     return paths
 
 
-def scalar_dirichlet_diagnostic(pencil: ScalarPencil) -> float:
-    """Smallest singular value of the interior block of K - omega^2 M,
-    normalized by the largest one.
+def scalar_dirichlet_diagnostic(pencil: ScalarPencil, gram=None) -> float:
+    """Inf-sup constant of the interior block of K - omega^2 M in the H^1
+    norm, normalized by the continuity bound ``pencil.beta``: a value in
+    [0, 1] that does not shrink under refinement.
 
-    A value near zero signals that omega^2 is (numerically) an interior
-    Dirichlet eigenvalue, i.e. the well-posedness assumption behind the
-    Steklov pencil fails on this mesh.  Returns inf when the mesh has no
-    interior vertices.
+    ``gram`` is the H^1 Gram on all vertices (built from the mesh when None);
+    its interior block is the norm.  A value near zero signals that omega^2
+    is (numerically) an interior Dirichlet eigenvalue, i.e. the
+    well-posedness assumption behind the Steklov pencil fails on this mesh.
+    Returns inf when the mesh has no interior vertices.
     """
     interior = pencil.interior_vertices
     if len(interior) == 0:
         return np.inf
+    W = h1_gram(pencil.mesh) if gram is None else gram
     A = pencil.a0()[interior][:, interior]
-    if A.shape[0] <= 2:
-        # svds needs k < n - 1, so a block this small takes a dense SVD
-        s = np.linalg.svd(A.toarray(), compute_uv=False)
-        return float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    return _sparse_sigma_ratio(A.tocsc())
+    return inf_sup(A, W[interior][:, interior]) / pencil.beta
 
 
-def _sparse_sigma_ratio(A):
-    """sigma_min/sigma_max via Lanczos on A and on the factorized inverse."""
-    n = A.shape[0]
-    v0 = np.random.default_rng(0).standard_normal(n)
-    smax = float(spla.svds(A, k=1, which="LM", v0=v0, tol=1e-9,
-                           return_singular_vectors=False)[0])
+def inf_sup(A, W):
+    """Smallest singular value of the square sparse A in the energy norm of
+    the Hermitian positive definite W,
+
+        sigma_min = min_x max_y |y^H A x| / (|x|_W |y|_W),
+
+    or 0.0 when A is exactly singular.  With W = L L^H this is
+    sigma_min(L^-1 A L^-H), and sigma_min^-2 is the largest eigenvalue of
+    A^-1 W A^-H W, self-adjoint in <x, y>_W = y^H W x: Lanczos finds it from
+    one sparse LU of A and products with W, with no factor of W (Babuska,
+    Numer. Math. 16, 1971).
+    """
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A.tocsc())
     except RuntimeError:
         return 0.0
-    op = spla.LinearOperator(
-        A.shape,
-        matvec=lu.solve,
-        rmatvec=lambda b: lu.solve(b, trans="H"),
-        dtype=np.complex128,
-    )
-    inv_max = float(spla.svds(op, k=1, which="LM", v0=v0, tol=1e-9,
-                              return_singular_vectors=False)[0])
-    if not np.isfinite(inv_max) or inv_max == 0.0:
-        return 0.0
-    return float(1.0 / (inv_max * smax))
+    top = _lanczos_top(lambda v: lu.solve(W @ lu.solve(W @ v, trans="H")), W, A.shape[0])
+    return float(1.0 / np.sqrt(top))
+
+
+def _lanczos_top(apply, W, n):
+    """Largest eigenvalue of ``apply``, an operator self-adjoint and positive
+    semidefinite in <x, y>_W = y^H W x.
+
+    Lanczos in the W-inner product with full reorthogonalization (two
+    Gram-Schmidt passes) from a fixed start vector; stops once the top Ritz
+    pair's residual beta |s_m| is at most 1e-10 of its Ritz value.
+    """
+    v = np.random.default_rng(0).standard_normal(n).astype(np.complex128)
+    v /= np.sqrt(np.vdot(v, W @ v).real)
+    V = np.empty((16, n), dtype=np.complex128)      # Lanczos vectors as rows
+    alpha, beta = [], []
+    for m in range(LANCZOS_MAX_STEPS):
+        if m == len(V):
+            V = np.concatenate([V, np.empty_like(V)])
+        V[m] = v
+        w = apply(v)
+        a = 0.0
+        for _ in range(2):
+            h = (V[: m + 1] @ (W @ w).conj()).conj()
+            w -= h @ V[: m + 1]
+            a += h[m].real
+        alpha.append(a)
+        b = np.sqrt(max(np.vdot(w, W @ w).real, 0.0))
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, S = np.linalg.eigh(T)
+        if b * abs(S[-1, -1]) <= 1e-10 * theta[-1]:
+            return float(theta[-1])
+        beta.append(b)
+        v = w / b
+    raise SolverFailure(
+        f"well-posedness diagnostic Lanczos did not converge in {LANCZOS_MAX_STEPS} steps")

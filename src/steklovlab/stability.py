@@ -22,13 +22,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._assembly import p1_mass, p1_stiffness
+from ._assembly import h1_gram
 from .boundary_ops import assemble_surface_operators
 from .eigensolver import cluster, solve_shift_invert
 from .errors import AssumptionViolation, DegenerateCluster, InsufficientData, ShiftAtEigenvalue
 from .fem_maxwell import (
     assemble_maxwell,
-    edge_mass_matrix,
+    hcurl_gram,
     kernelS_diagnostic,
     kernel_subspace_basis,
 )
@@ -170,6 +170,8 @@ class StepRecord:
     status: str                          # ok | lost-track | ambiguous | aborted-*
     norms: dict                          # field -> {p: value}
     diag_sigma: float | None = None
+    confirmed: bool | None = None        # the step solve's flags; None without a solve
+    partial: bool | None = None
     n_matched: int = 0
     lam: complex | None = None
     drift: float | None = None
@@ -190,6 +192,8 @@ class StepRecord:
             "status": self.status,
             "norms": {f: {str(p): v for p, v in ps.items()} for f, ps in self.norms.items()},
             "diag_sigma": self.diag_sigma,
+            "confirmed": self.confirmed,
+            "partial": self.partial,
             "n_matched": self.n_matched,
             "lambda": cx(self.lam),
             "drift": self.drift,
@@ -262,9 +266,9 @@ class Problem:
     """One pencil family on a fixed mesh: the layer behind solve, diagnose and study.
 
     ``kind`` is "scalar" or "maxwell".  The Maxwell surface operators are
-    assembled here once, the kernel basis on the first diagnostic and the
-    energy Gram on the first ``gram`` call; later pencils on the same mesh
-    reuse all three.
+    assembled here once, the energy Gram and the kernel basis on the first
+    diagnostic or ``gram`` call; later pencils on the same mesh reuse all
+    three.
     """
 
     def __init__(self, kind, mesh: Mesh, omega):
@@ -284,28 +288,26 @@ class Problem:
         return assemble_maxwell(self.mesh, mu, eps, self.omega, self.ops)
 
     def diagnostic(self, pencil, details=False):
-        """Well-posedness value sigma_min of ``pencil``; with ``details`` the
-        pair (sigma_min, the diagnostics block that solve_meta.json reports)."""
+        """Well-posedness value sigma_min of ``pencil`` in the norm of
+        ``gram()``; with ``details`` the pair (sigma_min, the diagnostics
+        block that solve_meta.json reports)."""
         if self.kind == "scalar":
-            sigma = scalar_dirichlet_diagnostic(pencil)
+            sigma = scalar_dirichlet_diagnostic(pencil, self.gram())
             info = {"kind": "interior_dirichlet", "sigma_min": float(sigma)}
             return (sigma, info) if details else sigma
         if self._basis is None:
-            self._basis = kernel_subspace_basis(self.mesh)
+            self._basis = kernel_subspace_basis(self.mesh, self.gram())
         if not details:
             return kernelS_diagnostic(pencil, basis=self._basis)
         sigma, info = kernelS_diagnostic(pencil, basis=self._basis, return_details=True)
         return sigma, {"kind": "kernel_subspace", **info}
 
-    def gram(self, pencil):
-        """Energy inner product for normalizing eigenvectors, built once."""
+    def gram(self):
+        """The coefficient-free energy Gram of the mesh (H(curl) or H^1),
+        built once: the norm of the diagnostic and of eigenvector
+        normalization."""
         if self._gram is None:
-            mesh = self.mesh
-            if self.kind == "maxwell":
-                self._gram = (pencil.K_curl + edge_mass_matrix(mesh)).tocsr()
-            else:
-                ident = np.broadcast_to(np.eye(3), (mesh.n_tets, 3, 3))
-                self._gram = (p1_stiffness(mesh, ident) + p1_mass(mesh, np.ones(mesh.n_tets))).tocsr()
+            self._gram = hcurl_gram(self.mesh) if self.kind == "maxwell" else h1_gram(self.mesh)
         return self._gram
 
 
@@ -341,8 +343,7 @@ def run_study(setup: StudySetup) -> StudyReport:
     other_means = np.array([m for i, m in enumerate(clustered.cluster_means) if i != tracked_label])
     guard = 0.5 * float(np.abs(other_means - lam0).min()) if len(other_means) else np.inf
 
-    gram = prob.gram(pencil0)
-    vectors = normalize_vectors(base.eigenvectors[:, members], gram)
+    vectors = normalize_vectors(base.eigenvectors[:, members], prob.gram())
     c = nondegeneracy(pencil0.B, vectors)
 
     records = []
@@ -382,6 +383,7 @@ def run_study(setup: StudySetup) -> StudyReport:
             "seed": setup.seed,
             "k": setup.k,
             "tol": setup.tol,
+            "baseline": {"confirmed": base.meta["confirmed"], "partial": base.meta["partial"]},
             "n_steps": len(records),
             "mesh": {"vertices": setup.mesh.n_vertices, "tets": setup.mesh.n_tets,
                      "edges": setup.mesh.n_edges, "kind": setup.mesh.kind},
@@ -432,6 +434,8 @@ def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
         offset = SHIFT_OFFSET * (guard if np.isfinite(guard) else abs(lam0))
         res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0 + offset, k_step,
                                  tol=setup.tol, seed=setup.seed)
+    rec.confirmed = res.meta["confirmed"]
+    rec.partial = res.meta["partial"]
     cand = res.eigenvalues[np.abs(res.eigenvalues - lam0) < guard]
     rec.n_matched = int(len(cand))
     if len(cand) == 0:

@@ -368,6 +368,29 @@ def test_criterion_7_assumption_diagnostics():
     report(7, "assumption diagnostics", failures)
 
 
+def test_diagnostics_mesh_independent():
+    # the energy-norm inf-sup constant converges under refinement, so a
+    # well-posed pencil keeps its value on every level
+    failures = []
+    maxwell = []
+    for level in (0, 1, 2):
+        mesh = generate_ball_mesh(level)
+        mu, eps = unit_fields(mesh, ABSORBING)
+        ops = assemble_surface_operators(extract_boundary(mesh), mesh)
+        maxwell.append(kernelS_diagnostic(assemble_maxwell(mesh, mu, eps, 1.0, ops)))
+    scalar = []
+    for level in (1, 2):
+        mesh = generate_ball_mesh(level)
+        mu, eps = unit_fields(mesh, {"re": 2.0, "im": 1.0})
+        scalar.append(scalar_dirichlet_diagnostic(assemble_scalar(mesh, mu, eps, 1.0)))
+    for name, values in (("maxwell", maxwell), ("scalar", scalar)):
+        if not all(0.0 < v <= 1.0 for v in values):
+            failures.append(f"{name} values {values} outside (0, 1]")
+        elif max(values) / min(values) > 1.05:
+            failures.append(f"{name} values {values} vary by more than 5%")
+    report("7b", "mesh-independent diagnostics", failures)
+
+
 def test_criterion_8_determinism(tmp_path):
     failures = []
     config = {

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovlab import cli, fem_maxwell
+from steklovlab import cli, fem_scalar
 from steklovlab.cli import run
-from steklovlab.mesh import save_mesh
+from steklovlab.fem_scalar import assemble_scalar
+from steklovlab.materials import build_field
+from steklovlab.mesh import generate_cube_mesh, save_mesh
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -113,7 +115,13 @@ def test_diagnose_scalar_cube_one_interior_vertex(tmp_path):
     out = tmp_path / "d"
     assert run(["diagnose", "--config", cfg, "--output", str(out)]) == 0
     doc = json.loads((out / "diagnostics.json").read_text())
-    assert doc["diagnostics"]["sigma_min"] == 1.0
+    # the 1 x 1 block at omega = 0 in the H^1 norm: K_cc / (K_cc + M_cc)
+    mesh = generate_cube_mesh(2)
+    pencil = assemble_scalar(mesh, build_field(mesh, "mu_inv", {1: 1.0}),
+                             build_field(mesh, "eps", {1: 1.0}), 0.0)
+    (c,) = pencil.interior_vertices
+    k_cc, m_cc = pencil.K[c, c], pencil.M[c, c].real
+    assert doc["diagnostics"]["sigma_min"] == pytest.approx(k_cc / (k_cc + m_cc), rel=1e-14)
 
 
 def _strict_json(path):
@@ -491,8 +499,9 @@ def test_run_path_keeps_dense_kernels_on_numpy(tmp_path, monkeypatch):
     for name in ("eig", "svd", "svdvals", "qr", "cholesky", "solve_triangular",
                  "lu_factor", "lu_solve"):
         monkeypatch.setattr(scipy.linalg, name, refuse)
-    # ARPACK runs on scipy's BLAS as well; only the scalar diagnostic uses it
-    arpack = {name: getattr(scipy.sparse.linalg, name) for name in ("eigs", "eigsh", "svds")}
+    # ARPACK runs on scipy's BLAS as well
+    for name in ("eigs", "eigsh", "svds"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
     maxwell = {
         "problem": "maxwell",
         "mesh": {"kind": "cube", "n": 2},
@@ -504,22 +513,23 @@ def test_run_path_keeps_dense_kernels_on_numpy(tmp_path, monkeypatch):
     }
     runs = [("solve", maxwell), ("diagnose", scalar_ball_config()), ("study", maxwell)]
     for i, (command, doc) in enumerate(runs):
-        for name, func in arpack.items():
-            monkeypatch.setattr(scipy.sparse.linalg, name,
-                                refuse if doc is maxwell else func)
         cfg = write_config(tmp_path, doc, name=f"config{i}.json")
         assert run([command, "--config", cfg, "--output", str(tmp_path / f"out{i}")]) == 0
 
 
-def test_kernel_diagnostic_lanczos_cap_is_solver_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(fem_maxwell, "LANCZOS_MAX_STEPS", 2)
-    cfg = write_config(tmp_path, {
+@pytest.mark.parametrize("doc", [
+    {
         "problem": "maxwell",
         "mesh": {"kind": "cube", "n": 2},
         "omega": 1.0,
         "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
         "solver": {"sigma_re": 2.3, "k": 5, "tol": 1e-9},
-    })
+    },
+    scalar_ball_config(omega=1.0, eps={"re": 2.0, "im": 1.0}),
+], ids=["maxwell", "scalar"])
+def test_kernel_diagnostic_lanczos_cap_is_solver_failure(tmp_path, capsys, monkeypatch, doc):
+    monkeypatch.setattr(fem_scalar, "LANCZOS_MAX_STEPS", 2)
+    cfg = write_config(tmp_path, doc)
     assert run(["diagnose", "--config", cfg, "--output", str(tmp_path / "d")]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err

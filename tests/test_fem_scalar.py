@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kernel_basis_oracle import dense_inf_sup
+from steklovlab._assembly import p1_mass, p1_stiffness
 from steklovlab.fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic
 from steklovlab.materials import build_field
 from steklovlab.mesh import Mesh, generate_ball_mesh, generate_cube_mesh
@@ -134,19 +136,28 @@ def test_matrix_market_dump(tmp_path):
     assert np.abs((back - pencil.M).toarray()).max() <= 1e-15
 
 
+def h1_gram_dense(mesh):
+    ident = np.broadcast_to(np.eye(3), (mesh.n_tets, 3, 3))
+    return (p1_stiffness(mesh, ident) + p1_mass(mesh, np.ones(mesh.n_tets))).toarray()
+
+
 def test_sparse_sigma_path_matches_dense():
+    # oracle: the SVD of L^-1 A L^-H, W = L L^T the interior block of the
+    # H^1 Gram; unit coefficients at omega = 1 give the continuity bound 1
     mesh = generate_ball_mesh(1)
     mu, eps = fields(mesh)
     pencil = assemble_scalar(mesh, mu, eps, omega=1.0)
     interior = pencil.interior_vertices
-    s = np.linalg.svd(pencil.a0().toarray()[np.ix_(interior, interior)], compute_uv=False)
-    assert scalar_dirichlet_diagnostic(pencil) == pytest.approx(s[-1] / s[0], rel=1e-10)
+    A = pencil.a0().toarray()[np.ix_(interior, interior)]
+    W = h1_gram_dense(mesh)[np.ix_(interior, interior)]
+    assert pencil.beta == 1.0
+    assert scalar_dirichlet_diagnostic(pencil) == pytest.approx(dense_inf_sup(A, W), rel=1e-10)
 
 
 def test_dirichlet_diagnostic_tiny_interior(two_cubes):
     # cube n=1 has no interior vertex, cube n=2 exactly one and two disjoint
-    # cubes n=2 two: blocks this small take a dense SVD, zero at
-    # omega^2 = K_cc / M_cc
+    # cubes n=2 two (one per cube, decoupled and equal): at omega = 0 the
+    # value is K_cc / (K_cc + M_cc) in the H^1 norm, zero at omega^2 = K_cc / M_cc
     mu, eps = fields(generate_cube_mesh(1))
     assert scalar_dirichlet_diagnostic(assemble_scalar(mu.mesh, mu, eps, omega=1.0)) == np.inf
     for mesh, n_interior in ((generate_cube_mesh(2), 1), (two_cubes, 2)):
@@ -154,7 +165,8 @@ def test_dirichlet_diagnostic_tiny_interior(two_cubes):
         base = assemble_scalar(mesh, mu, eps, omega=0.0)
         c = base.interior_vertices
         assert len(c) == n_interior
-        assert scalar_dirichlet_diagnostic(base) == 1.0
+        k_cc, m_cc = base.K[c[0], c[0]], base.M[c[0], c[0]].real
+        assert scalar_dirichlet_diagnostic(base) == pytest.approx(k_cc / (k_cc + m_cc), rel=1e-14)
         omega = float(np.sqrt(base.K[c[0], c[0]] / base.M[c[0], c[0]].real))
         hit = assemble_scalar(mesh, mu, eps, omega=omega)
         assert hit.a0()[c[0], c[0]] == 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from steklovlab import stability
 from steklovlab.errors import DegenerateCluster, InsufficientData
 from steklovlab.materials import build_field, lp_diff_norm, PerturbationSpec
 from steklovlab.mesh import generate_cube_mesh
@@ -245,6 +246,32 @@ def test_invalid_field_step_aborts(cube3):
     report = run_study(maxwell_setup(cube3, schedule=[(0.45, -10.0 + 0j)]))
     (step,) = report.steps
     assert step.status.startswith("aborted-invalid-field")
+
+
+def test_step_records_solver_flags_without_changing_status(cube3, monkeypatch):
+    # an unconfirmed step solve is recorded as such but still matched; steps
+    # that do no solve record null
+    real = stability.solve_shift_invert
+    calls = []
+
+    def unconfirmed_steps(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res)
+        if len(calls) > 1:
+            res.meta["confirmed"] = False
+        return res
+
+    monkeypatch.setattr(stability, "solve_shift_invert", unconfirmed_steps)
+    report = run_study(maxwell_setup(cube3, schedule=[(0.45, 1e-3j), (0.3, -10.0 + 0j)]))
+    assert len(calls) == 2
+    assert report.meta["baseline"] == {"confirmed": True, "partial": calls[0].meta["partial"]}
+    invalid, solved = report.steps
+    assert solved.status == "ok"
+    assert (solved.confirmed, solved.partial) == (False, calls[1].meta["partial"])
+    assert invalid.status.startswith("aborted-invalid-field")
+    doc = invalid.as_dict()
+    assert doc["confirmed"] is None and doc["partial"] is None
+    assert solved.as_dict()["confirmed"] is False
 
 
 def test_csv_rows_shape(cube3):
