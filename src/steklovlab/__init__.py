@@ -30,7 +30,6 @@ from .errors import (
     SolverFailure,
 )
 from .fem_maxwell import (
-    MaxwellPencil,
     ProjectionResult,
     assemble_maxwell,
     discrete_gradient,
@@ -38,7 +37,7 @@ from .fem_maxwell import (
     project_Vh,
 )
 from .fem_scalar import (
-    ScalarPencil,
+    Pencil,
     assemble_scalar,
     dump_matrix_market,
     scalar_dirichlet_diagnostic,
@@ -82,11 +81,10 @@ __all__ = [
     "MalformedMeshError",
     "MaterialField",
     "MaterialReport",
-    "MaxwellPencil",
     "Mesh",
+    "Pencil",
     "PerturbationSpec",
     "ProjectionResult",
-    "ScalarPencil",
     "SectorCensus",
     "ShiftAtEigenvalue",
     "SolverFailure",

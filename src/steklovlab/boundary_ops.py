@@ -216,6 +216,10 @@ class BoundaryGram:
             self._sparse = sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         return self._sparse
 
+    def tocoo(self) -> sp.coo_matrix:
+        """``to_sparse`` in COO form, as a scipy sparse matrix gives it."""
+        return self.to_sparse().tocoo()
+
 
 def assemble_boundary_form(ops: SurfaceOperatorSet) -> BoundaryGram:
     """The boundary Gram form for the Maxwell pencil; cached on the operator set."""

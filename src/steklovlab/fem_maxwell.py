@@ -1,65 +1,34 @@
 """Lowest-order edge-element discretization of the modified Maxwell Steklov
 problem.
 
-The pencil is (K_curl - omega^2 M_eps) u = lambda B u with
+The pencil (fem_scalar.Pencil) is (K - omega^2 M) u = lambda B u with
 
-    K_curl = <mu_inv curl u, curl u'>,   M_eps = <eps u, u'>,
+    K = <mu_inv curl u, curl u'>,   M = <eps u, u'>,
 
 and B the boundary Gram form of the smoothing operator (boundary_ops).  Edge
 basis functions are oriented globally low -> high vertex index, which makes
 assembly deterministic and gives the discrete complex identity
-K_curl . G = 0 for the vertex-to-edge gradient matrix G.
+K . G = 0 for the vertex-to-edge gradient matrix G.
 
 Eigenvectors of the pencil are discretely eps-divergence-free; project_Vh
 realizes the corresponding projection by subtracting the gradient of a
-mean-zero scalar potential solved from the eps-weighted Laplacian G^T M_eps G
+mean-zero scalar potential solved from the eps-weighted Laplacian G^T M G
 (one grounded vertex per component, boundary_ops.GroundedLaplacian).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._assembly import P1_TET_MASS, scatter_square
-from .boundary_ops import (
-    BoundaryGram,
-    GroundedLaplacian,
-    SurfaceOperatorSet,
-    assemble_boundary_form,
-    ground,
-)
+from .boundary_ops import GroundedLaplacian, SurfaceOperatorSet, assemble_boundary_form, ground
 from .errors import ConfigError
-from .fem_scalar import continuity_bound, inf_sup
+from .fem_scalar import Pencil, continuity_bound, inf_sup
 from .materials import MaterialField
 from .mesh import LOCAL_EDGES, Mesh
-
-
-@dataclass
-class MaxwellPencil:
-    """Sparse pencil (K_curl - omega^2 M_eps) u = lambda B u on edge dofs."""
-
-    K_curl: sp.csr_matrix
-    M_eps: sp.csr_matrix
-    B: BoundaryGram
-    G: sp.csr_matrix                      # edges x vertices discrete gradient
-    omega: float
-    beta: float                           # continuity bound, see fem_scalar.continuity_bound
-    mesh: Mesh = field(repr=False)
-    ops: SurfaceOperatorSet = field(repr=False)
-    _a0: sp.csr_matrix | None = field(default=None, repr=False)
-    _projector: GroundedLaplacian | None = field(default=None, repr=False)
-
-    @property
-    def n_dofs(self):
-        return self.K_curl.shape[0]
-
-    def a0(self) -> sp.csr_matrix:
-        if self._a0 is None:
-            self._a0 = (self.K_curl.astype(np.complex128) - (self.omega**2) * self.M_eps).tocsr()
-        return self._a0
 
 
 @dataclass
@@ -121,7 +90,7 @@ def hcurl_gram(mesh: Mesh) -> sp.csr_matrix:
 
 
 def assemble_maxwell(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField,
-                     omega: float, ops: SurfaceOperatorSet) -> MaxwellPencil:
+                     omega: float, ops: SurfaceOperatorSet) -> Pencil:
     """Assemble the Maxwell pencil; piecewise-constant coefficients are
     integrated exactly (the integrands are at most quadratic)."""
     if omega == 0:
@@ -132,31 +101,25 @@ def assemble_maxwell(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField,
 
     K = curl_curl_matrix(mesh, np.ascontiguousarray(mu_inv.tensors.real))
     M = edge_mass_matrix(mesh, eps.tensors)
-    B = assemble_boundary_form(ops)
-    G = discrete_gradient(mesh)
-    return MaxwellPencil(K, M, B, G, float(omega), beta, mesh, ops)
+    return Pencil(K, M, assemble_boundary_form(ops), float(omega), beta, mesh)
 
 
-def project_Vh(pencil: MaxwellPencil, u, eps: MaterialField | None = None) -> ProjectionResult:
+def project_Vh(pencil: Pencil, u, eps: MaterialField | None = None) -> ProjectionResult:
     """Remove the eps-weighted gradient part: u - grad w with
 
-        G^T M_eps G w = G^T M_eps u,   w of zero lumped-mass mean per component.
+        G^T M G w = G^T M u,   w of zero lumped-mass mean per component.
 
-    With ``eps`` None the pencil's own mass matrix is reused (factorization
-    cached); passing a field re-assembles the weighted mass.
+    ``u`` is one edge vector or a block of them as columns; the scalar
+    Laplacian is factored once per call.  With ``eps`` None the pencil's own
+    mass matrix is used; passing a field re-assembles the weighted mass.
     """
     u = np.asarray(u, dtype=np.complex128)
     mesh = pencil.mesh
-    G = pencil.G
-    M = pencil.M_eps if eps is None else edge_mass_matrix(mesh, eps.tensors)
-    solver = pencil._projector if eps is None else None
-    if solver is None:
-        lumped = np.zeros(mesh.n_vertices)
-        np.add.at(lumped, mesh.tets.ravel(), np.repeat(mesh.volumes / 4.0, 4))
-        solver = GroundedLaplacian(G.T @ (M @ G), lumped)
-        if eps is None:
-            pencil._projector = solver
-    w = solver.solve(G.T @ (M @ u))
+    G = discrete_gradient(mesh)
+    M = pencil.M if eps is None else edge_mass_matrix(mesh, eps.tensors)
+    lumped = np.zeros(mesh.n_vertices)
+    np.add.at(lumped, mesh.tets.ravel(), np.repeat(mesh.volumes / 4.0, 4))
+    w = GroundedLaplacian(G.T @ (M @ G), lumped).solve(G.T @ (M @ u))
     return ProjectionResult(u - G @ w, w)
 
 
@@ -199,7 +162,7 @@ def kernel_subspace_basis(mesh: Mesh, gram=None):
     return basis, info
 
 
-def kernelS_diagnostic(pencil: MaxwellPencil, basis=None, return_details=False):
+def kernelS_diagnostic(pencil: Pencil, basis=None, return_details=False):
     """Inf-sup constant, in the H(curl) norm and normalized by the continuity
     bound ``pencil.beta``, of the pencil matrix compressed to the spanned
     kernel subspace of the smoothing operator: sigma_min of C = Z^T A0 Z in
@@ -218,7 +181,7 @@ def kernelS_diagnostic(pencil: MaxwellPencil, basis=None, return_details=False):
 
     if not return_details:
         return sigma
-    Db = pencil.ops.D[:, pencil.mesh.boundary_edge_ids]
+    Db = pencil.B.ops.D[:, pencil.mesh.boundary_edge_ids]
     # the singular values of D on boundary edges, squared, from its small Gram;
     # squaring leaves roundoff at 1e-16 sigma_max^2, so the rank counts the
     # singular values above 1e-6 sigma_max

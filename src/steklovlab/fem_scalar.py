@@ -6,11 +6,12 @@ solution through the boundary is proportional to its trace,
     -div(mu_inv grad u) - omega^2 eps u = 0   in the domain,
     n . mu_inv grad u = lambda u              on the boundary,
 
-which discretizes to the linear pencil (K - omega^2 M) u = lambda B_bd u.
-K is the mu_inv-weighted stiffness, M the eps-weighted mass, and B_bd the
-boundary mass; B_bd is kept genuinely singular (its kernel is exactly the
+which discretizes to the linear pencil (K - omega^2 M) u = lambda B u.
+K is the mu_inv-weighted stiffness, M the eps-weighted mass, and B the
+boundary mass; B is kept genuinely singular (its kernel is exactly the
 interior vertices), so the pencil has infinite eigenvalues that the solver
-discards.
+discards.  The ``Pencil`` type, the continuity bound and the inf-sup routine
+defined here serve the Maxwell pencil (fem_maxwell) as well.
 
 Coefficients are piecewise constant per element, so all element integrals
 are exact.  The scalar permittivity per element is taken as trace(eps)/3,
@@ -37,16 +38,20 @@ LANCZOS_MAX_STEPS = 500
 
 
 @dataclass
-class ScalarPencil:
-    """Sparse pencil (K - omega^2 M) u = lambda B_bd u on vertex dofs."""
+class Pencil:
+    """Sparse pencil (K - omega^2 M) u = lambda B u of either problem.
+
+    Scalar: vertex dofs, K the stiffness, M the mass and B the boundary mass.
+    Maxwell (fem_maxwell): edge dofs, K the curl-curl form, M the edge mass
+    and B the matrix-free boundary Gram form (boundary_ops.BoundaryGram).
+    """
 
     K: sp.csr_matrix
     M: sp.csr_matrix
-    B_bd: sp.csr_matrix
+    B: object                             # sparse matrix or BoundaryGram
     omega: float
     beta: float                           # continuity bound, see continuity_bound
     mesh: Mesh = field(repr=False)
-    boundary_vertices: np.ndarray = field(repr=False)
     _a0: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
@@ -59,23 +64,14 @@ class ScalarPencil:
             self._a0 = (self.K.astype(np.complex128) - (self.omega**2) * self.M).tocsr()
         return self._a0
 
-    @property
-    def B(self):
-        """Right-hand matrix of the pencil (alias for the boundary mass)."""
-        return self.B_bd
 
-    @property
-    def interior_vertices(self):
-        return np.setdiff1d(np.arange(self.n_dofs), self.boundary_vertices)
-
-
-def assemble_scalar(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField, omega: float) -> ScalarPencil:
+def assemble_scalar(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField, omega: float) -> Pencil:
     """Assemble the scalar pencil with exact per-element integration."""
     beta = continuity_bound(mesh, mu_inv, eps, omega)
     K = p1_stiffness(mesh, np.ascontiguousarray(mu_inv.tensors.real))
     M = p1_mass(mesh, eps.scalar_values())
     B = boundary_p1_mass(mesh)
-    return ScalarPencil(K, M, B, float(omega), beta, mesh, mesh.boundary_vertex_ids)
+    return Pencil(K, M, B, float(omega), beta, mesh)
 
 
 def continuity_bound(mesh, mu_inv, eps, omega) -> float:
@@ -90,7 +86,7 @@ def continuity_bound(mesh, mu_inv, eps, omega) -> float:
     if mu_inv.name != "mu_inv" or eps.name != "eps":
         raise ConfigError("fields must be passed as (mu_inv, eps)")
     for fld in (mu_inv, eps):
-        if fld.mesh is not mesh and not np.array_equal(fld.mesh.tets, mesh.tets):
+        if not fld.lives_on(mesh):
             raise ConfigError(f"field {fld.name!r} was built on a different mesh")
     mu_sup, eps_sup = (np.linalg.norm(f.tensors, 2, axis=(1, 2)).max() for f in (mu_inv, eps))
     return float(max(mu_sup, omega**2 * eps_sup))
@@ -100,24 +96,20 @@ def dump_matrix_market(pencil, directory):
     """Write the pencil matrices as Matrix Market coordinate files for
     external cross-checks.
 
-    Works for scalar and Maxwell pencils; a matrix-free boundary form is
-    materialized through its explicit sparse representation.
+    A matrix-free boundary form is materialized through its explicit sparse
+    representation (``BoundaryGram.tocoo``).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if hasattr(pencil, "K_curl"):
-        mats = {"K": pencil.K_curl, "M": pencil.M_eps, "B": pencil.B.to_sparse()}
-    else:
-        mats = {"K": pencil.K, "M": pencil.M, "B": pencil.B_bd}
     paths = {}
-    for name, mat in mats.items():
+    for name, mat in (("K", pencil.K), ("M", pencil.M), ("B", pencil.B)):
         path = directory / f"{name}.mtx"
-        scipy.io.mmwrite(path, sp.coo_matrix(mat))
+        scipy.io.mmwrite(path, mat.tocoo())
         paths[name] = path
     return paths
 
 
-def scalar_dirichlet_diagnostic(pencil: ScalarPencil, gram=None) -> float:
+def scalar_dirichlet_diagnostic(pencil: Pencil, gram=None) -> float:
     """Inf-sup constant of the interior block of K - omega^2 M in the H^1
     norm, normalized by the continuity bound ``pencil.beta``: a value in
     [0, 1] that does not shrink under refinement.
@@ -128,7 +120,7 @@ def scalar_dirichlet_diagnostic(pencil: ScalarPencil, gram=None) -> float:
     well-posedness assumption behind the Steklov pencil fails on this mesh.
     Returns inf when the mesh has no interior vertices.
     """
-    interior = pencil.interior_vertices
+    interior = pencil.mesh.interior_vertex_ids
     if len(interior) == 0:
         return np.inf
     W = h1_gram(pencil.mesh) if gram is None else gram

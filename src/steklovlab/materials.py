@@ -64,12 +64,10 @@ class MaterialField:
                 f"{self.mesh.n_tets} elements"
             )
 
-    def same_mesh(self, other) -> bool:
-        return self.mesh is other.mesh or (
-            self.mesh.n_tets == other.mesh.n_tets
-            and np.array_equal(self.mesh.tets, other.mesh.tets)
-            and np.array_equal(self.mesh.vertices, other.mesh.vertices)
-        )
+    def lives_on(self, mesh) -> bool:
+        """True when the field's mesh is ``mesh`` or has the same vertices and tets."""
+        return self.mesh is mesh or (np.array_equal(self.mesh.tets, mesh.tets)
+                                     and np.array_equal(self.mesh.vertices, mesh.vertices))
 
     def scalar_values(self):
         """Isotropic scalar per element (trace/3); exact for multiples of I."""
@@ -207,7 +205,7 @@ def lp_diff_norm(f: MaterialField, g: MaterialField, p) -> float:
     """
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    if not f.same_mesh(g):
+    if not f.lives_on(g.mesh):
         raise ConfigError("fields live on different meshes")
     svals = np.linalg.norm(f.tensors - g.tensors, 2, axis=(1, 2))
     if p == np.inf:

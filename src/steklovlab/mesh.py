@@ -31,6 +31,13 @@ LOCAL_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]], dtype=np.in
 MESH_FORMAT_VERSION = 1
 
 
+def _triangle_edges(tri):
+    """The distinct edges of the triangles ``tri`` (F, 3) as sorted vertex
+    pairs in lexicographic order, and the number of triangles on each."""
+    pairs = np.sort(tri[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
+    return np.unique(pairs, axis=0, return_counts=True)
+
+
 def _signed_volumes(vertices, tets):
     e = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
     return np.linalg.det(e) / 6.0
@@ -147,14 +154,16 @@ class Mesh:
         return self._cached("bverts", lambda: np.unique(self.boundary_faces))
 
     @property
+    def interior_vertex_ids(self):
+        return self._cached(
+            "iverts",
+            lambda: np.setdiff1d(np.arange(self.n_vertices), self.boundary_vertex_ids),
+        )
+
+    @property
     def boundary_edge_ids(self):
-        def build():
-            tri = self.boundary_faces
-            pairs = np.concatenate([tri[:, [0, 1]], tri[:, [0, 2]], tri[:, [1, 2]]])
-            pairs = np.sort(pairs, axis=1)
-            pairs = np.unique(pairs, axis=0)
-            return self.find_edges(pairs)
-        return self._cached("bedges", build)
+        return self._cached(
+            "bedges", lambda: self.find_edges(_triangle_edges(self.boundary_faces)[0]))
 
     @property
     def interior_edge_ids(self):
@@ -225,11 +234,7 @@ class SurfaceMesh:
         return len(self.triangles)
 
     def _check_closed(self):
-        tri = self.triangles
-        pairs = np.concatenate([tri[:, [0, 1]], tri[:, [0, 2]], tri[:, [1, 2]]])
-        pairs = np.sort(pairs, axis=1)
-        _, counts = np.unique(pairs, axis=0, return_counts=True)
-        if np.any(counts != 2):
+        if np.any(_triangle_edges(self.triangles)[1] != 2):
             raise MalformedMeshError("boundary surface is not closed")
 
     def _check_outward(self):
@@ -245,9 +250,7 @@ class SurfaceMesh:
         return w
 
     def euler_characteristic(self):
-        tri = self.triangles
-        pairs = np.concatenate([tri[:, [0, 1]], tri[:, [0, 2]], tri[:, [1, 2]]])
-        n_edges = len(np.unique(np.sort(pairs, axis=1), axis=0))
+        n_edges = len(_triangle_edges(self.triangles)[0])
         return self.n_vertices - n_edges + self.n_triangles
 
 

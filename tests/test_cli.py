@@ -119,7 +119,7 @@ def test_diagnose_scalar_cube_one_interior_vertex(tmp_path):
     mesh = generate_cube_mesh(2)
     pencil = assemble_scalar(mesh, build_field(mesh, "mu_inv", {1: 1.0}),
                              build_field(mesh, "eps", {1: 1.0}), 0.0)
-    (c,) = pencil.interior_vertices
+    (c,) = pencil.mesh.interior_vertex_ids
     k_cc, m_cc = pencil.K[c, c], pencil.M[c, c].real
     assert doc["diagnostics"]["sigma_min"] == pytest.approx(k_cc / (k_cc + m_cc), rel=1e-14)
 
@@ -246,7 +246,7 @@ def test_solve_suppresses_table_on_diagnostic_failure(tmp_path, capsys):
     mu = build_field(mesh, "mu_inv", {1: 1.0})
     eps = build_field(mesh, "eps", {1: 1.0})
     base = assemble_scalar(mesh, mu, eps, 0.0)
-    interior = base.interior_vertices
+    interior = base.mesh.interior_vertex_ids
     K = base.K.toarray()[np.ix_(interior, interior)]
     M = base.M.toarray().real[np.ix_(interior, interior)]
     omega_hit = float(np.sqrt(scipy.linalg.eigh(K, M, eigvals_only=True)[0]))

@@ -132,7 +132,7 @@ def _scalar_ball_pencil():
     eps = build_field(mesh, "eps", {1: 1.0})
     pencil = assemble_scalar(mesh, mu, eps, omega=0.0)
     A0 = (pencil.K + pencil.M).tocsr().astype(complex)   # K + M = K - (i)^2 M
-    return A0, pencil.B_bd.tocsr()
+    return A0, pencil.B.tocsr()
 
 
 def test_growth_resumes_instead_of_reapplying(monkeypatch):

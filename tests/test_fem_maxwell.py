@@ -12,7 +12,8 @@ from steklovlab.fem_maxwell import (
     kernel_subspace_basis,
     project_Vh,
 )
-from steklovlab.materials import build_field
+from steklovlab.fem_scalar import assemble_scalar
+from steklovlab.materials import build_field, lp_diff_norm
 from steklovlab.mesh import Mesh, extract_boundary, generate_ball_mesh, generate_cube_mesh
 
 
@@ -46,8 +47,24 @@ def test_field_roles_enforced():
         assemble_maxwell(mesh, eps, mu, 1.0, ops)
 
 
+def test_field_on_other_mesh_with_same_tets_rejected():
+    # same tets, different vertices: a field of the copy does not live on mesh
+    mesh = generate_cube_mesh(2)
+    copy = Mesh(2.0 * mesh.vertices, mesh.tets)
+    mu = build_field(mesh, "mu_inv", {1: 1.0})
+    eps = build_field(mesh, "eps", {1: 1.0})
+    eps_copy = build_field(copy, "eps", {1: 1.0})
+    ops = assemble_surface_operators(extract_boundary(mesh), mesh)
+    with pytest.raises(ConfigError):
+        lp_diff_norm(eps, eps_copy, 2.0)
+    with pytest.raises(ConfigError):
+        assemble_scalar(mesh, mu, eps_copy, 1.0)
+    with pytest.raises(ConfigError):
+        assemble_maxwell(mesh, mu, eps_copy, 1.0, ops)
+
+
 def test_discrete_complex_identity(cube2_pencil):
-    KG = cube2_pencil.K_curl @ cube2_pencil.G
+    KG = cube2_pencil.K @ discrete_gradient(cube2_pencil.mesh)
     assert np.abs(KG.toarray()).max() <= 1e-13
 
 
@@ -87,7 +104,7 @@ def test_edge_mass_matches_gradient_stiffness():
 
 
 def test_mass_complex_symmetric(cube2_pencil):
-    M = cube2_pencil.M_eps.toarray()
+    M = cube2_pencil.M.toarray()
     assert np.abs(M - M.T).max() == 0.0
     assert np.abs(M.imag).max() > 0
 
@@ -95,7 +112,7 @@ def test_mass_complex_symmetric(cube2_pencil):
 def test_project_gradient_to_zero(cube2_pencil):
     mesh = cube2_pencil.mesh
     z = np.sin(2.0 * mesh.vertices[:, 0]) * mesh.vertices[:, 2]
-    u = cube2_pencil.G @ z
+    u = discrete_gradient(cube2_pencil.mesh) @ z
     res = project_Vh(cube2_pencil, u)
     assert np.abs(res.projected).max() <= 1e-10 * max(1.0, np.abs(u).max())
 
@@ -112,11 +129,24 @@ def test_project_preserves_curl_dofs(cube2_pencil):
     rng = np.random.default_rng(5)
     u = rng.standard_normal(cube2_pencil.n_dofs)
     res = project_Vh(cube2_pencil, u)
-    diff = cube2_pencil.K_curl @ (res.projected - u)
-    assert np.abs(diff).max() <= 1e-12 * max(1.0, np.abs(cube2_pencil.K_curl @ u).max())
+    diff = cube2_pencil.K @ (res.projected - u)
+    assert np.abs(diff).max() <= 1e-12 * max(1.0, np.abs(cube2_pencil.K @ u).max())
     # projected field is discretely eps-divergence-free
-    div = cube2_pencil.G.T @ (cube2_pencil.M_eps @ res.projected)
+    div = discrete_gradient(cube2_pencil.mesh).T @ (cube2_pencil.M @ res.projected)
     assert np.abs(div).max() <= 1e-10
+
+
+def test_project_block_matches_columns(cube2_pencil):
+    # a block of vectors is projected in one call, column by column to roundoff
+    rng = np.random.default_rng(8)
+    shape = (cube2_pencil.n_dofs, 3)
+    U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    block = project_Vh(cube2_pencil, U)
+    for j in range(U.shape[1]):
+        col = project_Vh(cube2_pencil, U[:, j])
+        for got, want in ((block.projected[:, j], col.projected),
+                          (block.potential[:, j], col.potential)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_project_with_explicit_eps(cube2_pencil):
@@ -125,7 +155,7 @@ def test_project_with_explicit_eps(cube2_pencil):
     u = rng.standard_normal(cube2_pencil.n_dofs)
     res = project_Vh(cube2_pencil, u, eps=eps2)
     M2 = edge_mass_matrix(cube2_pencil.mesh, eps2.tensors)
-    div = cube2_pencil.G.T @ (M2 @ res.projected)
+    div = discrete_gradient(cube2_pencil.mesh).T @ (M2 @ res.projected)
     assert np.abs(div).max() <= 1e-10
 
 
@@ -141,7 +171,7 @@ def test_project_potential_mean_zero_per_component(two_cubes):
     np.add.at(lumped, two_cubes.tets.ravel(), np.repeat(two_cubes.volumes / 4.0, 4))
     for part in (two_cubes.vertices[:, 0] < 1.5, two_cubes.vertices[:, 0] > 1.5):
         assert abs(lumped[part] @ w[part]) / lumped[part].sum() <= 1e-12 * np.abs(w).max()
-    div = pencil.G.T @ (pencil.M_eps @ res.projected)
+    div = discrete_gradient(pencil.mesh).T @ (pencil.M @ res.projected)
     assert np.abs(div).max() <= 1e-10
 
 
@@ -165,10 +195,10 @@ def test_two_cubes_solve_doubles_single_cube_eigenvalues(two_cubes):
 def test_kernel_diagnostic_gradient_block(cube2_pencil):
     # on the gradient block the curl part vanishes, so the compression
     # reduces to -omega^2 G^T M_eps G, invertible for coercive eps
-    G = cube2_pencil.G.toarray()
-    A = (G.T @ cube2_pencil.K_curl.toarray() @ G)
+    G = discrete_gradient(cube2_pencil.mesh).toarray()
+    A = (G.T @ cube2_pencil.K.toarray() @ G)
     assert np.abs(A).max() <= 1e-12
-    Aeps = G.T @ cube2_pencil.M_eps.toarray() @ G
+    Aeps = G.T @ cube2_pencil.M.toarray() @ G
     interior = np.linalg.svd(Aeps[1:, 1:], compute_uv=False)
     assert interior[-1] > 0
 
@@ -198,8 +228,8 @@ def test_kernel_diagnostic_drops_at_projected_eigenvalue():
     basis = kernel_subspace_basis(mesh)
     Q = dense_kernel_basis(basis[0])
     base = assemble_maxwell(mesh, mu, eps, 1.0, ops)
-    Kq = Q.T @ (base.K_curl @ Q)
-    Mq = Q.T @ (base.M_eps.real @ Q)
+    Kq = Q.T @ (base.K @ Q)
+    Mq = Q.T @ (base.M.real @ Q)
     lam = scipy.linalg.eigh(Kq, Mq, eigvals_only=True)
     lam = lam[lam > 1e-8]
     omega_hit = float(np.sqrt(lam[0]))
@@ -243,7 +273,7 @@ def test_block_kernel_basis_matches_pivoted_qr(name, request):
     # the energy-norm value does not depend on the basis of the span: the
     # H(curl) Gram in Qr coordinates, and the continuity bound omega^2 |eps|
     pencil = make_pencil(mesh, eps_entry={"re": 4.0, "im": 1.0})
-    W = Qr.T @ ((pencil.K_curl + edge_mass_matrix(mesh)) @ Qr)
+    W = Qr.T @ ((pencil.K + edge_mass_matrix(mesh)) @ Qr)
     expected = dense_inf_sup(Qr.T @ (pencil.a0() @ Qr), W) / abs(4.0 + 1.0j)
     assert kernelS_diagnostic(pencil, basis=(basis, info)) == pytest.approx(expected, rel=1e-12)
 
@@ -290,14 +320,16 @@ def test_eigenvectors_discretely_divergence_free():
     res = solve_shift_invert(A0, pencil.B, 2.3 + 0j, 6, tol=1e-10)
     assert len(res) == 6
     a0n = _a0_norm(A0)
+    G = discrete_gradient(mesh)
+    projected = project_Vh(pencil, res.eigenvectors).projected
     for j in range(len(res)):
         lam = res.eigenvalues[j]
         u = res.eigenvectors[:, j]
         den = a0n * np.linalg.norm(u) + abs(lam) * np.linalg.norm(pencil.B @ u)
-        div_defect = pencil.omega**2 * np.linalg.norm(pencil.G.T @ (pencil.M_eps @ u)) / den
+        div_defect = pencil.omega**2 * np.linalg.norm(G.T @ (pencil.M @ u)) / den
         ref = max(res.residuals[j], 1e-12)   # noise floor of the scalar solve
         assert div_defect <= 10.0 * ref
-        change = np.linalg.norm(project_Vh(pencil, u).projected - u) / np.linalg.norm(u)
+        change = np.linalg.norm(projected[:, j] - u) / np.linalg.norm(u)
         assert change <= 10.0 * ref
         # the boundary form does not annihilate eigenvectors with lam != 0
         assert np.linalg.norm(pencil.B @ u) > 1e-8 * np.linalg.norm(u)
@@ -311,7 +343,7 @@ def test_gram_spectrum_decays_under_refinement():
     def spectrum(mesh):
         pencil = make_pencil(mesh, eps_entry=1.0)
         Bd = pencil.B.to_sparse().toarray()
-        gram = (pencil.K_curl + edge_mass_matrix(mesh)).toarray()
+        gram = (pencil.K + edge_mass_matrix(mesh)).toarray()
         mu = scipy.linalg.eigh(Bd, gram, eigvals_only=True)
         mu = mu[mu > 1e-10 * mu[-1]]
         return np.sort(mu)[::-1]

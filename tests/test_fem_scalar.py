@@ -57,7 +57,7 @@ def test_stiffness_linear_in_mu_inv():
 
 
 def test_matrix_symmetry_and_realness(ball1_pencil):
-    K, M, B = ball1_pencil.K, ball1_pencil.M, ball1_pencil.B_bd
+    K, M, B = ball1_pencil.K, ball1_pencil.M, ball1_pencil.B
     assert np.abs((K - K.T).toarray()).max() == 0.0
     assert np.abs((M - M.T).toarray()).max() == 0.0
     assert np.abs((B - B.T).toarray()).max() == 0.0
@@ -65,9 +65,9 @@ def test_matrix_symmetry_and_realness(ball1_pencil):
 
 
 def test_boundary_mass_kernel_is_interior(ball1_pencil):
-    B = ball1_pencil.B_bd
-    interior = ball1_pencil.interior_vertices
-    boundary = ball1_pencil.boundary_vertices
+    B = ball1_pencil.B
+    interior = ball1_pencil.mesh.interior_vertex_ids
+    boundary = ball1_pencil.mesh.boundary_vertex_ids
     dense = B.toarray()
     assert np.abs(dense[interior]).max() == 0.0
     assert np.abs(dense[:, interior]).max() == 0.0
@@ -100,7 +100,7 @@ def test_dirichlet_diagnostic_drops_at_dirichlet_eigenvalue():
     mesh = generate_ball_mesh(1)
     mu, eps = fields(mesh)
     base = assemble_scalar(mesh, mu, eps, omega=0.0)
-    interior = base.interior_vertices
+    interior = base.mesh.interior_vertex_ids
     K = base.K.toarray()[np.ix_(interior, interior)]
     M = base.M.toarray().real[np.ix_(interior, interior)]
     lam = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
@@ -147,7 +147,7 @@ def test_sparse_sigma_path_matches_dense():
     mesh = generate_ball_mesh(1)
     mu, eps = fields(mesh)
     pencil = assemble_scalar(mesh, mu, eps, omega=1.0)
-    interior = pencil.interior_vertices
+    interior = pencil.mesh.interior_vertex_ids
     A = pencil.a0().toarray()[np.ix_(interior, interior)]
     W = h1_gram_dense(mesh)[np.ix_(interior, interior)]
     assert pencil.beta == 1.0
@@ -163,7 +163,7 @@ def test_dirichlet_diagnostic_tiny_interior(two_cubes):
     for mesh, n_interior in ((generate_cube_mesh(2), 1), (two_cubes, 2)):
         mu, eps = fields(mesh)
         base = assemble_scalar(mesh, mu, eps, omega=0.0)
-        c = base.interior_vertices
+        c = base.mesh.interior_vertex_ids
         assert len(c) == n_interior
         k_cc, m_cc = base.K[c[0], c[0]], base.M[c[0], c[0]].real
         assert scalar_dirichlet_diagnostic(base) == pytest.approx(k_cc / (k_cc + m_cc), rel=1e-14)

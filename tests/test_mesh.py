@@ -47,6 +47,13 @@ def test_cube_n3_volume_partition():
     assert abs(mesh.volumes.sum() - 1.0) <= 1e-12
 
 
+def test_cube_n2_interior_vertex_is_the_center():
+    mesh = generate_cube_mesh(2)
+    (c,) = mesh.interior_vertex_ids
+    assert np.array_equal(mesh.vertices[c], [0.5, 0.5, 0.5])
+    assert len(mesh.boundary_vertex_ids) == mesh.n_vertices - 1
+
+
 def test_cube_n0_rejected():
     with pytest.raises(ValueError):
         generate_cube_mesh(0)
