@@ -391,10 +391,7 @@ def _write_csv(path, rows):
 # --------------------------------------------------------------------- #
 
 def cmd_mesh(args) -> int:
-    if args.kind == "cube":
-        mesh = generate_cube_mesh(args.n)
-    else:
-        mesh = generate_ball_mesh(args.level)
+    mesh = build_mesh({"kind": args.kind, "n": args.n, "level": args.level})
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "mesh.json"

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -99,6 +98,8 @@ def dump_matrix_market(pencil, directory):
     A matrix-free boundary form is materialized through its explicit sparse
     representation (``BoundaryGram.tocoo``).
     """
+    import scipy.io      # not on the run path: kept out of every CLI start-up
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}

@@ -13,6 +13,15 @@ Conventions
   tetrahedron agrees with that direction.
 * Boundary triangles are oriented so that (b-a) x (c-a) points out of the
   domain.
+* Every vertex belongs to at least one tetrahedron.
+
+Connectivity is deduplicated on 1-D int64 keys, never on rows.  A vertex
+pair lo < hi has the key ``lo * V + hi`` (V vertices), whose sort order is
+the lexicographic order of the pairs.  A triangle a < b < c has the key
+``e * V + c``, where e is the global id of its edge (a, b); it sorts like
+(a, b, c).  The keys stay below E * V (E edges, about 7 V on these meshes),
+inside int64 up to about 10**9 vertices; the raw ``a * V**2 + b * V + c``
+would overflow above V = 2**21 = 2 097 152, which ball level 6 exceeds.
 """
 
 from __future__ import annotations
@@ -35,7 +44,9 @@ def _triangle_edges(tri):
     """The distinct edges of the triangles ``tri`` (F, 3) as sorted vertex
     pairs in lexicographic order, and the number of triangles on each."""
     pairs = np.sort(tri[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
-    return np.unique(pairs, axis=0, return_counts=True)
+    n = int(tri.max()) + 1
+    keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
+    return np.stack([keys // n, keys % n], axis=1), counts
 
 
 def _signed_volumes(vertices, tets):
@@ -64,6 +75,8 @@ class Mesh:
             raise MalformedMeshError(f"tets must be (T, 4), got {tets.shape}")
         if tets.size and (tets.min() < 0 or tets.max() >= len(vertices)):
             raise MalformedMeshError("tet vertex index out of range")
+        if not np.all(np.bincount(tets.ravel(), minlength=len(vertices))):
+            raise MalformedMeshError("a vertex belongs to no tet")
         if region is None:
             region = np.ones(len(tets), dtype=np.int64)
         else:
@@ -84,7 +97,7 @@ class Mesh:
 
         self._build_edges()
         self._build_faces()
-        for arr in (self.vertices, self.tets, self.region, self.edges,
+        for arr in (self.vertices, self.tets, self.region, self.edges, self._edge_keys,
                     self.tet_edges, self.tet_edge_signs, self.boundary_faces):
             arr.setflags(write=False)
         self._cache = {}
@@ -94,24 +107,22 @@ class Mesh:
         pairs = self.tets[:, LOCAL_EDGES]                      # (T, 6, 2)
         lo = pairs.min(axis=2)
         hi = pairs.max(axis=2)
-        flat = np.stack([lo.ravel(), hi.ravel()], axis=1)
-        edges, inverse = np.unique(flat, axis=0, return_inverse=True)
-        self.edges = edges                                     # lexicographically sorted
-        self.tet_edges = inverse.reshape(len(self.tets), 6).astype(np.int64)
-        first = pairs[..., 0]
-        self.tet_edge_signs = np.where(first == lo, 1, -1).astype(np.int64)
+        self._edge_keys, first, inverse = np.unique(
+            (lo * self.n_vertices + hi).ravel(), return_index=True, return_inverse=True)
+        self.edges = np.stack([lo.ravel()[first], hi.ravel()[first]], axis=1)  # lexicographic
+        self.tet_edges = inverse.reshape(len(self.tets), 6)
+        self.tet_edge_signs = np.where(pairs[..., 0] == lo, 1, -1)
 
     def _build_faces(self):
         faces = self.tets[:, LOCAL_FACES].reshape(-1, 3)       # oriented outward per tet
-        keys = np.sort(faces, axis=1)
-        _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        abc = np.sort(faces, axis=1)
+        keys = self.find_edges(abc[:, :2]) * self.n_vertices + abc[:, 2]
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
         if np.any(counts > 2):
             raise MalformedMeshError("a face is shared by more than two tets (non-manifold)")
-        order = np.argsort(inverse, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        single = order[starts[counts == 1]]
+        single = first[counts == 1]
         self.boundary_faces = faces[single]
-        self.boundary_face_tets = (single // 4).astype(np.int64)
+        self.boundary_face_tets = single // 4
 
     # ------------------------------------------------------------------ #
     @property
@@ -175,7 +186,7 @@ class Mesh:
     def find_edges(self, pairs):
         """Global edge ids for sorted vertex pairs; raises if a pair is not an edge."""
         pairs = np.asarray(pairs, dtype=np.int64)
-        key = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
+        key = self._edge_keys
         want = pairs[:, 0] * self.n_vertices + pairs[:, 1]
         idx = np.searchsorted(key, want)
         if np.any(idx >= len(key)) or np.any(key[np.minimum(idx, len(key) - 1)] != want):
@@ -195,7 +206,7 @@ class SurfaceMesh:
         tri_vol = mesh.boundary_faces
         if len(tri_vol) == 0:
             raise MalformedMeshError("mesh has no boundary faces")
-        vertex_ids = np.unique(tri_vol)
+        vertex_ids = mesh.boundary_vertex_ids
         vol_to_surf = -np.ones(mesh.n_vertices, dtype=np.int64)
         vol_to_surf[vertex_ids] = np.arange(len(vertex_ids))
 
@@ -340,7 +351,9 @@ def _orient_positive(vertices, tets):
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split each tet 1:8 (red refinement); region tags are inherited.
 
-    Ball meshes re-project boundary vertices to the unit sphere.
+    Ball meshes re-project boundary vertices to the unit sphere: the
+    parent's boundary vertices and the midpoints of its boundary edges.
+    Children are oriented on the unprojected midpoints.
     """
     nv = mesh.n_vertices
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
@@ -363,14 +376,10 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     tets = children.reshape(-1, 4)
     region = np.repeat(mesh.region, 8)
     tets = _orient_positive(vertices, tets)
-
-    refined = Mesh(vertices, tets, region, kind=mesh.kind)
     if mesh.kind == "ball":
-        coords = refined.vertices.copy()
-        b = refined.boundary_vertex_ids
-        coords[b] /= np.linalg.norm(coords[b], axis=1)[:, None]
-        refined = Mesh(coords, tets, region, kind="ball")
-    return refined
+        b = np.concatenate([mesh.boundary_vertex_ids, nv + mesh.boundary_edge_ids])
+        vertices[b] /= np.linalg.norm(vertices[b], axis=1)[:, None]
+    return Mesh(vertices, tets, region, kind=mesh.kind)
 
 
 def extract_boundary(mesh: Mesh) -> SurfaceMesh:

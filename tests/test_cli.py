@@ -202,6 +202,28 @@ def test_solve_maxwell_cube(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("problem", ["scalar", "maxwell"])
+def test_orphan_vertex_is_malformed_mesh(tmp_path, capsys, problem):
+    # cube n=2 plus a vertex that no tet uses
+    path = tmp_path / "orphan.json"
+    save_mesh(generate_cube_mesh(2), path)
+    mesh_doc = json.loads(path.read_text())
+    mesh_doc["vertices"].append([5.0, 5.0, 5.0])
+    path.write_text(json.dumps(mesh_doc))
+    doc = {
+        "problem": problem,
+        "mesh": {"path": str(path)},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "k": 5, "tol": 1e-9},
+    }
+    out = tmp_path / "out"
+    assert run(["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: malformed-mesh: a vertex belongs to no tet"]
+    assert not out.exists()
+
+
 def test_study_command(tmp_path):
     doc = {
         "problem": "maxwell",

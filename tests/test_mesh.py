@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from steklovlab import mesh as mesh_module
 from steklovlab.errors import ConfigError, MalformedMeshError
 from steklovlab.mesh import (
+    LOCAL_EDGES,
+    LOCAL_FACES,
     Mesh,
     extract_boundary,
     generate_ball_mesh,
@@ -151,8 +154,6 @@ def test_edge_numbering_deterministic():
 
 def test_edge_signs_match_global_orientation():
     mesh = generate_ball_mesh(0)
-    from steklovlab.mesh import LOCAL_EDGES
-
     pairs = mesh.tets[:, LOCAL_EDGES]
     lo = mesh.edges[mesh.tet_edges][..., 0]
     expect = np.where(pairs[..., 0] == lo, 1, -1)
@@ -179,3 +180,90 @@ def test_load_rejects_bad_version(tmp_path):
     path.write_text(json.dumps({"version": 99, "vertices": [], "tets": [], "region": []}))
     with pytest.raises(ConfigError):
         load_mesh(path)
+
+
+def test_orphan_vertex_rejected():
+    cube = generate_cube_mesh(2)
+    with pytest.raises(MalformedMeshError, match="belongs to no tet"):
+        Mesh(np.concatenate([cube.vertices, [[5.0, 5.0, 5.0]]]), cube.tets)
+
+
+def _rowwise_connectivity(mesh):
+    """The connectivity of ``mesh`` built by deduplicating rows with
+    ``np.unique(..., axis=0)``: the reference for the 1-D-key construction."""
+    pairs = mesh.tets[:, LOCAL_EDGES]
+    lo = pairs.min(axis=2)
+    hi = pairs.max(axis=2)
+    edges, inverse = np.unique(np.stack([lo.ravel(), hi.ravel()], axis=1), axis=0,
+                               return_inverse=True)
+    faces = mesh.tets[:, LOCAL_FACES].reshape(-1, 3)
+    _, face_inverse, counts = np.unique(np.sort(faces, axis=1), axis=0,
+                                        return_inverse=True, return_counts=True)
+    order = np.argsort(face_inverse, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    single = order[starts[counts == 1]]
+    boundary_faces = faces[single]
+    tri_pairs = np.sort(boundary_faces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
+    edge_id = {tuple(e): i for i, e in enumerate(edges.tolist())}
+    return {
+        "edges": edges,
+        "tet_edges": inverse.reshape(-1, 6),
+        "tet_edge_signs": np.where(pairs[..., 0] == lo, 1, -1),
+        "boundary_faces": boundary_faces,
+        "boundary_face_tets": single // 4,
+        "boundary_edge_ids": np.array(
+            [edge_id[tuple(e)] for e in np.unique(tri_pairs, axis=0).tolist()]),
+    }
+
+
+def _permuted_cube3():
+    cube = generate_cube_mesh(3)
+    perm = np.random.default_rng(0).permutation(cube.n_vertices)   # old id -> new id
+    vertices = np.empty_like(cube.vertices)
+    vertices[perm] = cube.vertices
+    return Mesh(vertices, perm[cube.tets], kind="cube")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_cube_mesh(1), lambda: generate_cube_mesh(2), lambda: generate_cube_mesh(3),
+    lambda: generate_ball_mesh(0), lambda: generate_ball_mesh(1), lambda: generate_ball_mesh(2),
+    _permuted_cube3,
+], ids=["cube1", "cube2", "cube3", "ball0", "ball1", "ball2", "cube3-permuted"])
+def test_connectivity_matches_rowwise_reference(make):
+    mesh = make()
+    for name, expect in _rowwise_connectivity(mesh).items():
+        got = getattr(mesh, name)
+        assert got.shape == expect.shape and np.array_equal(got, expect), name
+
+
+def test_ball_refinement_projects_in_one_pass(monkeypatch):
+    builds = []
+
+    class CountedMesh(Mesh):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    parent = generate_ball_mesh(0)
+    for _ in range(2):                                   # L0 -> L1 -> L2
+        with monkeypatch.context() as m:
+            m.setattr(mesh_module, "Mesh", CountedMesh)
+            builds.clear()
+            fine = refine_uniform(parent)
+        assert len(builds) == 1
+
+        new_boundary = np.concatenate([parent.boundary_vertex_ids,
+                                       parent.n_vertices + parent.boundary_edge_ids])
+        assert np.array_equal(np.unique(fine.boundary_faces), new_boundary)
+        r = np.linalg.norm(fine.vertices[fine.boundary_vertex_ids], axis=1)
+        assert np.max(np.abs(r - 1.0)) <= 1e-15
+
+        # two passes: refine without projection, extract the boundary, project, rebuild
+        flat = refine_uniform(Mesh(parent.vertices, parent.tets, parent.region))
+        coords = flat.vertices.copy()
+        b = extract_boundary(flat).vertex_ids
+        coords[b] /= np.linalg.norm(coords[b], axis=1)[:, None]
+        two_pass = Mesh(coords, flat.tets, flat.region, kind="ball")
+        assert np.array_equal(fine.tets, two_pass.tets)
+        assert np.array_equal(fine.vertices, two_pass.vertices)    # interior and boundary
+        parent = fine
