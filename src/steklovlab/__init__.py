@@ -4,13 +4,7 @@ and material-perturbation stability studies."""
 
 __version__ = "0.1.0"
 
-from .boundary_ops import (
-    BoundaryGram,
-    SurfaceOperatorSet,
-    apply_S,
-    assemble_boundary_form,
-    assemble_surface_operators,
-)
+from .boundary_ops import BoundaryGram, apply_S, assemble_surface_operators
 from .eigensolver import (
     EigenResult,
     SectorCensus,
@@ -91,9 +85,7 @@ __all__ = [
     "StudyReport",
     "StudySetup",
     "SurfaceMesh",
-    "SurfaceOperatorSet",
     "apply_S",
-    "assemble_boundary_form",
     "assemble_maxwell",
     "assemble_scalar",
     "assemble_surface_operators",

@@ -25,7 +25,6 @@ V_h projection (fem_maxwell) and the shifted solve (eigensolver) as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,28 +97,61 @@ class GroundedLaplacian:
         return p
 
 
-@dataclass
-class SurfaceOperatorSet:
-    """Surface stiffness L, coupling D, and the grounded solve of L."""
+class BoundaryGram:
+    """Boundary Gram form B = D^T L^+ D on edge dofs, with the surface
+    operators it is made of: the surface stiffness L, the coupling D
+    (surface vertices x edge dofs) and the grounded solve of L.
 
-    surface: SurfaceMesh
-    mesh: Mesh = field(repr=False)
-    L: sp.csr_matrix = field(repr=False)
-    D: sp.csr_matrix = field(repr=False)          # (surface vertices) x (edge dofs)
-    laplacian: GroundedLaplacian = field(repr=False)
-    _gram: object = field(default=None, repr=False)
+    Applied matrix-free (one coupling matvec, one factorized surface solve,
+    one transposed matvec per application); ``to_sparse`` materializes the
+    dense boundary-edge block for oracle runs on small meshes.
+    """
 
-    @property
-    def n_surface_vertices(self):
-        return self.L.shape[0]
+    def __init__(self, surface: SurfaceMesh, mesh: Mesh, L, D, laplacian: GroundedLaplacian):
+        self.surface = surface
+        self.mesh = mesh
+        self.L = L
+        self.D = D
+        self.laplacian = laplacian
+        self.shape = (D.shape[1], D.shape[1])
+        self._sparse = None
 
-    @property
-    def n_edge_dofs(self):
-        return self.D.shape[1]
+    def matvec(self, v):
+        v = np.asarray(v)
+        p = self.laplacian.solve(self.D @ v)
+        return self.D.T @ p
+
+    def __matmul__(self, other):
+        other = np.asarray(other)
+        if other.ndim == 1:
+            return self.matvec(other)
+        return np.stack([self.matvec(other[:, j]) for j in range(other.shape[1])], axis=1)
+
+    def to_sparse(self) -> sp.csr_matrix:
+        """Explicit symmetric CSR form (dense on the boundary-edge block)."""
+        if self._sparse is None:
+            bed = self.mesh.boundary_edge_ids
+            if len(bed) > DENSE_LIMIT:
+                raise ValueError(
+                    f"{len(bed)} boundary edge dofs exceed the dense limit {DENSE_LIMIT}"
+                )
+            Db = np.asarray(self.D[:, bed].todense())
+            block = Db.T @ self.laplacian.solve(Db)
+            block = 0.5 * (block + block.T)
+            rows = np.repeat(bed, len(bed))
+            cols = np.tile(bed, len(bed))
+            n = self.shape[0]
+            self._sparse = sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        return self._sparse
+
+    def tocoo(self) -> sp.coo_matrix:
+        """``to_sparse`` in COO form, as a scipy sparse matrix gives it."""
+        return self.to_sparse().tocoo()
 
 
-def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> SurfaceOperatorSet:
-    """Assemble L and D with exact per-triangle integration (degree-2 rule)."""
+def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram:
+    """The boundary Gram form of ``mesh``, with L and D assembled by exact
+    per-triangle integration (degree-2 rule)."""
     if surface.mesh is not mesh:
         raise MalformedMeshError("surface was extracted from a different mesh")
     grads = surface.hat_gradients                      # (F, 3, 3)
@@ -151,78 +183,20 @@ def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> SurfaceOpera
     D = scatter_rect(local_D, surface.triangles, edge_ids,
                      (surface.n_vertices, mesh.n_edges))
 
-    return SurfaceOperatorSet(surface, mesh, L, D, GroundedLaplacian(L, surface.lumped_mass()))
+    return BoundaryGram(surface, mesh, L, D, GroundedLaplacian(L, surface.lumped_mass()))
 
 
-def apply_S(ops: SurfaceOperatorSet, u):
+def apply_S(B: BoundaryGram, u):
     """Apply the smoothing operator to an edge-dof vector.
 
     Returns (field, p): the per-triangle constant tangential field grad_G p,
     shape (F, 3), and the mean-zero surface potential p.
     """
-    u = np.asarray(u)
-    rhs = ops.D @ u
-    p = ops.laplacian.solve(rhs)
-    tri = ops.surface.triangles
-    fld = np.einsum("fj,fjc->fc", p[tri], ops.surface.hat_gradients)
+    p = B.laplacian.solve(B.D @ np.asarray(u))
+    fld = np.einsum("fj,fjc->fc", p[B.surface.triangles], B.surface.hat_gradients)
     return fld, p
 
 
-def surface_l2_product(ops: SurfaceOperatorSet, fld_a, fld_b):
+def surface_l2_product(B: BoundaryGram, fld_a, fld_b):
     """Bilinear (unconjugated) L2 pairing of per-triangle constant fields."""
-    return complex(np.sum(ops.surface.areas * np.einsum("fc,fc->f", fld_a, fld_b)))
-
-
-class BoundaryGram:
-    """Boundary Gram form B = D^T L^+ D on edge dofs.
-
-    Applied matrix-free (one coupling matvec, one factorized surface solve,
-    one transposed matvec per application); ``to_sparse`` materializes the
-    dense boundary-edge block for oracle runs on small meshes.
-    """
-
-    def __init__(self, ops: SurfaceOperatorSet):
-        self.ops = ops
-        n = ops.n_edge_dofs
-        self.shape = (n, n)
-        self.dtype = np.dtype(np.float64)
-        self._sparse = None
-
-    def matvec(self, v):
-        v = np.asarray(v)
-        p = self.ops.laplacian.solve(self.ops.D @ v)
-        return self.ops.D.T @ p
-
-    def __matmul__(self, other):
-        other = np.asarray(other)
-        if other.ndim == 1:
-            return self.matvec(other)
-        return np.stack([self.matvec(other[:, j]) for j in range(other.shape[1])], axis=1)
-
-    def to_sparse(self) -> sp.csr_matrix:
-        """Explicit symmetric CSR form (dense on the boundary-edge block)."""
-        if self._sparse is None:
-            bed = self.ops.mesh.boundary_edge_ids
-            if len(bed) > DENSE_LIMIT:
-                raise ValueError(
-                    f"{len(bed)} boundary edge dofs exceed the dense limit {DENSE_LIMIT}"
-                )
-            Db = np.asarray(self.ops.D[:, bed].todense())
-            block = Db.T @ self.ops.laplacian.solve(Db)
-            block = 0.5 * (block + block.T)
-            rows = np.repeat(bed, len(bed))
-            cols = np.tile(bed, len(bed))
-            n = self.shape[0]
-            self._sparse = sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        return self._sparse
-
-    def tocoo(self) -> sp.coo_matrix:
-        """``to_sparse`` in COO form, as a scipy sparse matrix gives it."""
-        return self.to_sparse().tocoo()
-
-
-def assemble_boundary_form(ops: SurfaceOperatorSet) -> BoundaryGram:
-    """The boundary Gram form for the Maxwell pencil; cached on the operator set."""
-    if ops._gram is None:
-        ops._gram = BoundaryGram(ops)
-    return ops._gram
+    return complex(np.sum(B.surface.areas * np.einsum("fc,fc->f", fld_a, fld_b)))

@@ -341,9 +341,9 @@ def _diagnosed_pencil(cfg: RunConfig, mesh):
     }
     problem = Problem(cfg.problem, mesh, cfg.omega)
     pencil = problem.assemble(mu, eps)
-    sigma_min, diag = problem.diagnostic(pencil, details=True)
-    diag["threshold"] = cfg.diag_threshold
-    diag["passed"] = bool(sigma_min >= cfg.diag_threshold)
+    sigma_min = float(problem.diagnostic(pencil))
+    diag = {**problem.diagnostic_info(), "sigma_min": sigma_min,
+            "threshold": cfg.diag_threshold, "passed": bool(sigma_min >= cfg.diag_threshold)}
     head = {
         "problem": cfg.problem,
         "omega": cfg.omega,
@@ -351,7 +351,7 @@ def _diagnosed_pencil(cfg: RunConfig, mesh):
         "materials": reports,
         "diagnostics": diag,
     }
-    return pencil, float(sigma_min), head
+    return pencil, sigma_min, head
 
 
 def _mesh_info(mesh):

@@ -34,7 +34,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .boundary_ops import DENSE_LIMIT
+from .boundary_ops import DENSE_LIMIT, BoundaryGram
 from .errors import AssumptionViolation, ShiftAtEigenvalue
 
 DEFAULT_THETA_CUT = 1e-10
@@ -117,9 +117,9 @@ class _ShiftedSolver:
         self.sigma = complex(sigma)
         self.n = A0.shape[0]
 
-        if hasattr(B, "ops"):
-            grounded = B.ops.laplacian
-            self._Df = B.ops.D.tocsr()[grounded.free]
+        if isinstance(B, BoundaryGram):
+            grounded = B.laplacian
+            self._Df = B.D.tocsr()[grounded.free]
             aug = sp.bmat(
                 [[A0.astype(np.complex128), -self._Df.T],
                  [self.sigma * self._Df, -grounded.L_ff]],
@@ -181,7 +181,7 @@ def solve_dense_oracle(A0, B, residual_tol=1e-10) -> EigenResult:
     at ``residual_tol``; uncertified ones are dropped and counted in meta.
     """
     A0 = np.asarray(A0.todense()) if sp.issparse(A0) else np.asarray(A0)
-    if hasattr(B, "to_sparse"):
+    if isinstance(B, BoundaryGram):
         B = B.to_sparse()
     Bd = np.asarray(B.todense()) if sp.issparse(B) else np.asarray(B)
     n = A0.shape[0]

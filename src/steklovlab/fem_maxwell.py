@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._assembly import P1_TET_MASS, scatter_square
-from .boundary_ops import GroundedLaplacian, SurfaceOperatorSet, assemble_boundary_form, ground
+from .boundary_ops import BoundaryGram, GroundedLaplacian, ground
 from .errors import ConfigError
 from .fem_scalar import Pencil, continuity_bound, inf_sup
 from .materials import MaterialField
@@ -90,18 +90,18 @@ def hcurl_gram(mesh: Mesh) -> sp.csr_matrix:
 
 
 def assemble_maxwell(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField,
-                     omega: float, ops: SurfaceOperatorSet) -> Pencil:
+                     omega: float, B: BoundaryGram) -> Pencil:
     """Assemble the Maxwell pencil; piecewise-constant coefficients are
     integrated exactly (the integrands are at most quadratic)."""
     if omega == 0:
         raise ValueError("omega must be nonzero for the Maxwell pencil")
     beta = continuity_bound(mesh, mu_inv, eps, omega)
-    if ops.mesh is not mesh:
-        raise ConfigError("surface operators belong to a different mesh")
+    if B.mesh is not mesh:
+        raise ConfigError("boundary form belongs to a different mesh")
 
     K = curl_curl_matrix(mesh, np.ascontiguousarray(mu_inv.tensors.real))
     M = edge_mass_matrix(mesh, eps.tensors)
-    return Pencil(K, M, assemble_boundary_form(ops), float(omega), beta, mesh)
+    return Pencil(K, M, B, float(omega), beta, mesh)
 
 
 def project_Vh(pencil: Pencil, u, eps: MaterialField | None = None) -> ProjectionResult:
@@ -127,15 +127,17 @@ def project_Vh(pencil: Pencil, u, eps: MaterialField | None = None) -> Projectio
 class KernelBasis:
     """The kernel subspace in coordinates: Z = blockdiag(I on interior edges,
     G_s0 on boundary edges) as an (n_edges, r) sparse matrix of full column
-    rank, and W = Z^T H Z, the H(curl) Gram H restricted to its span."""
+    rank, W = Z^T H Z, the H(curl) Gram H restricted to its span, and the
+    mesh-only part of the diagnostic report (see kernel_subspace_basis)."""
 
     Z: sp.csr_matrix
     W: sp.csr_matrix
+    info: dict
 
 
-def kernel_subspace_basis(mesh: Mesh, gram=None):
-    """Basis of the spanned part of the discrete smoothing-operator kernel:
-    all gradients plus all interior-edge unit fields.
+def kernel_subspace_basis(B: BoundaryGram, gram=None) -> KernelBasis:
+    """Basis of the spanned part of the discrete smoothing-operator kernel of
+    the boundary form ``B``: all gradients plus all interior-edge unit fields.
 
     The span splits by coordinates: interior-edge coordinates are free, and
     boundary edges carry only surface gradients G_s z.  So Z =
@@ -145,11 +147,11 @@ def kernel_subspace_basis(mesh: Mesh, gram=None):
     tolerance.  ``gram`` is the H(curl) Gram on all edges (built from the
     mesh when None).
 
-    Returns (KernelBasis, info): info records the subspace dimension and, for
-    comparison, the dimension of the full kernel of the coupling matrix
-    implied by its rank, so an unspanned remainder is detectable rather than
-    silent.
+    ``info`` records the subspace dimension and, for comparison, the
+    dimension of the full kernel of the coupling matrix D implied by its
+    rank, so an unspanned remainder is detectable rather than silent.
     """
+    mesh = B.mesh
     interior = mesh.interior_edge_ids
     bed = mesh.boundary_edge_ids
     Gs = discrete_gradient(mesh)[bed][:, mesh.boundary_vertex_ids]
@@ -157,12 +159,21 @@ def kernel_subspace_basis(mesh: Mesh, gram=None):
     E = sp.identity(mesh.n_edges, format="csc")
     Z = sp.hstack([E[:, interior], E[:, bed] @ Gs0], format="csr")
     H = hcurl_gram(mesh) if gram is None else gram
-    basis = KernelBasis(Z, (Z.T @ (H @ Z)).tocsr())
-    info = {"subspace_dim": Z.shape[1], "n_edges": mesh.n_edges, "n_interior_edges": len(interior)}
-    return basis, info
+
+    Db = B.D[:, bed]
+    # the singular values of D on boundary edges, squared, from its small Gram;
+    # squaring leaves roundoff at 1e-16 sigma_max^2, so the rank counts the
+    # singular values above 1e-6 sigma_max
+    ev = np.linalg.eigvalsh((Db @ Db.T).toarray())
+    rank_D = int(np.sum(ev > 1e-12 * ev[-1])) if ev.size and ev[-1] > 0 else 0
+    info = {"subspace_dim": Z.shape[1], "n_edges": mesh.n_edges,
+            "n_interior_edges": len(interior), "rank_D": rank_D,
+            "kernel_dim_from_rank": mesh.n_edges - rank_D,
+            "unspanned_kernel_dim": mesh.n_edges - rank_D - Z.shape[1]}
+    return KernelBasis(Z, (Z.T @ (H @ Z)).tocsr(), info)
 
 
-def kernelS_diagnostic(pencil: Pencil, basis=None, return_details=False):
+def kernelS_diagnostic(pencil: Pencil, basis: KernelBasis | None = None) -> float:
     """Inf-sup constant, in the H(curl) norm and normalized by the continuity
     bound ``pencil.beta``, of the pencil matrix compressed to the spanned
     kernel subspace of the smoothing operator: sigma_min of C = Z^T A0 Z in
@@ -171,25 +182,9 @@ def kernelS_diagnostic(pencil: Pencil, basis=None, return_details=False):
 
     A value near zero signals that the variational problem restricted to that
     subspace is (numerically) singular at this omega, breaking the
-    well-posedness assumption behind the eigenvalue problem.  The details
-    report the subspace dimension and the rank of the coupling matrix so a
-    kernel remainder not covered by gradients + interior edges is visible.
+    well-posedness assumption behind the eigenvalue problem.  ``basis`` is
+    built from ``pencil.B`` when None.
     """
-    basis, info = kernel_subspace_basis(pencil.mesh) if basis is None else basis
+    basis = kernel_subspace_basis(pencil.B) if basis is None else basis
     C = basis.Z.T @ (pencil.a0() @ basis.Z)
-    sigma = inf_sup(C, basis.W) / pencil.beta
-
-    if not return_details:
-        return sigma
-    Db = pencil.B.ops.D[:, pencil.mesh.boundary_edge_ids]
-    # the singular values of D on boundary edges, squared, from its small Gram;
-    # squaring leaves roundoff at 1e-16 sigma_max^2, so the rank counts the
-    # singular values above 1e-6 sigma_max
-    ev = np.linalg.eigvalsh((Db @ Db.T).toarray())
-    rank_D = int(np.sum(ev > 1e-12 * ev[-1])) if ev.size and ev[-1] > 0 else 0
-    details = dict(info)
-    details["rank_D"] = rank_D
-    details["kernel_dim_from_rank"] = pencil.n_dofs - rank_D
-    details["unspanned_kernel_dim"] = details["kernel_dim_from_rank"] - info["subspace_dim"]
-    details["sigma_min"] = sigma
-    return sigma, details
+    return inf_sup(C, basis.W) / pencil.beta

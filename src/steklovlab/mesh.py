@@ -353,7 +353,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     Ball meshes re-project boundary vertices to the unit sphere: the
     parent's boundary vertices and the midpoints of its boundary edges.
-    Children are oriented on the unprojected midpoints.
+    Each child's vertex order is positive for a positive parent, so no child
+    needs re-orienting.
     """
     nv = mesh.n_vertices
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
@@ -365,17 +366,16 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     v0, v1, v2, v3 = (v[:, k] for k in range(4))
     children = np.stack([
         np.stack([v0, m01, m02, m03], axis=1),
-        np.stack([v1, m01, m12, m13], axis=1),
+        np.stack([v1, m01, m13, m12], axis=1),
         np.stack([v2, m02, m12, m23], axis=1),
-        np.stack([v3, m03, m13, m23], axis=1),
-        np.stack([m02, m13, m01, m03], axis=1),
-        np.stack([m02, m13, m03, m23], axis=1),
-        np.stack([m02, m13, m23, m12], axis=1),
-        np.stack([m02, m13, m12, m01], axis=1),
+        np.stack([v3, m03, m23, m13], axis=1),
+        np.stack([m02, m13, m03, m01], axis=1),
+        np.stack([m02, m13, m23, m03], axis=1),
+        np.stack([m02, m13, m12, m23], axis=1),
+        np.stack([m02, m13, m01, m12], axis=1),
     ], axis=1)                                    # (T, 8, 4)
     tets = children.reshape(-1, 4)
     region = np.repeat(mesh.region, 8)
-    tets = _orient_positive(vertices, tets)
     if mesh.kind == "ball":
         b = np.concatenate([mesh.boundary_vertex_ids, nv + mesh.boundary_edge_ids])
         vertices[b] /= np.linalg.norm(vertices[b], axis=1)[:, None]
@@ -405,6 +405,18 @@ def save_mesh(mesh: Mesh, path):
         json.dump(doc, fh)
 
 
+def _integers(doc, key):
+    """``doc[key]`` as int64; a value with a fractional part is refused, not
+    truncated."""
+    values = np.asarray(doc[key])
+    if values.dtype.kind == "f":
+        bad = values[np.mod(values, 1.0) != 0.0]
+        if bad.size:
+            raise MalformedMeshError(
+                f"mesh file '{key}' holds a non-integer value {float(bad[0])!r}")
+    return values.astype(np.int64)
+
+
 def load_mesh(path) -> Mesh:
     with open(path) as fh:
         doc = json.load(fh)
@@ -415,7 +427,7 @@ def load_mesh(path) -> Mesh:
             raise ConfigError(f"mesh file missing '{key}'")
     return Mesh(
         np.asarray(doc["vertices"], dtype=np.float64),
-        np.asarray(doc["tets"], dtype=np.int64),
-        np.asarray(doc["region"], dtype=np.int64),
+        _integers(doc, "tets"),
+        _integers(doc, "region"),
         kind=doc.get("kind", "generic"),
     )

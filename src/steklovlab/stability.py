@@ -102,13 +102,25 @@ def nondegeneracy(B, vectors) -> complex:
     return complex(np.mean(vals))
 
 
-def _c_scale(B, vecs):
+def _degeneracy(B, vecs, c):
+    """Why the cluster of ``vecs`` is degenerate, or "" when it is not: |c| at
+    most ``C_THRESHOLD`` times the sesquilinear cluster average of B."""
     mags = [np.real(np.conj(vecs[:, j]) @ (B @ vecs[:, j])) for j in range(vecs.shape[1])]
-    return float(np.mean(mags))
+    scale = max(float(np.mean(mags)), 1e-300)
+    if abs(c) <= C_THRESHOLD * scale:
+        return f"|c| = {abs(c):.3e} below threshold {C_THRESHOLD:.1e} x {scale:.3e}"
+    return ""
 
 
-def first_order_prediction(pencil0, pencil_h, vectors, c=None):
-    """Predicted eigenvalue shift lambda_h - lambda_0 for a tracked cluster.
+def _first_order_drift(pencil0, pencil_h, vecs, c) -> complex:
+    delta_a = pencil_h.a0() - pencil0.a0()
+    vals = [vecs[:, j] @ (delta_a @ vecs[:, j]) for j in range(vecs.shape[1])]
+    return complex(np.mean(vals) / c)
+
+
+def first_order_prediction(pencil0, pencil_h, vectors):
+    """Predicted eigenvalue shift lambda_h - lambda_0 for a tracked cluster,
+    and its nondegeneracy coefficient c.
 
     Both pencils must live on the same mesh; the boundary form is unchanged
     by material perturbations, so the pencil perturbation is
@@ -122,17 +134,11 @@ def first_order_prediction(pencil0, pencil_h, vectors, c=None):
         vecs = vecs[:, None]
     if vecs.shape[1] == 0:
         raise ValueError("prediction needs at least one vector")
-    B = pencil0.B
-    if c is None:
-        c = nondegeneracy(B, vecs)
-    scale = max(_c_scale(B, vecs), 1e-300)
-    if abs(c) <= C_THRESHOLD * scale:
-        raise DegenerateCluster(
-            f"|c| = {abs(c):.3e} below threshold {C_THRESHOLD:.1e} x {scale:.3e}"
-        )
-    delta_a = pencil_h.a0() - pencil0.a0()
-    vals = [vecs[:, j] @ (delta_a @ vecs[:, j]) for j in range(vecs.shape[1])]
-    return complex(np.mean(vals) / c), complex(c)
+    c = nondegeneracy(pencil0.B, vecs)
+    note = _degeneracy(pencil0.B, vecs, c)
+    if note:
+        raise DegenerateCluster(note)
+    return _first_order_drift(pencil0, pencil_h, vecs, c), c
 
 
 # --------------------------------------------------------------------- #
@@ -265,10 +271,11 @@ class StudyReport:
 class Problem:
     """One pencil family on a fixed mesh: the layer behind solve, diagnose and study.
 
-    ``kind`` is "scalar" or "maxwell".  The Maxwell surface operators are
-    assembled here once, the energy Gram and the kernel basis on the first
-    diagnostic or ``gram`` call; later pencils on the same mesh reuse all
-    three.
+    ``kind`` is "scalar" or "maxwell".  Every operator that depends on the
+    mesh only is built here, once: the coefficient-free energy Gram
+    ``gram`` (H^1 or H(curl)), the norm of the diagnostic and of eigenvector
+    normalization, and for Maxwell the boundary form ``B`` and the kernel
+    ``basis``.  Every pencil assembled on the mesh reuses them.
     """
 
     def __init__(self, kind, mesh: Mesh, omega):
@@ -277,38 +284,29 @@ class Problem:
         self.kind = kind
         self.mesh = mesh
         self.omega = omega
-        self.ops = (assemble_surface_operators(extract_boundary(mesh), mesh)
-                    if kind == "maxwell" else None)
-        self._basis = None
-        self._gram = None
+        if kind == "scalar":
+            self.gram = h1_gram(mesh)
+            return
+        self.B = assemble_surface_operators(extract_boundary(mesh), mesh)
+        self.gram = hcurl_gram(mesh)
+        self.basis = kernel_subspace_basis(self.B, self.gram)
 
     def assemble(self, mu, eps):
         if self.kind == "scalar":
             return assemble_scalar(self.mesh, mu, eps, self.omega)
-        return assemble_maxwell(self.mesh, mu, eps, self.omega, self.ops)
+        return assemble_maxwell(self.mesh, mu, eps, self.omega, self.B)
 
-    def diagnostic(self, pencil, details=False):
-        """Well-posedness value sigma_min of ``pencil`` in the norm of
-        ``gram()``; with ``details`` the pair (sigma_min, the diagnostics
-        block that solve_meta.json reports)."""
+    def diagnostic(self, pencil) -> float:
+        """Well-posedness value sigma_min of ``pencil`` in the norm of ``gram``."""
         if self.kind == "scalar":
-            sigma = scalar_dirichlet_diagnostic(pencil, self.gram())
-            info = {"kind": "interior_dirichlet", "sigma_min": float(sigma)}
-            return (sigma, info) if details else sigma
-        if self._basis is None:
-            self._basis = kernel_subspace_basis(self.mesh, self.gram())
-        if not details:
-            return kernelS_diagnostic(pencil, basis=self._basis)
-        sigma, info = kernelS_diagnostic(pencil, basis=self._basis, return_details=True)
-        return sigma, {"kind": "kernel_subspace", **info}
+            return scalar_dirichlet_diagnostic(pencil, self.gram)
+        return kernelS_diagnostic(pencil, self.basis)
 
-    def gram(self):
-        """The coefficient-free energy Gram of the mesh (H(curl) or H^1),
-        built once: the norm of the diagnostic and of eigenvector
-        normalization."""
-        if self._gram is None:
-            self._gram = hcurl_gram(self.mesh) if self.kind == "maxwell" else h1_gram(self.mesh)
-        return self._gram
+    def diagnostic_info(self) -> dict:
+        """The mesh-only part of the diagnostics block of solve_meta.json."""
+        if self.kind == "scalar":
+            return {"kind": "interior_dirichlet"}
+        return {"kind": "kernel_subspace", **self.basis.info}
 
 
 def run_study(setup: StudySetup) -> StudyReport:
@@ -343,13 +341,14 @@ def run_study(setup: StudySetup) -> StudyReport:
     other_means = np.array([m for i, m in enumerate(clustered.cluster_means) if i != tracked_label])
     guard = 0.5 * float(np.abs(other_means - lam0).min()) if len(other_means) else np.inf
 
-    vectors = normalize_vectors(base.eigenvectors[:, members], prob.gram())
+    vectors = normalize_vectors(base.eigenvectors[:, members], prob.gram)
     c = nondegeneracy(pencil0.B, vectors)
+    degenerate = _degeneracy(pencil0.B, vectors, c)   # baseline-only: decided once
 
     records = []
     for idx, (h, delta) in enumerate(setup.schedule):
         rec = _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
-                        vectors, c, idx, float(h), complex(delta))
+                        vectors, c, degenerate, idx, float(h), complex(delta))
         records.append(rec)
     records.sort(key=lambda r: r.h)
 
@@ -392,7 +391,7 @@ def run_study(setup: StudySetup) -> StudyReport:
 
 
 def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
-              vectors, c, idx, h, delta):
+              vectors, c, degenerate, idx, h, delta):
     spec = PerturbationSpec(setup.center, h, delta, setup.target)
     try:
         mu_h = build_field(setup.mesh, "mu_inv", setup.mu_base, [spec])
@@ -453,8 +452,8 @@ def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
     rec.mean_drift = float(abs(lam0 - mean))
     rec.cluster_diameter = float(np.abs(cand[:, None] - cand[None, :]).max()) if len(cand) > 1 else 0.0
 
-    try:
-        rec.predicted, _ = first_order_prediction(pencil0, pencil_h, vectors, c=c)
-    except DegenerateCluster as exc:
-        rec.prediction_note = str(exc)
+    if degenerate:
+        rec.prediction_note = degenerate
+    else:
+        rec.predicted = _first_order_drift(pencil0, pencil_h, vectors, c)
     return rec

@@ -224,6 +224,34 @@ def test_orphan_vertex_is_malformed_mesh(tmp_path, capsys, problem):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem", ["scalar", "maxwell"])
+@pytest.mark.parametrize("field, value", [("tets", 0.6), ("region", 0.9)])
+def test_fractional_mesh_integer_is_malformed_mesh(tmp_path, capsys, problem, field, value):
+    # cube n=2 with tets[0][0] or region[0] moved off its integer; truncation
+    # would give back the valid mesh
+    path = tmp_path / "fractional.json"
+    save_mesh(generate_cube_mesh(2), path)
+    mesh_doc = json.loads(path.read_text())
+    if field == "tets":
+        mesh_doc["tets"][0][0] += value
+    else:
+        mesh_doc["region"][0] += value
+    path.write_text(json.dumps(mesh_doc))
+    doc = {
+        "problem": problem,
+        "mesh": {"path": str(path)},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "k": 5, "tol": 1e-9},
+    }
+    out = tmp_path / "out"
+    assert run(["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: malformed-mesh: mesh file '{field}' holds a non-integer value")
+    assert not out.exists()
+
+
 def test_study_command(tmp_path):
     doc = {
         "problem": "maxwell",

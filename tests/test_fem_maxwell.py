@@ -208,7 +208,7 @@ def test_kernel_diagnostic_absorbing_sweep():
     mu = build_field(mesh, "mu_inv", {1: 1.0})
     eps = build_field(mesh, "eps", {1: {"re": 4.0, "im": 1.0}})
     ops = assemble_surface_operators(extract_boundary(mesh), mesh)
-    basis = kernel_subspace_basis(mesh)
+    basis = kernel_subspace_basis(ops)
     values = [
         kernelS_diagnostic(assemble_maxwell(mesh, mu, eps, float(om), ops), basis=basis)
         for om in np.linspace(0.5, 4.0, 10)
@@ -225,8 +225,8 @@ def test_kernel_diagnostic_drops_at_projected_eigenvalue():
     mu = build_field(mesh, "mu_inv", {1: 1.0})
     eps = build_field(mesh, "eps", {1: 4.0})
     ops = assemble_surface_operators(extract_boundary(mesh), mesh)
-    basis = kernel_subspace_basis(mesh)
-    Q = dense_kernel_basis(basis[0])
+    basis = kernel_subspace_basis(ops)
+    Q = dense_kernel_basis(basis)
     base = assemble_maxwell(mesh, mu, eps, 1.0, ops)
     Kq = Q.T @ (base.K @ Q)
     Mq = Q.T @ (base.M.real @ Q)
@@ -253,12 +253,12 @@ def test_block_kernel_basis_matches_pivoted_qr(name, request):
 
     build, components = BLOCK_BASIS_MESHES[name]
     mesh = build(request)
-    basis, info = kernel_subspace_basis(mesh)
+    basis = kernel_subspace_basis(assemble_surface_operators(extract_boundary(mesh), mesh))
     Q = dense_kernel_basis(basis)
     interior = mesh.interior_edge_ids
     n_bv = len(mesh.boundary_vertex_ids)
     assert Q.shape == (mesh.n_edges, len(interior) + n_bv - components)
-    assert info["subspace_dim"] == Q.shape[1]
+    assert basis.info["subspace_dim"] == Q.shape[1]
     assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
 
     Z = np.zeros((mesh.n_edges, mesh.n_vertices + len(interior)))
@@ -275,7 +275,7 @@ def test_block_kernel_basis_matches_pivoted_qr(name, request):
     pencil = make_pencil(mesh, eps_entry={"re": 4.0, "im": 1.0})
     W = Qr.T @ ((pencil.K + edge_mass_matrix(mesh)) @ Qr)
     expected = dense_inf_sup(Qr.T @ (pencil.a0() @ Qr), W) / abs(4.0 + 1.0j)
-    assert kernelS_diagnostic(pencil, basis=(basis, info)) == pytest.approx(expected, rel=1e-12)
+    assert kernelS_diagnostic(pencil, basis=basis) == pytest.approx(expected, rel=1e-12)
 
 
 def test_kernel_diagnostic_ball2_matches_dense_value_in_small_memory():
@@ -287,7 +287,7 @@ def test_kernel_diagnostic_ball2_matches_dense_value_in_small_memory():
 
     mesh = generate_ball_mesh(2)
     pencil = make_pencil(mesh, eps_entry={"re": 4.0, "im": 1.0})
-    basis = kernel_subspace_basis(mesh)
+    basis = kernel_subspace_basis(pencil.B)
     pencil.a0()
     tracemalloc.start()
     try:
@@ -300,7 +300,8 @@ def test_kernel_diagnostic_ball2_matches_dense_value_in_small_memory():
 
 
 def test_kernel_diagnostic_details(cube2_pencil):
-    sigma, details = kernelS_diagnostic(cube2_pencil, return_details=True)
+    sigma = kernelS_diagnostic(cube2_pencil)
+    details = kernel_subspace_basis(cube2_pencil.B).info
     assert sigma > 0
     assert details["subspace_dim"] <= details["kernel_dim_from_rank"]
     assert details["unspanned_kernel_dim"] >= 0

@@ -267,3 +267,34 @@ def test_ball_refinement_projects_in_one_pass(monkeypatch):
         assert np.array_equal(fine.tets, two_pass.tets)
         assert np.array_equal(fine.vertices, two_pass.vertices)    # interior and boundary
         parent = fine
+
+
+def _reference_children(mesh):
+    """The red-refinement children of ``mesh`` in stencil order, each flipped
+    by ``_orient_positive`` on the unprojected midpoints where negative."""
+    nv = mesh.n_vertices
+    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    v0, v1, v2, v3 = mesh.tets.T
+    m01, m02, m03, m12, m13, m23 = (nv + mesh.tet_edges).T
+    children = np.stack([
+        [v0, m01, m02, m03], [v1, m01, m12, m13], [v2, m02, m12, m23], [v3, m03, m13, m23],
+        [m02, m13, m01, m03], [m02, m13, m03, m23], [m02, m13, m23, m12], [m02, m13, m12, m01],
+    ])                                                      # (8, 4, T)
+    tets = children.transpose(2, 0, 1).reshape(-1, 4)
+    return mesh_module._orient_positive(np.concatenate([mesh.vertices, mids]), tets)
+
+
+@pytest.mark.parametrize("make", [
+    lambda request: generate_cube_mesh(1), lambda request: generate_cube_mesh(3),
+    lambda request: generate_ball_mesh(0), lambda request: generate_ball_mesh(1),
+    lambda request: generate_ball_mesh(2), lambda request: request.getfixturevalue("two_cubes"),
+], ids=["cube1", "cube3", "ball0", "ball1", "ball2", "two-cubes"])
+def test_refined_children_match_orient_positive_reference(make, request, monkeypatch):
+    parent = make(request)
+    calls = []
+    signed_volumes = mesh_module._signed_volumes
+    monkeypatch.setattr(mesh_module, "_signed_volumes",
+                        lambda *args: calls.append(1) or signed_volumes(*args))
+    fine = refine_uniform(parent)
+    assert len(calls) == 1                      # the Mesh check only: no re-orientation
+    assert np.array_equal(fine.tets, _reference_children(parent))

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import steklovlab
-from steklovlab import cli
+from steklovlab import cli, stability
+from steklovlab.mesh import generate_cube_mesh
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,7 +37,8 @@ SOLVES = {
     "maxwell": ({"problem": "maxwell", "mesh": {"kind": "cube", "n": 2}, "omega": 1.0,
                  "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
                  "solver": {"sigma_re": 2.3, "k": 4}},
-                ("fem_maxwell.assemble_s", "fem_maxwell.diag_s", "fem_maxwell.basis_calls")),
+                ("fem_maxwell.assemble_s", "fem_maxwell.diag_s", "fem_maxwell.basis_calls",
+                 "boundary_ops.setup_s", "boundary_ops.gram_applies")),
     "scalar": ({"problem": "scalar", "mesh": {"kind": "ball", "level": 0}, "omega": 0.0,
                 "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": 1.0}},
                 "solver": {"sigma_re": 1.5, "k": 4}},
@@ -63,3 +65,31 @@ def test_traced_solve_reports_every_layer(kind, tmp_path):
     assert tracer.restored()
     metrics = tracer.layer_metrics()
     assert [name for name in layers + ("eigensolver.lu_nnz",) if not metrics[name] > 0] == []
+
+
+MESH_BUILDERS = {
+    "maxwell": ("assemble_surface_operators", "hcurl_gram", "kernel_subspace_basis"),
+    "scalar": ("h1_gram",),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MESH_BUILDERS))
+def test_study_builds_mesh_operators_once(kind, monkeypatch):
+    # every study step reuses the operators that depend on the mesh only
+    calls = {name: 0 for names in MESH_BUILDERS.values() for name in names}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stability, name, counted(name, getattr(stability, name)))
+    report = stability.run_study(stability.StudySetup(
+        mesh=generate_cube_mesh(2), omega=1.0, problem=kind,
+        eps_base={1: {"re": 4.0, "im": 1.0}}, center=(0.5, 0.5, 0.5),
+        schedule=[(0.45, 1e-3j), (0.3, 1e-3j)], p_list=(4.0,),
+        sigma=(2.3 if kind == "maxwell" else 0.5) + 0.0j, k=6, tol=1e-10))
+    assert [r.status for r in report.steps] == ["ok", "ok"]
+    assert calls == {name: int(name in MESH_BUILDERS[kind]) for name in calls}
