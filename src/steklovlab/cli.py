@@ -43,14 +43,16 @@ from .errors import (
     MalformedMeshError,
     SolverFailure,
 )
-from .materials import FIELD_NAMES, PerturbationSpec, build_field, tensor_from_entry, validate
+from .materials import FIELD_NAMES, PerturbationSpec, build_field, tensor_from_entry
 from .mesh import generate_ball_mesh, generate_cube_mesh, load_mesh, save_mesh
 from .stability import Problem, StudySetup, run_study
 
-# Not called here (stability.Problem builds every pencil); perfbench/tracing.py wraps them on cli.
+# Not called here (stability.Problem builds every pencil, build_field validates each field);
+# perfbench/tracing.py wraps them on cli.
 from .boundary_ops import assemble_surface_operators  # noqa: F401
 from .fem_maxwell import assemble_maxwell, kernelS_diagnostic  # noqa: F401
 from .fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic  # noqa: F401
+from .materials import validate  # noqa: F401
 from .mesh import extract_boundary  # noqa: F401
 
 DEFAULT_CENSUS_DELTA = np.pi / 3.0
@@ -333,12 +335,8 @@ def _diagnosed_pencil(cfg: RunConfig, mesh):
     """The config's pencil on ``mesh``, its diagnostic value, and the report
     head that solve_meta.json and diagnostics.json share (fields, validation,
     diagnostic)."""
-    mu = build_field(mesh, "mu_inv", cfg.materials["mu_inv"], cfg.perturbations)
-    eps = build_field(mesh, "eps", cfg.materials["eps"], cfg.perturbations)
-    reports = {
-        "mu_inv": asdict(validate(mu, cfg.omega)),
-        "eps": asdict(validate(eps, cfg.omega)),
-    }
+    mu, eps = (build_field(mesh, name, cfg.materials[name], cfg.perturbations, cfg.omega)
+               for name in FIELD_NAMES)
     problem = Problem(cfg.problem, mesh, cfg.omega)
     pencil = problem.assemble(mu, eps)
     sigma_min = float(problem.diagnostic(pencil))
@@ -348,7 +346,7 @@ def _diagnosed_pencil(cfg: RunConfig, mesh):
         "problem": cfg.problem,
         "omega": cfg.omega,
         "mesh": _mesh_info(mesh),
-        "materials": reports,
+        "materials": {fld.name: asdict(fld.report) for fld in (mu, eps)},
         "diagnostics": diag,
     }
     return pencil, sigma_min, head

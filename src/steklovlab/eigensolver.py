@@ -34,7 +34,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .boundary_ops import DENSE_LIMIT, BoundaryGram
+from .boundary_ops import DENSE_LIMIT, SPLU_OPTIONS, BoundaryGram
 from .errors import AssumptionViolation, ShiftAtEigenvalue
 
 DEFAULT_THETA_CUT = 1e-10
@@ -126,14 +126,14 @@ class _ShiftedSolver:
                 format="csc",
             )
             try:
-                self._lu = spla.splu(aug)
+                self._lu = spla.splu(aug, **SPLU_OPTIONS)
             except RuntimeError as exc:
                 raise ShiftAtEigenvalue(f"augmented factorization failed: {exc}") from exc
             self._mode = "augmented"
         else:
             shifted = (A0.astype(np.complex128) - self.sigma * B).tocsc()
             try:
-                self._lu = spla.splu(shifted)
+                self._lu = spla.splu(shifted, **SPLU_OPTIONS)
             except RuntimeError as exc:
                 raise ShiftAtEigenvalue(f"factorization failed: {exc}") from exc
             self._mode = "sparse"

@@ -28,6 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._assembly import boundary_p1_mass, h1_gram, p1_mass, p1_stiffness
+from .boundary_ops import SPLU_OPTIONS
 from .errors import ConfigError, SolverFailure
 from .materials import MaterialField
 from .mesh import Mesh
@@ -142,7 +143,7 @@ def inf_sup(A, W):
     Numer. Math. 16, 1971).
     """
     try:
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(A.tocsc(), **SPLU_OPTIONS)
     except RuntimeError:
         return 0.0
     top = _lanczos_top(lambda v: lu.solve(W @ lu.solve(W @ v, trans="H")), W, A.shape[0])

@@ -53,6 +53,8 @@ class MaterialField:
     name: str
     tensors: np.ndarray          # (T, 3, 3) complex
     mesh: Mesh = field(repr=False)
+    # set by build_field, which validates the field once; None otherwise
+    report: MaterialReport | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.name not in FIELD_NAMES:
@@ -111,12 +113,13 @@ def tensor_from_entry(value):
     raise ConfigError(f"tensor entry must be scalar or 3x3, got shape {arr.shape}")
 
 
-def build_field(mesh: Mesh, name: str, base: dict, perturbations=()) -> MaterialField:
+def build_field(mesh: Mesh, name: str, base: dict, perturbations=(), omega=None) -> MaterialField:
     """Assemble base-per-region values plus ball perturbations and validate.
 
     ``base`` maps region tag -> tensor entry (see :func:`tensor_from_entry`).
     Only perturbations whose target matches ``name`` are applied.  Raises
-    AssumptionViolation when the resulting field breaks the field invariants.
+    AssumptionViolation when the resulting field breaks the field invariants;
+    otherwise the field keeps its ``validate(fld, omega)`` report as ``report``.
     """
     table = {int(k): tensor_from_entry(v) for k, v in base.items()}
     tags = np.unique(mesh.region)
@@ -137,9 +140,9 @@ def build_field(mesh: Mesh, name: str, base: dict, perturbations=()) -> Material
             tensors[inside] += pert.delta * np.eye(3)
 
     fld = MaterialField(name, tensors, mesh)
-    report = validate(fld)
-    if not report.passed:
-        raise AssumptionViolation(f"field {name!r} invalid: " + "; ".join(report.failures))
+    fld.report = validate(fld, omega)
+    if not fld.report.passed:
+        raise AssumptionViolation(f"field {name!r} invalid: " + "; ".join(fld.report.failures))
     return fld
 
 

@@ -202,6 +202,33 @@ def test_solve_maxwell_cube(tmp_path):
     assert len(lines) == 6
 
 
+def test_solve_validates_each_field_once(tmp_path, monkeypatch):
+    # build_field keeps its validation report; the run reports it, not a second check
+    from steklovlab import materials
+    calls = []
+    real = materials.validate
+
+    def counted(fld, omega=None):
+        calls.append(fld.name)
+        return real(fld, omega)
+
+    monkeypatch.setattr(materials, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted)
+    doc = {
+        "problem": "maxwell",
+        "mesh": {"kind": "cube", "n": 2},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "k": 5, "tol": 1e-9},
+    }
+    out = tmp_path / "mx"
+    assert run(["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 0
+    assert sorted(calls) == ["eps", "mu_inv"]
+    reports = json.loads((out / "solve_meta.json").read_text())["materials"]
+    assert reports["eps"]["conductivity_min"] == pytest.approx(1.0)
+    assert reports["mu_inv"]["conductivity_min"] is None
+
+
 @pytest.mark.parametrize("problem", ["scalar", "maxwell"])
 def test_orphan_vertex_is_malformed_mesh(tmp_path, capsys, problem):
     # cube n=2 plus a vertex that no tet uses
