@@ -471,6 +471,8 @@ def cmd_study(args) -> int:
         cluster_reltol=cfg.cluster_reltol,
         diag_threshold=cfg.diag_threshold,
         seed=cfg.seed,
+        krylov_dim=cfg.krylov_dim,
+        max_krylov=cfg.max_krylov,
         **cfg.study,
     ))
     _write_json(out / "study_report.json", report.as_dict())

@@ -335,6 +335,12 @@ class _Arnoldi:
 # answer, so it must count as outside rather than keep a sweep growing.
 TIE_MARGIN = 1e-8
 
+# Operator applies between two checkpoints of a sweep.  The default first
+# checkpoint is max(k, CHECKPOINT) + CHECKPOINT: k + 10, but at least 20
+# applies (the k = 6 and 8 solves of a cube n=4 study took fewer applies with
+# checkpoints at 20, 30, ... than at k + 10, k + 20, ...).
+CHECKPOINT = 10
+
 
 def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
                        max_krylov=None, max_sweeps=12, seed=0) -> EigenResult:
@@ -350,13 +356,23 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     start, which is what recovers further copies of multiple eigenvalues.
     A Ritz pair (theta, y) of a deflated sweep is lifted to an eigenvector
     of T through R (see ``_PartialSchur.recover``) and certified as such.
-    Each sweep grows its Krylov space until a checkpoint certifies a pair
-    (the next sweep starts), or, once k pairs are locked, until the dominant
-    Ritz value has settled outside the disk of the k nearest locked values
-    (the answer is final).  The solve also ends when a sweep's space breaks
-    down without a new pair (meta["exhausted"] if fewer than k were found),
-    reaches ``max_krylov`` without one, or ``max_sweeps`` runs out
-    (meta["partial"] whenever fewer than k pairs are reported).
+
+    Each sweep extends one Arnoldi factorization through checkpoints
+    ``CHECKPOINT`` applies apart.  The first sweep's first checkpoint is
+    ``krylov_dim`` (default max(k, 10) + 10); a later sweep's is
+    min(krylov_dim, max(2 (k - locked) + 10, 15)).  With ``need`` =
+    max(k - locked, 1), a checkpoint certifies only when at least ``need``
+    Ritz values inside the k-nearest disk have an Arnoldi residual
+    beta |y_m| <= 100 tol |theta|, when the space broke down, or at the
+    ``max_krylov`` cap (default max(2 krylov_dim, 150)).  The sweep ends
+    ``certified`` once ``need`` pairs certify, or at a breakdown or the cap
+    with any certified pair, and the next sweep starts; otherwise it grows.
+    Once k pairs are locked, a sweep whose dominant Ritz value has settled
+    outside the disk of the k nearest locked values ends the solve
+    (``spectral``: the answer is final).  The solve also ends when a sweep's
+    space breaks down without a new pair (meta["exhausted"] if fewer than k
+    were found), reaches ``max_krylov`` without one, or ``max_sweeps`` runs
+    out (meta["partial"] whenever fewer than k pairs are reported).
     meta["confirmed"] holds when k pairs are reported and the last sweep
     ended on the spectral test or a breakdown; a sweep cut by ``max_krylov``
     or ``max_sweeps`` leaves the k nearest unconfirmed.  meta["sweeps"]
@@ -380,7 +396,7 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     sigma = complex(sigma)
     a0n = _a0_norm(A0)
 
-    m0 = max(3 * k + 20, 60) if krylov_dim is None else krylov_dim
+    m0 = max(k, CHECKPOINT) + CHECKPOINT if krylov_dim is None else krylov_dim
     if max_krylov is None:
         max_krylov = max(2 * m0, 150)
     cap = min(n, max_krylov)
@@ -395,17 +411,18 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     for sweep in range(max_sweeps):
         rng = np.random.default_rng(seed + 1000 * sweep)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        need = max(k - len(locked_vals), 1)
         # later sweeps only chase the remaining copies near sigma
-        m = m0 if sweep == 0 else min(m0, max(2 * (k - len(locked_vals)) + 10, 30))
+        m = m0 if sweep == 0 else min(m0, max(2 * (k - len(locked_vals)) + 10, 15))
         # distance of the k-th nearest locked value; a Ritz value farther out
         # cannot change the answer
         dist = np.sort(np.abs(np.array(locked_vals) - sigma))
         r_k = (1.0 - TIE_MARGIN) * dist[k - 1] if len(dist) >= k else np.inf
         krylov = _Arnoldi(solver.apply, v0, schur.Q, cap)
         stop = None
-        new_pairs = []
         n_infinite = 0
         while stop is None:
+            new_pairs = []      # the pairs certified at this checkpoint
             # resume the factorization: applied vectors are never applied again
             krylov.extend(m)
             steps, beta = krylov.steps, krylov.beta
@@ -425,6 +442,14 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
                 if settle[j] <= 1e-2 * np.abs(theta[j]) and 1.0 / np.abs(theta[j]) > r_k:
                     stop = "spectral"
                     break
+            # certify only once the space can hold the pairs still needed, or
+            # cannot grow: a Ritz value whose Arnoldi residual is this far
+            # above tol cannot pass the certificate yet
+            at_end = krylov.breakdown or m >= cap
+            near = order[1.0 / np.abs(theta[order]) <= r_k]
+            if not at_end and np.sum(settle[near] <= 100 * tol * np.abs(theta[near])) < need:
+                m = min(m + CHECKPOINT, cap)
+                continue
             # a patience counter stops wasted certification far from sigma
             budget = max(k - len(locked_vals), 0) + 10
             failures = 0
@@ -443,14 +468,14 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
                     failures = 0
                 else:
                     failures += 1
-            if new_pairs:
+            if len(new_pairs) >= need or (at_end and new_pairs):
                 stop = "certified"
             elif krylov.breakdown:
                 stop = "breakdown"
-            elif m >= cap:
+            elif at_end:
                 stop = "budget"
             else:
-                m = min(2 * m, cap)
+                m = min(m + CHECKPOINT, cap)
         for th, x, res in new_pairs:
             schur.lock(th, x)
             locked_vecs.append(x)
@@ -555,17 +580,25 @@ def cluster(values, reltol=1e-6) -> EigenResult:
     )
 
 
+# Moduli at most this fraction of the largest count as zero in a sector census.
+CENSUS_ZERO = 1e-10
+
+
 def sector_census(values, delta, radius) -> SectorCensus:
     """Count eigenvalues with |lambda| <= radius split by |arg lambda| < delta.
 
-    arg(0) counts as inside the sector.
+    arg(0) counts as inside the sector, and so does the argument of a value
+    within ``CENSUS_ZERO`` of zero relative to the largest |lambda|: a
+    computed zero eigenvalue (roundoff in both parts) has no meaningful
+    argument.
     """
     if not (0.0 < delta < np.pi):
         raise ValueError(f"delta must be in (0, pi), got {delta}")
     vals = np.asarray(values, dtype=np.complex128)
-    in_disk = np.abs(vals) <= radius
+    mods = np.abs(vals)
+    in_disk = mods <= radius
     args = np.abs(np.angle(vals[in_disk]))
-    args[np.abs(vals[in_disk]) == 0.0] = 0.0
+    args[mods[in_disk] <= CENSUS_ZERO * mods.max(initial=0.0)] = 0.0
     inside = int(np.sum(args < delta))
     outside = int(np.sum(args >= delta))
     return SectorCensus(inside, outside, int(in_disk.sum()), float(delta), float(radius))

@@ -88,7 +88,8 @@ def continuity_bound(mesh, mu_inv, eps, omega) -> float:
     for fld in (mu_inv, eps):
         if not fld.lives_on(mesh):
             raise ConfigError(f"field {fld.name!r} was built on a different mesh")
-    mu_sup, eps_sup = (np.linalg.norm(f.tensors, 2, axis=(1, 2)).max() for f in (mu_inv, eps))
+    mu_sup, eps_sup = (np.linalg.norm(f.distinct_tensors(), 2, axis=(1, 2)).max()
+                       for f in (mu_inv, eps))
     return float(max(mu_sup, omega**2 * eps_sup))
 
 

@@ -55,6 +55,10 @@ class MaterialField:
     mesh: Mesh = field(repr=False)
     # set by build_field, which validates the field once; None otherwise
     report: MaterialReport | None = field(default=None, repr=False)
+    # per element, a label shared only by elements with equal tensors: set by
+    # build_field from region tag and perturbation membership; None counts
+    # every element as distinct
+    labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.name not in FIELD_NAMES:
@@ -70,6 +74,15 @@ class MaterialField:
         """True when the field's mesh is ``mesh`` or has the same vertices and tets."""
         return self.mesh is mesh or (np.array_equal(self.mesh.tets, mesh.tets)
                                      and np.array_equal(self.mesh.vertices, mesh.vertices))
+
+    def _element_labels(self) -> np.ndarray:
+        """``labels``, or one label per element when they are unknown."""
+        return np.arange(len(self.tensors)) if self.labels is None else self.labels
+
+    def distinct_tensors(self) -> np.ndarray:
+        """One copy of each distinct tensor: enough for any max or min of a
+        per-element quantity."""
+        return self.tensors[np.unique(self._element_labels(), return_index=True)[1]]
 
     def scalar_values(self):
         """Isotropic scalar per element (trace/3); exact for multiples of I."""
@@ -130,6 +143,7 @@ def build_field(mesh: Mesh, name: str, base: dict, perturbations=(), omega=None)
     tensors = np.empty((mesh.n_tets, 3, 3), dtype=np.complex128)
     for tag in tags:
         tensors[mesh.region == tag] = table[int(tag)]
+    labels = np.searchsorted(tags, mesh.region)
 
     centroids = mesh.centroids
     for pert in perturbations:
@@ -138,8 +152,9 @@ def build_field(mesh: Mesh, name: str, base: dict, perturbations=(), omega=None)
         inside = np.linalg.norm(centroids - np.asarray(pert.center), axis=1) < pert.radius
         if pert.delta != 0 and np.any(inside):
             tensors[inside] += pert.delta * np.eye(3)
+            labels = np.unique(2 * labels + inside, return_inverse=True)[1]
 
-    fld = MaterialField(name, tensors, mesh)
+    fld = MaterialField(name, tensors, mesh, labels=labels)
     fld.report = validate(fld, omega)
     if not fld.report.passed:
         raise AssumptionViolation(f"field {name!r} invalid: " + "; ".join(fld.report.failures))
@@ -152,7 +167,7 @@ def validate(fld: MaterialField, omega: float | None = None) -> MaterialReport:
     For eps, ``omega`` is only used to report the conductivity
     sigma = omega * Im(eps); the pass/fail flags do not depend on it.
     """
-    t = fld.tensors
+    t = fld.distinct_tensors()
     tT = t.transpose(0, 2, 1)
     scale = max(1.0, float(np.abs(t).max()) if t.size else 1.0)
     symmetry = float(np.abs(t - tT).max()) / scale if t.size else 0.0
@@ -210,7 +225,11 @@ def lp_diff_norm(f: MaterialField, g: MaterialField, p) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if not f.lives_on(g.mesh):
         raise ConfigError("fields live on different meshes")
-    svals = np.linalg.norm(f.tensors - g.tensors, 2, axis=(1, 2))
+    # the spectral norm once per distinct (f, g) tensor pair, then per element
+    f_labels, g_labels = f._element_labels(), g._element_labels()
+    pairs = f_labels * (g_labels.max(initial=0) + 1) + g_labels
+    _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    svals = np.linalg.norm(f.tensors[first] - g.tensors[first], 2, axis=(1, 2))[inverse]
     if p == np.inf:
         return float(svals.max()) if svals.size else 0.0
     vols = f.mesh.volumes

@@ -166,6 +166,13 @@ class StudySetup:
     diag_threshold: float = 1e-6
     step_diagnostics: bool = True
     seed: int = 0
+    krylov_dim: int | None = None
+    max_krylov: int | None = None
+
+    def solver_options(self) -> dict:
+        """Keyword arguments of every solve_shift_invert call of the study."""
+        return {"tol": self.tol, "seed": self.seed,
+                "krylov_dim": self.krylov_dim, "max_krylov": self.max_krylov}
 
 
 @dataclass
@@ -329,7 +336,7 @@ def run_study(setup: StudySetup) -> StudyReport:
         )
 
     base = solve_shift_invert(pencil0.a0(), pencil0.B, setup.sigma, max(setup.k, MIN_STUDY_K),
-                              tol=setup.tol, seed=setup.seed)
+                              **setup.solver_options())
     if len(base) == 0:
         raise AssumptionViolation("baseline solve produced no certified eigenvalues")
     clustered = cluster(base, setup.cluster_reltol)
@@ -425,14 +432,13 @@ def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
 
     k_step = max(n_members + 4, MIN_STUDY_K)
     try:
-        res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step,
-                                 tol=setup.tol, seed=setup.seed)
+        res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step, **setup.solver_options())
     except ShiftAtEigenvalue:
         # lam0 is an eigenvalue of the step pencil too (at omega = 0 an eps
         # perturbation does not enter it), so the shift moves off it once
         offset = SHIFT_OFFSET * (guard if np.isfinite(guard) else abs(lam0))
         res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0 + offset, k_step,
-                                 tol=setup.tol, seed=setup.seed)
+                                 **setup.solver_options())
     rec.confirmed = res.meta["confirmed"]
     rec.partial = res.meta["partial"]
     cand = res.eigenvalues[np.abs(res.eigenvalues - lam0) < guard]

@@ -304,6 +304,35 @@ def test_study_command(tmp_path):
     assert len(csv_lines) == 3
 
 
+def test_study_passes_krylov_sizes_to_every_solve(tmp_path, monkeypatch):
+    # a Krylov cap of 12 leaves the baseline's k = 8 nearest unconfirmed
+    from steklovlab import stability
+
+    sizes = []
+    solve = stability.solve_shift_invert
+
+    def recording_solve(*args, **kwargs):
+        sizes.append((kwargs.get("krylov_dim"), kwargs.get("max_krylov")))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "solve_shift_invert", recording_solve)
+    doc = {
+        "problem": "maxwell",
+        "mesh": {"kind": "cube", "n": 2},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "k": 8, "tol": 1e-11, "krylov_dim": 4, "max_krylov": 12},
+        "study": {"target": "eps", "center": [0.5, 0.5, 0.5],
+                  "schedule": [{"h": 0.45, "delta_im": 1e-3}], "p_list": [4]},
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "study"
+    assert run(["study", "--config", cfg, "--output", str(out)]) == 0
+    report = json.loads((out / "study_report.json").read_text())
+    assert report["meta"]["baseline"]["confirmed"] is False
+    assert len(sizes) >= 2 and set(sizes) == {(4, 12)}
+
+
 def test_study_requires_section(tmp_path):
     cfg = write_config(tmp_path, scalar_ball_config())
     assert run(["study", "--config", cfg, "--output", str(tmp_path)]) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from steklovlab import eigensolver
@@ -31,6 +32,36 @@ def random_pencil(n, rank, seed):
     d[:rank] = rng.uniform(0.5, 2.0, rank)
     B = (Q * d) @ Q.T
     return A0, 0.5 * (B + B.T)
+
+
+def pencil_with_spectrum(lam, n_infinite, seed):
+    """Non-normal complex symmetric A0 and real PSD singular B whose finite
+    eigenvalues are exactly ``lam``, repeats included, next to ``n_infinite``
+    infinite ones.
+
+    With B = diag(I, 0), the finite eigenvalues of [[A11, C], [C^T, D]] are
+    those of the Schur complement A11 - C D^-1 C^T, here Q diag(lam) Q^T with
+    complex orthogonal (Q^T Q = I) but far from unitary eigenvectors Q; a
+    random real rotation then mixes the two blocks.
+    """
+    rng = np.random.default_rng(seed)
+    r, n = len(lam), len(lam) + n_infinite
+    S = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    Q = scipy.linalg.expm(0.1 * (S - S.T))
+    C = rng.standard_normal((r, n_infinite)) + 1j * rng.standard_normal((r, n_infinite))
+    D = rng.standard_normal((n_infinite, n_infinite)) + 1j * rng.standard_normal((n_infinite, n_infinite))
+    D = D + D.T + 2.0 * n_infinite * np.eye(n_infinite)
+    A0 = np.block([[(Q * np.asarray(lam)) @ Q.T + C @ np.linalg.solve(D, C.T), C], [C.T, D]])
+    B = np.diag(np.r_[np.ones(r), np.zeros(n_infinite)])
+    P = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A0, B = P @ A0 @ P.T, P @ B @ P.T
+    return 0.5 * (A0 + A0.T), 0.5 * (B + B.T)
+
+
+# a triple eigenvalue 2 + 0.05i at the 3rd to 5th distance from SIGMA_TRIPLE
+TRIPLE_SPECTRUM = np.r_[[1.0 + 0.1j, 1.3 - 0.2j], 3 * [2.0 + 0.05j],
+                        np.linspace(3.0, 12.0, 25) - 0.1j]
+SIGMA_TRIPLE = 0.8
 
 
 # ------------------------------------------------------------------ dense oracle
@@ -197,13 +228,14 @@ def test_sweeps_count_discarded_infinite_modes():
     # B has rank 40, so the pencil has 40 finite eigenvalues and T has a
     # zero eigenvalue of multiplicity 20 (the infinite modes).  The first
     # sweep's space becomes invariant: its Ritz values are the 40 finite
-    # theta plus the zero ones reached from the start vector
+    # theta plus the zero ones reached from the start vector.  A first
+    # checkpoint at n = 60 applies lets the space get there
     A0, B = random_pencil(60, 40, 0)
-    res = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, seed=5)
+    res = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, krylov_dim=60, seed=5)
     first = res.meta["sweeps"][0]
     assert first["applies"] > 40
     assert first["applies"] - first["discarded_infinite"] == 40
-    again = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, seed=5)
+    again = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, krylov_dim=60, seed=5)
     assert again.meta["sweeps"] == res.meta["sweeps"]
 
 
@@ -216,10 +248,14 @@ def test_locked_pairs_form_a_partial_schur_form(monkeypatch):
         forms.append(self)
 
     monkeypatch.setattr(eigensolver._PartialSchur, "__init__", recording_init)
-    A0, B = random_pencil(60, 40, 0)
+    # six exact copies of sigma + 0.1 beside a non-normal pencil: after the
+    # first sweep, each short sweep sees about one further copy, so at least
+    # three sweeps lock pairs
+    A0r, Br = random_pencil(60, 40, 0)
     sigma = 0.7 + 0.3j
-    res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), sigma, 6, tol=1e-10,
-                             krylov_dim=4, seed=5)
+    A0 = scipy.linalg.block_diag(A0r, (sigma + 0.1) * np.eye(6))
+    B = scipy.linalg.block_diag(Br, np.eye(6))
+    res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), sigma, 6, tol=1e-10, seed=5)
     assert len(res) == 6
     assert sum(s["locked"] > 0 for s in res.meta["sweeps"]) >= 3
     (schur,) = forms
@@ -247,7 +283,35 @@ def test_double_at_kth_distance_stops_at_first_checkpoint():
     assert np.allclose(np.sort(res.eigenvalues.real), [1.0, 2.0, 3.0])
     first, confirm = res.meta["sweeps"]
     assert first["stop"] == "certified" and first["locked"] == 3
-    assert confirm == {"applies": 20, "locked": 0, "stop": "spectral", "discarded_infinite": 0}
+    # a later sweep's first checkpoint: min(krylov_dim, max(2 (k - locked) + 10, 15))
+    assert confirm == {"applies": 15, "locked": 0, "stop": "spectral", "discarded_infinite": 0}
+
+
+def test_first_sweep_ends_once_it_certifies_k_pairs():
+    # the first sweep grows by checkpoints (at 20, 30, ... applies for k = 6)
+    # only until k pairs certify; a sweep of 60 applies certifies far more
+    A0, B = _scalar_ball_pencil()
+    k = 6
+    res = solve_shift_invert(A0, B, 1.5, k, tol=1e-10, seed=5)
+    first = res.meta["sweeps"][0]
+    assert first["stop"] == "certified" and first["locked"] >= k
+    assert first["applies"] <= 30
+    assert res.meta["confirmed"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_triple_eigenvalue_at_kth_distance(seed):
+    # the k-th nearest value is the last copy of a triple on a non-normal
+    # pencil: a sweep that calls the answer settled before deflation has
+    # exposed every copy would report a farther value instead
+    A0, B = pencil_with_spectrum(TRIPLE_SPECTRUM, 20, seed)
+    want = _nearest(solve_dense_oracle(A0, B), SIGMA_TRIPLE, 5)
+    assert np.sum(np.abs(want - TRIPLE_SPECTRUM[2]) <= 1e-8) == 3
+    res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), SIGMA_TRIPLE, 5,
+                             tol=1e-10, seed=seed)
+    _assert_k_nearest(res, want)
+    assert res.meta["confirmed"]
+    assert res.residuals.max() <= 1e-10
 
 
 def test_extended_factorization_equals_single_run():
@@ -399,6 +463,14 @@ def test_census_negative_real():
 def test_census_zero_counts_inside():
     c = sector_census([0.0], delta=0.1, radius=1.0)
     assert c.inside == 1
+
+
+def test_census_roundoff_zero_counts_inside():
+    # a computed zero eigenvalue of a real spectrum, off zero by roundoff only
+    c = sector_census([-1.6e-15 - 6e-17j, 1.0, 3.8], delta=0.1, radius=10.0)
+    assert (c.inside, c.outside) == (3, 0)
+    c = sector_census([-1e-3, 1.0], delta=0.1, radius=10.0)
+    assert (c.inside, c.outside) == (1, 1)
 
 
 def test_census_delta_range():

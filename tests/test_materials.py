@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from steklovlab.errors import AssumptionViolation, ConfigError
+from steklovlab.fem_scalar import continuity_bound
 from steklovlab.materials import (
     MaterialField,
     PerturbationSpec,
@@ -10,7 +11,7 @@ from steklovlab.materials import (
     tensor_from_entry,
     validate,
 )
-from steklovlab.mesh import generate_cube_mesh
+from steklovlab.mesh import Mesh, generate_cube_mesh
 
 I3 = np.eye(3)
 
@@ -187,3 +188,30 @@ def test_lp_norm_nondecreasing_in_p_on_unit_volume(cube4):
     norms = [lp_diff_norm(fld, base, p) for p in ps]
     for a, b in zip(norms, norms[1:]):
         assert a <= b * (1 + 1e-12)
+
+
+def test_per_tensor_work_equals_per_element_work(cube4):
+    # two regions and two overlapping balls: build_field labels the distinct
+    # tensors, and every reduction over them must equal the per-element one
+    mesh = Mesh(cube4.vertices, cube4.tets, region=1 + (cube4.centroids[:, 0] > 0.5))
+    balls = [PerturbationSpec((0.5, 0.5, 0.5), 0.3, 2e-3j), PerturbationSpec((0.3, 0.5, 0.5), 0.3, 1e-3)]
+    eps_base = {1: {"re": 4.0, "im": 1.0}, 2: {"re": [[3, 0.5, 0], [0.5, 3, 0], [0, 0, 2]], "im": 0.5}}
+    eps = build_field(mesh, "eps", eps_base, balls, omega=1.0)
+    eps0 = build_field(mesh, "eps", eps_base)
+    mu = build_field(mesh, "mu_inv", {1: 1.0, 2: 2.5}, balls)
+    for fld in (eps, eps0, mu):
+        distinct = np.unique(fld.tensors.reshape(-1, 9), axis=0)
+        assert len(np.unique(fld.labels)) == len(distinct) >= 2
+        for label in np.unique(fld.labels):
+            members = fld.tensors[fld.labels == label]
+            assert np.array_equal(members, np.broadcast_to(members[0], members.shape))
+
+    def plain(fld):         # no labels: every element counts as distinct
+        return MaterialField(fld.name, fld.tensors, fld.mesh)
+
+    assert validate(eps, 1.0) == validate(plain(eps), 1.0) == eps.report
+    assert validate(mu) == validate(plain(mu))
+    for p in (1.0, 2.5, np.inf):
+        assert lp_diff_norm(eps, eps0, p) == lp_diff_norm(plain(eps), plain(eps0), p) > 0
+        assert lp_diff_norm(eps0, mu, p) == lp_diff_norm(plain(eps0), plain(mu), p)
+    assert continuity_bound(mesh, mu, eps, 1.3) == continuity_bound(mesh, plain(mu), plain(eps), 1.3)
