@@ -360,13 +360,14 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     Each sweep extends one Arnoldi factorization through checkpoints
     ``CHECKPOINT`` applies apart.  The first sweep's first checkpoint is
     ``krylov_dim`` (default max(k, 10) + 10); a later sweep's is
-    min(krylov_dim, max(2 (k - locked) + 10, 15)).  With ``need`` =
-    max(k - locked, 1), a checkpoint certifies only when at least ``need``
-    Ritz values inside the k-nearest disk have an Arnoldi residual
-    beta |y_m| <= 100 tol |theta|, when the space broke down, or at the
-    ``max_krylov`` cap (default max(2 krylov_dim, 150)).  The sweep ends
-    ``certified`` once ``need`` pairs certify, or at a breakdown or the cap
-    with any certified pair, and the next sweep starts; otherwise it grows.
+    min(krylov_dim, max(2 (k - locked) + 10, 15)).  A checkpoint's
+    candidates are the Ritz values inside the k-nearest disk with Arnoldi
+    residual beta |y_m| <= 100 tol |theta|.  With ``need`` = max(k - locked,
+    1), it certifies exactly these, nearest first, and locks every one that
+    passes, once there are ``need`` of them, the space broke down, or it is
+    at the ``max_krylov`` cap (default max(2 krylov_dim, 150)).  The sweep
+    ends ``certified`` once ``need`` pairs pass, or at a breakdown or the cap
+    with any passed pair, and the next sweep starts; otherwise it grows.
     Once k pairs are locked, a sweep whose dominant Ritz value has settled
     outside the disk of the k nearest locked values ends the solve
     (``spectral``: the answer is final).  The solve also ends when a sweep's
@@ -434,7 +435,7 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
             finite = np.nonzero(np.abs(theta) > DEFAULT_THETA_CUT * tmax)[0]
             n_infinite = steps - len(finite)
             # dominant Ritz values first; the Arnoldi coupling beta |y_m|
-            # tells settled ones, and prefilters certification candidates
+            # tells settled ones
             order = finite[np.argsort(-np.abs(theta[finite]), kind="stable")]
             settle = beta * np.abs(Y[steps - 1])
             if len(order):
@@ -442,22 +443,16 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
                 if settle[j] <= 1e-2 * np.abs(theta[j]) and 1.0 / np.abs(theta[j]) > r_k:
                     stop = "spectral"
                     break
-            # certify only once the space can hold the pairs still needed, or
-            # cannot grow: a Ritz value whose Arnoldi residual is this far
-            # above tol cannot pass the certificate yet
+            # candidates: Ritz values inside the k-nearest disk, nearest first,
+            # whose Arnoldi residual is near enough tol to pass the certificate;
+            # certify once they cover the pairs still needed or the space cannot grow
             at_end = krylov.breakdown or m >= cap
             near = order[1.0 / np.abs(theta[order]) <= r_k]
-            if not at_end and np.sum(settle[near] <= 100 * tol * np.abs(theta[near])) < need:
+            ready = near[settle[near] <= 100 * tol * np.abs(theta[near])]
+            if not at_end and len(ready) < need:
                 m = min(m + CHECKPOINT, cap)
                 continue
-            # a patience counter stops wasted certification far from sigma
-            budget = max(k - len(locked_vals), 0) + 10
-            failures = 0
-            for j in order:
-                if len(new_pairs) >= budget or failures >= 10 or 1.0 / np.abs(theta[j]) > r_k:
-                    break
-                if settle[j] > 0.1 * np.abs(theta[j]):
-                    continue
+            for j in ready:
                 x = schur.recover(theta[j], krylov.V[:, :steps] @ Y[:, j],
                                   krylov.G[:, :steps] @ Y[:, j])
                 x = x / np.linalg.norm(x)
@@ -465,9 +460,6 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
                 res = pencil_residual(A0, B, lam, x, a0n)
                 if res <= tol:
                     new_pairs.append((theta[j], x, res))
-                    failures = 0
-                else:
-                    failures += 1
             if len(new_pairs) >= need or (at_end and new_pairs):
                 stop = "certified"
             elif krylov.breakdown:

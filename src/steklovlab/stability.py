@@ -252,7 +252,7 @@ class StudyReport:
         }
 
     def csv_rows(self):
-        """Summary rows: h, norms, drifts, predictions."""
+        """Summary rows: h, norms (None if no fields were built), drifts, predictions."""
         header = ["index", "h", "delta_re", "delta_im", "status"]
         for p in self.p_list:
             header.append(f"norm_mu_inv_p{p:g}")
@@ -264,7 +264,7 @@ class StudyReport:
             row = [s.index, s.h, s.delta.real, s.delta.imag, s.status]
             for fld in ("mu_inv", "eps"):
                 for p in self.p_list:
-                    row.append(s.norms.get(fld, {}).get(p, 0.0))
+                    row.append(s.norms.get(fld, {}).get(p))
             row += [
                 s.drift, s.mean_drift,
                 None if s.predicted is None else s.predicted.real,

@@ -299,6 +299,26 @@ def test_first_sweep_ends_once_it_certifies_k_pairs():
     assert res.meta["confirmed"]
 
 
+def test_certifies_only_gate_candidates(monkeypatch):
+    # a checkpoint certifies exactly the Ritz values its gate counted, whose
+    # Arnoldi residual is already near tol, so no certificate is wasted on a
+    # candidate that cannot pass
+    passed = []
+    residual = eigensolver.pencil_residual
+
+    def counting_residual(A0, B, lam, x, a0_norm=None):
+        res = residual(A0, B, lam, x, a0_norm)
+        passed.append(res <= 1e-10)
+        return res
+
+    monkeypatch.setattr(eigensolver, "pencil_residual", counting_residual)
+    A0, B = random_pencil(60, 40, 0)
+    sigma, k = 0.7 + 0.3j, 6
+    res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), sigma, k, tol=1e-10, seed=5)
+    assert passed and all(passed)
+    _assert_k_nearest(res, _nearest(solve_dense_oracle(A0, B), sigma, k))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_triple_eigenvalue_at_kth_distance(seed):
     # the k-th nearest value is the last copy of a triple on a non-normal

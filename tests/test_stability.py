@@ -246,6 +246,10 @@ def test_invalid_field_step_aborts(cube3):
     report = run_study(maxwell_setup(cube3, schedule=[(0.45, -10.0 + 0j)]))
     (step,) = report.steps
     assert step.status.startswith("aborted-invalid-field")
+    # no fields were built, so the summary row has empty norm cells, not zeros
+    header, row = report.csv_rows()
+    norm_cells = [c for name, c in zip(header, row) if name.startswith("norm_")]
+    assert norm_cells and all(c is None for c in norm_cells)
 
 
 def test_step_records_solver_flags_without_changing_status(cube3, monkeypatch):
