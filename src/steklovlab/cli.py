@@ -433,15 +433,8 @@ def cmd_solve(args) -> int:
     ])
 
     meta["census"] = asdict(census)
-    meta["solver"].update({
-        "converged": int(result.meta["converged"]),
-        "iterations": int(result.meta["iterations"]),
-        "partial": bool(result.meta["partial"]),
-        "confirmed": bool(result.meta["confirmed"]),
-        "exhausted": bool(result.meta["exhausted"]),
-        "sweeps": result.meta["sweeps"],
-        "schur_defect": result.meta["schur_defect"],
-    })
+    meta["solver"].update({key: result.meta[key] for key in (
+        "converged", "iterations", "partial", "confirmed", "exhausted", "sweeps", "schur_defect")})
     meta["cluster_means"] = [_cx(m) for m in clustered.cluster_means]
     _write_json(out / "solve_meta.json", meta)
     print(f"wrote {csv_path} ({len(clustered)} eigenvalues)")
@@ -512,9 +505,15 @@ def cmd_diagnose(args) -> int:
 # entry point
 # --------------------------------------------------------------------- #
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is a config error, not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parser():
-    ap = argparse.ArgumentParser(prog="steklovlab",
-                                 description="Steklov eigenvalue laboratory")
+    ap = _ArgumentParser(prog="steklovlab", description="Steklov eigenvalue laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
     mesh_p = sub.add_parser("mesh", help="generate and write a mesh JSON")
@@ -595,8 +594,8 @@ def _blas_pools():
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         threads, source = _thread_limit(args)
         pools = _blas_pools()
         if not pools and source is not None:

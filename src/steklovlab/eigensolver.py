@@ -27,7 +27,7 @@ SIAM 2011, ch. 4; Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17(4),
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -341,9 +341,12 @@ TIE_MARGIN = 1e-8
 # checkpoints at 20, 30, ... than at k + 10, k + 20, ...).
 CHECKPOINT = 10
 
+# Krylov sweeps a solve runs at most.
+MAX_SWEEPS = 12
+
 
 def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
-                       max_krylov=None, max_sweeps=12, seed=0) -> EigenResult:
+                       max_krylov=None, seed=0) -> EigenResult:
     """Shift-invert Arnoldi for the k eigenvalues nearest ``sigma``.
 
     ``B`` may be a sparse matrix or a matrix-free boundary Gram form.  Ritz
@@ -372,11 +375,11 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     outside the disk of the k nearest locked values ends the solve
     (``spectral``: the answer is final).  The solve also ends when a sweep's
     space breaks down without a new pair (meta["exhausted"] if fewer than k
-    were found), reaches ``max_krylov`` without one, or ``max_sweeps`` runs
-    out (meta["partial"] whenever fewer than k pairs are reported).
+    were found), reaches ``max_krylov`` without one, or runs ``MAX_SWEEPS``
+    sweeps (meta["partial"] whenever fewer than k pairs are reported).
     meta["confirmed"] holds when k pairs are reported and the last sweep
     ended on the spectral test or a breakdown; a sweep cut by ``max_krylov``
-    or ``max_sweeps`` leaves the k nearest unconfirmed.  meta["sweeps"]
+    or ``MAX_SWEEPS`` leaves the k nearest unconfirmed.  meta["sweeps"]
     records per sweep the operator applies, the pairs locked, the stop
     reason and the Ritz values discarded as infinite modes at its last
     checkpoint; meta["schur_defect"] is max |Q^H Q - I|.  Dense
@@ -409,7 +412,7 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     locked_res: list[float] = []
     sweeps: list[dict] = []
 
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         rng = np.random.default_rng(seed + 1000 * sweep)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         need = max(k - len(locked_vals), 1)
@@ -511,64 +514,39 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
 # --------------------------------------------------------------------- #
 
 def cluster(values, reltol=1e-6) -> EigenResult:
-    """Single-linkage clustering of eigenvalues with relative gap ``reltol``.
+    """Single-linkage clustering of eigenvalues with relative gap ``reltol``:
+    the connected components of the graph that joins two values at most
+    reltol * max|lambda| apart, labelled 0, 1, ... in the order of their
+    first members.
 
     Accepts an EigenResult (labels are attached to a copy) or a plain value
     list.  The cluster mean is the multiplicity-weighted mean of its members
     (each reported value counts with its numerical multiplicity one).
     """
-    if isinstance(values, EigenResult):
-        base = values
-        vals = np.asarray(base.eigenvalues)
-    else:
-        base = None
+    if not isinstance(values, EigenResult):
         vals = np.asarray(values, dtype=np.complex128)
+        values = EigenResult(vals, None, np.full(len(vals), np.nan))
+    vals = np.asarray(values.eigenvalues)
     n = len(vals)
-    if n == 0:
-        empty = np.array([], dtype=np.int64)
-        return EigenResult(vals, base.eigenvectors if base else None,
-                           base.residuals if base else np.array([]),
-                           cluster_labels=empty, cluster_sizes=empty,
-                           cluster_means=np.array([], dtype=np.complex128),
-                           meta=dict(base.meta) if base else {})
-
-    scale = float(np.abs(vals).max())
-    thr = reltol * (scale if scale > 0 else 1.0)
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= thr:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    roots = np.array([find(i) for i in range(n)])
-    labels = np.zeros(n, dtype=np.int64)
-    means = []
-    sizes = np.zeros(n, dtype=np.int64)
-    next_label = 0
-    for i in range(n):
-        if roots[i] == i:
-            members = roots == i
-            labels[members] = next_label
-            means.append(vals[members].mean())
-            sizes[members] = int(members.sum())
-            next_label += 1
-    return EigenResult(
-        vals,
-        base.eigenvectors if base else None,
-        base.residuals if base else np.full(n, np.nan),
+    scale = float(np.abs(vals).max(initial=0.0))
+    near = np.abs(vals[:, None] - vals[None, :]) <= reltol * (scale if scale > 0 else 1.0)
+    # each value takes the lowest index among its neighbours until no label
+    # changes, so every component ends labelled by its first member
+    first = np.arange(n)
+    while True:
+        lowest = np.minimum.reduce(np.broadcast_to(first, (n, n)), axis=1, where=near, initial=n)
+        if np.array_equal(lowest, first):
+            break
+        first = lowest
+    labels = np.unique(first, return_inverse=True)[1]
+    counts = np.bincount(labels)
+    return replace(
+        values,
         cluster_labels=labels,
-        cluster_sizes=sizes,
-        cluster_means=np.array(means),
-        meta=dict(base.meta, cluster_reltol=reltol) if base else {"cluster_reltol": reltol},
+        cluster_sizes=counts[labels],
+        cluster_means=np.array([vals[labels == c].mean() for c in range(len(counts))],
+                               dtype=vals.dtype),
+        meta={**values.meta, "cluster_reltol": reltol},
     )
 
 

@@ -93,23 +93,25 @@ def nondegeneracy(B, vectors) -> complex:
     ``vectors`` are the cluster eigenvectors as columns, normalized in the
     discrete energy inner product (see :func:`normalize_vectors`).
     """
+    return _nondegeneracy(B, vectors)[0]
+
+
+def _nondegeneracy(B, vectors):
+    """c of :func:`nondegeneracy` and why the cluster is degenerate, or ""
+    when it is not: |c| at most ``C_THRESHOLD`` times the sesquilinear
+    cluster average of B.  B is applied once per vector."""
     vecs = np.asarray(vectors, dtype=np.complex128)
     if vecs.ndim == 1:
         vecs = vecs[:, None]
     if vecs.shape[1] == 0:
         raise ValueError("nondegeneracy needs at least one vector")
-    vals = [vecs[:, j] @ (B @ vecs[:, j]) for j in range(vecs.shape[1])]
-    return complex(np.mean(vals))
-
-
-def _degeneracy(B, vecs, c):
-    """Why the cluster of ``vecs`` is degenerate, or "" when it is not: |c| at
-    most ``C_THRESHOLD`` times the sesquilinear cluster average of B."""
-    mags = [np.real(np.conj(vecs[:, j]) @ (B @ vecs[:, j])) for j in range(vecs.shape[1])]
+    bvecs = [B @ vecs[:, j] for j in range(vecs.shape[1])]
+    c = complex(np.mean([vecs[:, j] @ bv for j, bv in enumerate(bvecs)]))
+    mags = [np.real(np.conj(vecs[:, j]) @ bv) for j, bv in enumerate(bvecs)]
     scale = max(float(np.mean(mags)), 1e-300)
     if abs(c) <= C_THRESHOLD * scale:
-        return f"|c| = {abs(c):.3e} below threshold {C_THRESHOLD:.1e} x {scale:.3e}"
-    return ""
+        return c, f"|c| = {abs(c):.3e} below threshold {C_THRESHOLD:.1e} x {scale:.3e}"
+    return c, ""
 
 
 def _first_order_drift(pencil0, pencil_h, vecs, c) -> complex:
@@ -134,8 +136,7 @@ def first_order_prediction(pencil0, pencil_h, vectors):
         vecs = vecs[:, None]
     if vecs.shape[1] == 0:
         raise ValueError("prediction needs at least one vector")
-    c = nondegeneracy(pencil0.B, vecs)
-    note = _degeneracy(pencil0.B, vecs, c)
+    c, note = _nondegeneracy(pencil0.B, vecs)
     if note:
         raise DegenerateCluster(note)
     return _first_order_drift(pencil0, pencil_h, vecs, c), c
@@ -349,8 +350,7 @@ def run_study(setup: StudySetup) -> StudyReport:
     guard = 0.5 * float(np.abs(other_means - lam0).min()) if len(other_means) else np.inf
 
     vectors = normalize_vectors(base.eigenvectors[:, members], prob.gram)
-    c = nondegeneracy(pencil0.B, vectors)
-    degenerate = _degeneracy(pencil0.B, vectors, c)   # baseline-only: decided once
+    c, degenerate = _nondegeneracy(pencil0.B, vectors)   # baseline-only: decided once
 
     records = []
     for idx, (h, delta) in enumerate(setup.schedule):
@@ -400,11 +400,14 @@ def run_study(setup: StudySetup) -> StudyReport:
 def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
               vectors, c, degenerate, idx, h, delta):
     spec = PerturbationSpec(setup.center, h, delta, setup.target)
+    # the field the step does not perturb is the baseline one
+    fields = {"mu_inv": mu0, "eps": eps0}
+    base = setup.mu_base if setup.target == "mu_inv" else setup.eps_base
     try:
-        mu_h = build_field(setup.mesh, "mu_inv", setup.mu_base, [spec])
-        eps_h = build_field(setup.mesh, "eps", setup.eps_base, [spec])
+        fields[setup.target] = build_field(setup.mesh, setup.target, base, [spec])
     except AssumptionViolation as exc:
         return StepRecord(idx, h, delta, f"aborted-invalid-field: {exc}", {})
+    mu_h, eps_h = fields["mu_inv"], fields["eps"]
 
     norms = {
         "mu_inv": {p: lp_diff_norm(mu_h, mu0, p) for p in setup.p_list},

@@ -488,6 +488,8 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
     ("solve", _with(_SMALL, ("solver", "cluster_reltol"), -1), "config-error", 1),
     ("solve", _with(_SMALL, ("materials", "eps", "1"), [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
      "config-error", 1),
+    ("solve --seed 1.5", _SMALL, "config-error", 1),
+    ("solve --threads abc", _SMALL, "config-error", 1),
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
         "krylov-dim-zero", "krylov-dim-negative", "max-krylov-zero", "census-delta-range",
@@ -495,7 +497,8 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
         "schedule-negative-h", "negative-seed", "negative-seed-flag", "cube-n-zero",
         "cube-n-string", "ball-level-negative", "region-tag-name", "fractional-k",
         "fractional-cube-n", "step-diagnostics-string", "census-radius-negative",
-        "cluster-reltol-negative", "scalar-anisotropic-eps"])
+        "cluster-reltol-negative", "scalar-anisotropic-eps", "fractional-seed-flag",
+        "thread-flag-string"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
     if kind == "solver-failure":
         def fail(args):

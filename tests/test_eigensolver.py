@@ -177,8 +177,9 @@ def test_growth_resumes_instead_of_reapplying(monkeypatch):
         return apply(self, v)
 
     monkeypatch.setattr(eigensolver._ShiftedSolver, "apply", recording_apply)
+    monkeypatch.setattr(eigensolver, "MAX_SWEEPS", 4)
     A0, B = _scalar_ball_pencil()
-    res = solve_shift_invert(A0, B, 1.5, 6, tol=1e-10, krylov_dim=4, max_sweeps=4, seed=5)
+    res = solve_shift_invert(A0, B, 1.5, 6, tol=1e-10, krylov_dim=4, seed=5)
     assert len(res) == 6 and res.residuals.max() <= 1e-10
     # more applies than four sweeps of krylov_dim each: some sweep grew
     assert res.meta["iterations"] > 4 * 4
@@ -446,6 +447,7 @@ def test_cluster_empty():
     res = cluster([])
     assert len(res) == 0
     assert len(res.cluster_means) == 0
+    assert res.meta == {"cluster_reltol": 1e-6}
 
 
 def test_cluster_single_linkage_chain():
@@ -453,6 +455,46 @@ def test_cluster_single_linkage_chain():
     res = cluster(vals, reltol=5e-6)
     assert np.all(res.cluster_sizes == 3)
     assert len(res.cluster_means) == 1
+
+
+def test_cluster_scrambled_chain_labelled_by_first_member():
+    # a 5-value chain with neighbours 4e-6 apart and a 5e-6 gap, given out of
+    # order: label 0 must travel four links from index 0 to index 2
+    vals = [1.0 + 16e-6, 0.5, 1.0, 1.0 + 8e-6, 1.0 + 4e-6, 1.0 + 12e-6]
+    res = cluster(vals, reltol=5e-6)
+    assert res.cluster_labels.tolist() == [0, 1, 0, 0, 0, 0]
+    assert res.cluster_sizes.tolist() == [5, 1, 5, 5, 5, 5]
+    assert res.cluster_means[1] == 0.5
+    assert abs(res.cluster_means[0] - (1.0 + 8e-6)) <= 1e-15
+
+
+def _single_linkage_reference(vals, thr):
+    """Labels by a depth-first search over all pairs, numbered by first member."""
+    labels = [-1] * len(vals)
+    count = 0
+    for i in range(len(vals)):
+        if labels[i] < 0:
+            labels[i], stack = count, [i]
+            while stack:
+                a = stack.pop()
+                for b, v in enumerate(vals):
+                    if labels[b] < 0 and abs(vals[a] - v) <= thr:
+                        labels[b] = count
+                        stack.append(b)
+            count += 1
+    return np.array(labels)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cluster_matches_pairwise_reference(seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    vals = centers[rng.integers(0, 6, 30)] + 1e-7 * rng.standard_normal(30)
+    res = cluster(vals, reltol=1e-6)
+    labels = _single_linkage_reference(vals, 1e-6 * np.abs(vals).max())
+    assert res.cluster_labels.tolist() == labels.tolist()
+    assert res.cluster_sizes.tolist() == [int(np.sum(labels == c)) for c in labels]
+    assert res.cluster_means.tolist() == [vals[labels == c].mean() for c in range(labels.max() + 1)]
 
 
 def test_cluster_carries_vectors():
