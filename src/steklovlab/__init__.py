@@ -4,7 +4,7 @@ and material-perturbation stability studies."""
 
 __version__ = "0.1.0"
 
-from .boundary_ops import BoundaryGram, apply_S, assemble_surface_operators
+from .boundary_ops import BoundaryGram, assemble_surface_operators
 from .eigensolver import (
     EigenResult,
     SectorCensus,
@@ -17,23 +17,19 @@ from .eigensolver import (
 from .errors import (
     AssumptionViolation,
     ConfigError,
-    DegenerateCluster,
     InsufficientData,
     MalformedMeshError,
     ShiftAtEigenvalue,
     SolverFailure,
 )
 from .fem_maxwell import (
-    ProjectionResult,
     assemble_maxwell,
     discrete_gradient,
     kernelS_diagnostic,
-    project_Vh,
 )
 from .fem_scalar import (
     Pencil,
     assemble_scalar,
-    dump_matrix_market,
     scalar_dirichlet_diagnostic,
 )
 from .materials import (
@@ -58,9 +54,7 @@ from .stability import (
     FitResult,
     StudyReport,
     StudySetup,
-    first_order_prediction,
     fit_rate,
-    nondegeneracy,
     run_study,
 )
 
@@ -68,7 +62,6 @@ __all__ = [
     "AssumptionViolation",
     "BoundaryGram",
     "ConfigError",
-    "DegenerateCluster",
     "EigenResult",
     "FitResult",
     "InsufficientData",
@@ -78,32 +71,26 @@ __all__ = [
     "Mesh",
     "Pencil",
     "PerturbationSpec",
-    "ProjectionResult",
     "SectorCensus",
     "ShiftAtEigenvalue",
     "SolverFailure",
     "StudyReport",
     "StudySetup",
     "SurfaceMesh",
-    "apply_S",
     "assemble_maxwell",
     "assemble_scalar",
     "assemble_surface_operators",
     "build_field",
     "cluster",
     "discrete_gradient",
-    "dump_matrix_market",
     "extract_boundary",
-    "first_order_prediction",
     "fit_rate",
     "generate_ball_mesh",
     "generate_cube_mesh",
     "kernelS_diagnostic",
     "load_mesh",
     "lp_diff_norm",
-    "nondegeneracy",
     "pencil_residual",
-    "project_Vh",
     "refine_uniform",
     "run_study",
     "save_mesh",

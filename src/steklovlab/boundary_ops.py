@@ -13,14 +13,13 @@ symmetric PSD operator on edge dofs whose kernel contains all discrete
 gradients and all interior-edge fields.
 
 Sign convention: the potential is fixed by L p = D u with the minus sign
-inside D, so the returned field grad_G p realizes the smoothing operator
-including its leading sign.  The Gram form is quadratic and therefore
-sign-independent.
+inside D, so grad_G p realizes the smoothing operator including its leading
+sign.  The Gram form is quadratic and therefore sign-independent.
 
 L is inverted mean-zero by ``GroundedLaplacian``, which grounds one vertex
 per boundary component (the right-hand sides sum to zero on each component
-because the hat functions partition unity) and factors L once; it serves the
-V_h projection (fem_maxwell) and the shifted solve (eigensolver) as well.
+because the hat functions partition unity) and factors L once; the shifted
+solve (eigensolver) reuses its grounding.
 """
 
 from __future__ import annotations
@@ -151,10 +150,6 @@ class BoundaryGram:
             self._sparse = sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         return self._sparse
 
-    def tocoo(self) -> sp.coo_matrix:
-        """``to_sparse`` in COO form, as a scipy sparse matrix gives it."""
-        return self.to_sparse().tocoo()
-
 
 def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram:
     """The boundary Gram form of ``mesh``, with L and D assembled by exact
@@ -191,19 +186,3 @@ def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram
                      (surface.n_vertices, mesh.n_edges))
 
     return BoundaryGram(surface, mesh, L, D, GroundedLaplacian(L, surface.lumped_mass()))
-
-
-def apply_S(B: BoundaryGram, u):
-    """Apply the smoothing operator to an edge-dof vector.
-
-    Returns (field, p): the per-triangle constant tangential field grad_G p,
-    shape (F, 3), and the mean-zero surface potential p.
-    """
-    p = B.laplacian.solve(B.D @ np.asarray(u))
-    fld = np.einsum("fj,fjc->fc", p[B.surface.triangles], B.surface.hat_gradients)
-    return fld, p
-
-
-def surface_l2_product(B: BoundaryGram, fld_a, fld_b):
-    """Bilinear (unconjugated) L2 pairing of per-triangle constant fields."""
-    return complex(np.sum(B.surface.areas * np.einsum("fc,fc->f", fld_a, fld_b)))

@@ -24,9 +24,5 @@ class ShiftAtEigenvalue(SolverFailure):
     """Shift-invert factorization hit a (near-)singular shifted pencil."""
 
 
-class DegenerateCluster(Exception):
-    """Nondegeneracy coefficient of a cluster is below threshold; first-order prediction refused."""
-
-
 class InsufficientData(Exception):
     """Too few usable data points for a rate fit."""

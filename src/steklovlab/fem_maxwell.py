@@ -10,10 +10,8 @@ basis functions are oriented globally low -> high vertex index, which makes
 assembly deterministic and gives the discrete complex identity
 K . G = 0 for the vertex-to-edge gradient matrix G.
 
-Eigenvectors of the pencil are discretely eps-divergence-free; project_Vh
-realizes the corresponding projection by subtracting the gradient of a
-mean-zero scalar potential solved from the eps-weighted Laplacian G^T M G
-(one grounded vertex per component, boundary_ops.GroundedLaplacian).
+The well-posedness diagnostic compresses the pencil to the spanned kernel of
+the smoothing operator (kernel_subspace_basis, kernelS_diagnostic).
 """
 
 from __future__ import annotations
@@ -24,17 +22,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._assembly import P1_TET_MASS, scatter_square
-from .boundary_ops import BoundaryGram, GroundedLaplacian, ground
+from .boundary_ops import BoundaryGram, ground
 from .errors import ConfigError
 from .fem_scalar import Pencil, continuity_bound, inf_sup
 from .materials import MaterialField
 from .mesh import LOCAL_EDGES, Mesh
-
-
-@dataclass
-class ProjectionResult:
-    projected: np.ndarray
-    potential: np.ndarray     # mean-zero vertex potential
 
 
 def discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
@@ -104,25 +96,6 @@ def assemble_maxwell(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField,
     return Pencil(K, M, B, float(omega), beta, mesh)
 
 
-def project_Vh(pencil: Pencil, u, eps: MaterialField | None = None) -> ProjectionResult:
-    """Remove the eps-weighted gradient part: u - grad w with
-
-        G^T M G w = G^T M u,   w of zero lumped-mass mean per component.
-
-    ``u`` is one edge vector or a block of them as columns; the scalar
-    Laplacian is factored once per call.  With ``eps`` None the pencil's own
-    mass matrix is used; passing a field re-assembles the weighted mass.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    mesh = pencil.mesh
-    G = discrete_gradient(mesh)
-    M = pencil.M if eps is None else edge_mass_matrix(mesh, eps.tensors)
-    lumped = np.zeros(mesh.n_vertices)
-    np.add.at(lumped, mesh.tets.ravel(), np.repeat(mesh.volumes / 4.0, 4))
-    w = GroundedLaplacian(G.T @ (M @ G), lumped).solve(G.T @ (M @ u))
-    return ProjectionResult(u - G @ w, w)
-
-
 @dataclass
 class KernelBasis:
     """The kernel subspace in coordinates: Z = blockdiag(I on interior edges,
@@ -135,7 +108,7 @@ class KernelBasis:
     info: dict
 
 
-def kernel_subspace_basis(B: BoundaryGram, gram=None) -> KernelBasis:
+def kernel_subspace_basis(B: BoundaryGram, gram) -> KernelBasis:
     """Basis of the spanned part of the discrete smoothing-operator kernel of
     the boundary form ``B``: all gradients plus all interior-edge unit fields.
 
@@ -144,8 +117,7 @@ def kernel_subspace_basis(B: BoundaryGram, gram=None) -> KernelBasis:
     blockdiag(I, G_s0), with G_s0 the surface gradient grounded at one vertex
     per surface component, has full column rank; its dimension
     n_interior_edges + n_boundary_vertices - components needs no rank
-    tolerance.  ``gram`` is the H(curl) Gram on all edges (built from the
-    mesh when None).
+    tolerance.  ``gram`` is the H(curl) Gram on all edges (hcurl_gram).
 
     ``info`` records the subspace dimension and, for comparison, the
     dimension of the full kernel of the coupling matrix D implied by its
@@ -158,7 +130,6 @@ def kernel_subspace_basis(B: BoundaryGram, gram=None) -> KernelBasis:
     Gs0 = Gs[:, ground(Gs.T @ Gs)[0]]
     E = sp.identity(mesh.n_edges, format="csc")
     Z = sp.hstack([E[:, interior], E[:, bed] @ Gs0], format="csr")
-    H = hcurl_gram(mesh) if gram is None else gram
 
     Db = B.D[:, bed]
     # the singular values of D on boundary edges, squared, from its small Gram;
@@ -170,10 +141,10 @@ def kernel_subspace_basis(B: BoundaryGram, gram=None) -> KernelBasis:
             "n_interior_edges": len(interior), "rank_D": rank_D,
             "kernel_dim_from_rank": mesh.n_edges - rank_D,
             "unspanned_kernel_dim": mesh.n_edges - rank_D - Z.shape[1]}
-    return KernelBasis(Z, (Z.T @ (H @ Z)).tocsr(), info)
+    return KernelBasis(Z, (Z.T @ (gram @ Z)).tocsr(), info)
 
 
-def kernelS_diagnostic(pencil: Pencil, basis: KernelBasis | None = None) -> float:
+def kernelS_diagnostic(pencil: Pencil, basis: KernelBasis) -> float:
     """Inf-sup constant, in the H(curl) norm and normalized by the continuity
     bound ``pencil.beta``, of the pencil matrix compressed to the spanned
     kernel subspace of the smoothing operator: sigma_min of C = Z^T A0 Z in
@@ -183,8 +154,7 @@ def kernelS_diagnostic(pencil: Pencil, basis: KernelBasis | None = None) -> floa
     A value near zero signals that the variational problem restricted to that
     subspace is (numerically) singular at this omega, breaking the
     well-posedness assumption behind the eigenvalue problem.  ``basis`` is
-    built from ``pencil.B`` when None.
+    the kernel_subspace_basis of ``pencil.B``.
     """
-    basis = kernel_subspace_basis(pencil.B) if basis is None else basis
     C = basis.Z.T @ (pencil.a0() @ basis.Z)
     return inf_sup(C, basis.W) / pencil.beta

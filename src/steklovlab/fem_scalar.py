@@ -21,13 +21,12 @@ which is exact for the isotropic tensors used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._assembly import boundary_p1_mass, h1_gram, p1_mass, p1_stiffness
+from ._assembly import boundary_p1_mass, p1_mass, p1_stiffness
 from .boundary_ops import SPLU_OPTIONS
 from .errors import ConfigError, SolverFailure
 from .materials import MaterialField
@@ -53,10 +52,6 @@ class Pencil:
     beta: float                           # continuity bound, see continuity_bound
     mesh: Mesh = field(repr=False)
     _a0: sp.csr_matrix | None = field(default=None, repr=False)
-
-    @property
-    def n_dofs(self):
-        return self.K.shape[0]
 
     def a0(self) -> sp.csr_matrix:
         """Left-hand matrix K - omega^2 M (complex CSR)."""
@@ -93,32 +88,13 @@ def continuity_bound(mesh, mu_inv, eps, omega) -> float:
     return float(max(mu_sup, omega**2 * eps_sup))
 
 
-def dump_matrix_market(pencil, directory):
-    """Write the pencil matrices as Matrix Market coordinate files for
-    external cross-checks.
-
-    A matrix-free boundary form is materialized through its explicit sparse
-    representation (``BoundaryGram.tocoo``).
-    """
-    import scipy.io      # not on the run path: kept out of every CLI start-up
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, mat in (("K", pencil.K), ("M", pencil.M), ("B", pencil.B)):
-        path = directory / f"{name}.mtx"
-        scipy.io.mmwrite(path, mat.tocoo())
-        paths[name] = path
-    return paths
-
-
-def scalar_dirichlet_diagnostic(pencil: Pencil, gram=None) -> float:
+def scalar_dirichlet_diagnostic(pencil: Pencil, gram) -> float:
     """Inf-sup constant of the interior block of K - omega^2 M in the H^1
     norm, normalized by the continuity bound ``pencil.beta``: a value in
     [0, 1] that does not shrink under refinement.
 
-    ``gram`` is the H^1 Gram on all vertices (built from the mesh when None);
-    its interior block is the norm.  A value near zero signals that omega^2
+    ``gram`` is the H^1 Gram on all vertices (_assembly.h1_gram); its
+    interior block is the norm.  A value near zero signals that omega^2
     is (numerically) an interior Dirichlet eigenvalue, i.e. the
     well-posedness assumption behind the Steklov pencil fails on this mesh.
     Returns inf when the mesh has no interior vertices.
@@ -126,9 +102,8 @@ def scalar_dirichlet_diagnostic(pencil: Pencil, gram=None) -> float:
     interior = pencil.mesh.interior_vertex_ids
     if len(interior) == 0:
         return np.inf
-    W = h1_gram(pencil.mesh) if gram is None else gram
     A = pencil.a0()[interior][:, interior]
-    return inf_sup(A, W[interior][:, interior]) / pencil.beta
+    return inf_sup(A, gram[interior][:, interior]) / pencil.beta
 
 
 def inf_sup(A, W):

@@ -212,8 +212,6 @@ class SurfaceMesh:
 
         self.mesh = mesh
         self.vertex_ids = vertex_ids
-        self.vol_to_surf = vol_to_surf
-        self.points = mesh.vertices[vertex_ids]
         self.tri_vol = tri_vol
         self.triangles = vol_to_surf[tri_vol]
 
@@ -240,10 +238,6 @@ class SurfaceMesh:
     def n_vertices(self):
         return len(self.vertex_ids)
 
-    @property
-    def n_triangles(self):
-        return len(self.triangles)
-
     def _check_closed(self):
         if np.any(_triangle_edges(self.triangles)[1] != 2):
             raise MalformedMeshError("boundary surface is not closed")
@@ -259,10 +253,6 @@ class SurfaceMesh:
         w = np.zeros(self.n_vertices)
         np.add.at(w, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
         return w
-
-    def euler_characteristic(self):
-        n_edges = len(_triangle_edges(self.triangles)[0])
-        return self.n_vertices - n_edges + self.n_triangles
 
 
 # ---------------------------------------------------------------------- #
@@ -405,15 +395,36 @@ def save_mesh(mesh: Mesh, path):
         json.dump(doc, fh)
 
 
+def _numbers(doc, key):
+    """``doc[key]`` as an int64 or float64 array.  Null, objects, strings,
+    booleans, ragged lists, non-finite values (1e400 reads as inf) and
+    integers outside int64 are refused."""
+    try:
+        values = np.asarray(doc[key])
+    except ValueError:                                  # ragged nesting
+        raise MalformedMeshError(f"mesh file '{key}' is not a rectangular array") from None
+    if values.dtype.kind == "u" or values.dtype.kind == "O" and any(
+            type(v) is int and not -2**63 <= v < 2**63 for v in values.flat):
+        raise MalformedMeshError(f"mesh file '{key}' holds an integer outside int64")
+    if values.dtype.kind not in "if":
+        raise MalformedMeshError(f"mesh file '{key}' is not an array of numbers")
+    if not np.all(np.isfinite(values)):
+        bad = values[~np.isfinite(values)]
+        raise MalformedMeshError(f"mesh file '{key}' holds a non-finite value {float(bad[0])!r}")
+    return values
+
+
 def _integers(doc, key):
     """``doc[key]`` as int64; a value with a fractional part is refused, not
-    truncated."""
-    values = np.asarray(doc[key])
+    truncated, and so is one outside int64."""
+    values = _numbers(doc, key)
     if values.dtype.kind == "f":
         bad = values[np.mod(values, 1.0) != 0.0]
         if bad.size:
             raise MalformedMeshError(
                 f"mesh file '{key}' holds a non-integer value {float(bad[0])!r}")
+        if np.any((values < -2.0**63) | (values >= 2.0**63)):
+            raise MalformedMeshError(f"mesh file '{key}' holds an integer outside int64")
     return values.astype(np.int64)
 
 
@@ -425,9 +436,8 @@ def load_mesh(path) -> Mesh:
     for key in ("vertices", "tets", "region"):
         if key not in doc:
             raise ConfigError(f"mesh file missing '{key}'")
-    return Mesh(
-        np.asarray(doc["vertices"], dtype=np.float64),
-        _integers(doc, "tets"),
-        _integers(doc, "region"),
-        kind=doc.get("kind", "generic"),
-    )
+    kind = doc.get("kind", "generic")
+    if kind not in ("cube", "ball", "generic"):
+        raise MalformedMeshError(f"mesh file 'kind' must be cube, ball or generic, got {kind!r}")
+    return Mesh(_numbers(doc, "vertices"), _integers(doc, "tets"), _integers(doc, "region"),
+                kind=kind)

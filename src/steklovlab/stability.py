@@ -25,7 +25,7 @@ import numpy as np
 from ._assembly import h1_gram
 from .boundary_ops import assemble_surface_operators
 from .eigensolver import cluster, solve_shift_invert
-from .errors import AssumptionViolation, DegenerateCluster, InsufficientData, ShiftAtEigenvalue
+from .errors import AssumptionViolation, InsufficientData, ShiftAtEigenvalue
 from .fem_maxwell import (
     assemble_maxwell,
     hcurl_gram,
@@ -36,8 +36,9 @@ from .fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic
 from .materials import PerturbationSpec, build_field, lp_diff_norm
 from .mesh import Mesh, extract_boundary
 
-# first_order_prediction refuses a cluster whose |c| falls below this
-# fraction of its sesquilinear B average (the nondegeneracy condition fails)
+# a study records no first-order prediction for a cluster whose |c| falls
+# below this fraction of its sesquilinear B average (the nondegeneracy
+# condition fails)
 C_THRESHOLD = 1e-8
 
 # a study step whose pencil is singular at the tracked eigenvalue itself is
@@ -87,19 +88,12 @@ def normalize_vectors(vectors, gram):
     return vecs
 
 
-def nondegeneracy(B, vectors) -> complex:
-    """Bilinear cluster coefficient c = (1/N) sum_n u_n^T B u_n.
-
-    ``vectors`` are the cluster eigenvectors as columns, normalized in the
-    discrete energy inner product (see :func:`normalize_vectors`).
-    """
-    return _nondegeneracy(B, vectors)[0]
-
-
 def _nondegeneracy(B, vectors):
-    """c of :func:`nondegeneracy` and why the cluster is degenerate, or ""
-    when it is not: |c| at most ``C_THRESHOLD`` times the sesquilinear
-    cluster average of B.  B is applied once per vector."""
+    """The bilinear cluster coefficient c = (1/N) sum_n u_n^T B u_n of the
+    columns of ``vectors`` (normalized by :func:`normalize_vectors`), and why
+    the cluster is degenerate, or "" when it is not: |c| at most
+    ``C_THRESHOLD`` times the sesquilinear cluster average of B.  B is
+    applied once per vector."""
     vecs = np.asarray(vectors, dtype=np.complex128)
     if vecs.ndim == 1:
         vecs = vecs[:, None]
@@ -118,28 +112,6 @@ def _first_order_drift(pencil0, pencil_h, vecs, c) -> complex:
     delta_a = pencil_h.a0() - pencil0.a0()
     vals = [vecs[:, j] @ (delta_a @ vecs[:, j]) for j in range(vecs.shape[1])]
     return complex(np.mean(vals) / c)
-
-
-def first_order_prediction(pencil0, pencil_h, vectors):
-    """Predicted eigenvalue shift lambda_h - lambda_0 for a tracked cluster,
-    and its nondegeneracy coefficient c.
-
-    Both pencils must live on the same mesh; the boundary form is unchanged
-    by material perturbations, so the pencil perturbation is
-    delta A = (K_h - K_0) - omega^2 (M_h - M_0).  ``vectors`` are normalized
-    as for :func:`nondegeneracy`.  Refuses (DegenerateCluster) when |c| falls
-    below ``C_THRESHOLD`` relative to the sesquilinear cluster average of B,
-    mirroring the failure of the nondegeneracy condition.
-    """
-    vecs = np.asarray(vectors, dtype=np.complex128)
-    if vecs.ndim == 1:
-        vecs = vecs[:, None]
-    if vecs.shape[1] == 0:
-        raise ValueError("prediction needs at least one vector")
-    c, note = _nondegeneracy(pencil0.B, vecs)
-    if note:
-        raise DegenerateCluster(note)
-    return _first_order_drift(pencil0, pencil_h, vecs, c), c
 
 
 # --------------------------------------------------------------------- #
@@ -400,8 +372,8 @@ def run_study(setup: StudySetup) -> StudyReport:
 def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
               vectors, c, degenerate, idx, h, delta):
     spec = PerturbationSpec(setup.center, h, delta, setup.target)
-    # the field the step does not perturb is the baseline one
-    fields = {"mu_inv": mu0, "eps": eps0}
+    baseline = {"mu_inv": mu0, "eps": eps0}
+    fields = dict(baseline)
     base = setup.mu_base if setup.target == "mu_inv" else setup.eps_base
     try:
         fields[setup.target] = build_field(setup.mesh, setup.target, base, [spec])
@@ -409,10 +381,10 @@ def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
         return StepRecord(idx, h, delta, f"aborted-invalid-field: {exc}", {})
     mu_h, eps_h = fields["mu_inv"], fields["eps"]
 
-    norms = {
-        "mu_inv": {p: lp_diff_norm(mu_h, mu0, p) for p in setup.p_list},
-        "eps": {p: lp_diff_norm(eps_h, eps0, p) for p in setup.p_list},
-    }
+    # the field the step does not perturb is the baseline one: its norms are 0.0
+    norms = {name: dict.fromkeys(setup.p_list, 0.0) for name in baseline}
+    norms[setup.target] = {p: lp_diff_norm(fields[setup.target], baseline[setup.target], p)
+                           for p in setup.p_list}
     rec = StepRecord(idx, h, delta, "ok", norms)
 
     if all(v == 0.0 for ps in norms.values() for v in ps.values()):

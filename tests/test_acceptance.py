@@ -11,8 +11,10 @@ import pytest
 import scipy.linalg
 
 from ball_steklov_oracle import verified_spectrum
+from fem_helpers import apply_S, project_Vh
 from kernel_basis_oracle import dense_kernel_basis
-from steklovlab.boundary_ops import apply_S, assemble_surface_operators
+from steklovlab._assembly import h1_gram
+from steklovlab.boundary_ops import assemble_surface_operators
 from steklovlab.cli import run as cli_run
 from steklovlab.eigensolver import (
     _a0_norm,
@@ -24,9 +26,9 @@ from steklovlab.eigensolver import (
 from steklovlab.fem_maxwell import (
     assemble_maxwell,
     discrete_gradient,
+    hcurl_gram,
     kernelS_diagnostic,
     kernel_subspace_basis,
-    project_Vh,
 )
 from steklovlab.fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic
 from steklovlab.materials import build_field
@@ -330,15 +332,16 @@ def test_criterion_7_assumption_diagnostics():
     K = base.K.toarray()[np.ix_(interior, interior)]
     M = base.M.toarray().real[np.ix_(interior, interior)]
     lam_dir = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
-    s_base = scalar_dirichlet_diagnostic(base)
+    gram = h1_gram(mesh)
+    s_base = scalar_dirichlet_diagnostic(base, gram)
     s_hit = scalar_dirichlet_diagnostic(
-        assemble_scalar(mesh, mu, eps, omega=float(np.sqrt(lam_dir))))
+        assemble_scalar(mesh, mu, eps, omega=float(np.sqrt(lam_dir))), gram)
     if s_hit > 1e-8 * s_base:
         failures.append(f"scalar diagnostic did not drop: {s_hit:.2e} vs base {s_base:.2e}")
 
     mu_a, eps_a = unit_fields(mesh, {"re": 2.0, "im": 1.0})
     sweep = [
-        scalar_dirichlet_diagnostic(assemble_scalar(mesh, mu_a, eps_a, float(om)))
+        scalar_dirichlet_diagnostic(assemble_scalar(mesh, mu_a, eps_a, float(om)), gram)
         for om in np.linspace(0.5, 6.0, 10)
     ]
     if min(sweep) <= 1e-6:
@@ -347,7 +350,7 @@ def test_criterion_7_assumption_diagnostics():
     # maxwell analog on the projected problem
     cube = generate_cube_mesh(2)
     ops = assemble_surface_operators(extract_boundary(cube), cube)
-    basis = kernel_subspace_basis(ops)
+    basis = kernel_subspace_basis(ops, hcurl_gram(cube))
     Q = dense_kernel_basis(basis)
     mu_c, eps_real = unit_fields(cube, 4.0)
     pencil = assemble_maxwell(cube, mu_c, eps_real, 1.0, ops)
@@ -380,12 +383,14 @@ def test_diagnostics_mesh_independent():
         mesh = generate_ball_mesh(level)
         mu, eps = unit_fields(mesh, ABSORBING)
         ops = assemble_surface_operators(extract_boundary(mesh), mesh)
-        maxwell.append(kernelS_diagnostic(assemble_maxwell(mesh, mu, eps, 1.0, ops)))
+        basis = kernel_subspace_basis(ops, hcurl_gram(mesh))
+        maxwell.append(kernelS_diagnostic(assemble_maxwell(mesh, mu, eps, 1.0, ops), basis))
     scalar = []
     for level in (1, 2):
         mesh = generate_ball_mesh(level)
         mu, eps = unit_fields(mesh, {"re": 2.0, "im": 1.0})
-        scalar.append(scalar_dirichlet_diagnostic(assemble_scalar(mesh, mu, eps, 1.0)))
+        pencil = assemble_scalar(mesh, mu, eps, 1.0)
+        scalar.append(scalar_dirichlet_diagnostic(pencil, h1_gram(mesh)))
     for name, values in (("maxwell", maxwell), ("scalar", scalar)):
         if not all(0.0 < v <= 1.0 for v in values):
             failures.append(f"{name} values {values} outside (0, 1]")

@@ -279,6 +279,51 @@ def test_fractional_mesh_integer_is_malformed_mesh(tmp_path, capsys, problem, fi
     assert not out.exists()
 
 
+# (keys of the mesh-file entry, its new value, the message after
+# "error: malformed-mesh: "); "INF" is written as the JSON number 1e400,
+# which reads as inf
+MALFORMED_MESH_FILES = {
+    "tets-null": (["tets"], None, "mesh file 'tets' is not an array of numbers"),
+    "tets-object": (["tets"], {"a": 1}, "mesh file 'tets' is not an array of numbers"),
+    "region-null": (["region"], None, "mesh file 'region' is not an array of numbers"),
+    "vertices-null": (["vertices"], None, "mesh file 'vertices' is not an array of numbers"),
+    "vertices-ragged": (["vertices", 0], [0.0, 0.0],
+                        "mesh file 'vertices' is not a rectangular array"),
+    "tet-index-1e30": (["tets", 0, 0], 10**30, "mesh file 'tets' holds an integer outside int64"),
+    "tet-index-2^63": (["tets", 0, 0], 2**63, "mesh file 'tets' holds an integer outside int64"),
+    "region-float-1e30": (["region", 0], 1e30,
+                          "mesh file 'region' holds an integer outside int64"),
+    "region-1e400": (["region", 0], "INF", "mesh file 'region' holds a non-finite value inf"),
+    "kind-5": (["kind"], 5, "mesh file 'kind' must be cube, ball or generic, got 5"),
+}
+
+
+@pytest.mark.filterwarnings("error")        # a numpy warning is a second stderr line
+@pytest.mark.parametrize("case", list(MALFORMED_MESH_FILES))
+def test_malformed_mesh_file_is_one_error_line(tmp_path, capsys, case):
+    keys, value, message = MALFORMED_MESH_FILES[case]
+    path = tmp_path / "malformed.json"
+    save_mesh(generate_cube_mesh(2), path)
+    mesh_doc = json.loads(path.read_text())
+    entry = mesh_doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    path.write_text(json.dumps(mesh_doc).replace('"INF"', "1e400"))
+    doc = {
+        "problem": "scalar",
+        "mesh": {"path": str(path)},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 0.5, "k": 5, "tol": 1e-9},
+    }
+    out = tmp_path / "out"
+    assert run(["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: malformed-mesh: {message}"]
+    assert not out.exists()
+
+
 def test_study_command(tmp_path):
     doc = {
         "problem": "maxwell",

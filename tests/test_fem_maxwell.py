@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fem_helpers import project_Vh
 from kernel_basis_oracle import dense_inf_sup, dense_kernel_basis
 from steklovlab.boundary_ops import assemble_surface_operators
 from steklovlab.errors import ConfigError
@@ -8,9 +9,9 @@ from steklovlab.fem_maxwell import (
     assemble_maxwell,
     discrete_gradient,
     edge_mass_matrix,
+    hcurl_gram,
     kernelS_diagnostic,
     kernel_subspace_basis,
-    project_Vh,
 )
 from steklovlab.fem_scalar import assemble_scalar
 from steklovlab.materials import build_field, lp_diff_norm
@@ -119,7 +120,8 @@ def test_project_gradient_to_zero(cube2_pencil):
 
 def test_project_idempotent(cube2_pencil):
     rng = np.random.default_rng(4)
-    u = rng.standard_normal(cube2_pencil.n_dofs) + 1j * rng.standard_normal(cube2_pencil.n_dofs)
+    n = cube2_pencil.K.shape[0]
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     once = project_Vh(cube2_pencil, u).projected
     twice = project_Vh(cube2_pencil, once).projected
     assert np.abs(twice - once).max() <= 1e-10 * np.abs(once).max()
@@ -127,7 +129,7 @@ def test_project_idempotent(cube2_pencil):
 
 def test_project_preserves_curl_dofs(cube2_pencil):
     rng = np.random.default_rng(5)
-    u = rng.standard_normal(cube2_pencil.n_dofs)
+    u = rng.standard_normal(cube2_pencil.K.shape[0])
     res = project_Vh(cube2_pencil, u)
     diff = cube2_pencil.K @ (res.projected - u)
     assert np.abs(diff).max() <= 1e-12 * max(1.0, np.abs(cube2_pencil.K @ u).max())
@@ -139,7 +141,7 @@ def test_project_preserves_curl_dofs(cube2_pencil):
 def test_project_block_matches_columns(cube2_pencil):
     # a block of vectors is projected in one call, column by column to roundoff
     rng = np.random.default_rng(8)
-    shape = (cube2_pencil.n_dofs, 3)
+    shape = (cube2_pencil.K.shape[0], 3)
     U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     block = project_Vh(cube2_pencil, U)
     for j in range(U.shape[1]):
@@ -152,7 +154,7 @@ def test_project_block_matches_columns(cube2_pencil):
 def test_project_with_explicit_eps(cube2_pencil):
     eps2 = build_field(cube2_pencil.mesh, "eps", {1: 2.0})
     rng = np.random.default_rng(6)
-    u = rng.standard_normal(cube2_pencil.n_dofs)
+    u = rng.standard_normal(cube2_pencil.K.shape[0])
     res = project_Vh(cube2_pencil, u, eps=eps2)
     M2 = edge_mass_matrix(cube2_pencil.mesh, eps2.tensors)
     div = discrete_gradient(cube2_pencil.mesh).T @ (M2 @ res.projected)
@@ -164,7 +166,8 @@ def test_project_potential_mean_zero_per_component(two_cubes):
     # mean on each of them, not only on their union
     pencil = make_pencil(two_cubes, eps_entry={"re": 4.0, "im": 1.0})
     rng = np.random.default_rng(7)
-    u = rng.standard_normal(pencil.n_dofs) + 1j * rng.standard_normal(pencil.n_dofs)
+    n = pencil.K.shape[0]
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     res = project_Vh(pencil, u)
     w = res.potential
     lumped = np.zeros(two_cubes.n_vertices)
@@ -208,7 +211,7 @@ def test_kernel_diagnostic_absorbing_sweep():
     mu = build_field(mesh, "mu_inv", {1: 1.0})
     eps = build_field(mesh, "eps", {1: {"re": 4.0, "im": 1.0}})
     ops = assemble_surface_operators(extract_boundary(mesh), mesh)
-    basis = kernel_subspace_basis(ops)
+    basis = kernel_subspace_basis(ops, hcurl_gram(mesh))
     values = [
         kernelS_diagnostic(assemble_maxwell(mesh, mu, eps, float(om), ops), basis=basis)
         for om in np.linspace(0.5, 4.0, 10)
@@ -225,7 +228,7 @@ def test_kernel_diagnostic_drops_at_projected_eigenvalue():
     mu = build_field(mesh, "mu_inv", {1: 1.0})
     eps = build_field(mesh, "eps", {1: 4.0})
     ops = assemble_surface_operators(extract_boundary(mesh), mesh)
-    basis = kernel_subspace_basis(ops)
+    basis = kernel_subspace_basis(ops, hcurl_gram(mesh))
     Q = dense_kernel_basis(basis)
     base = assemble_maxwell(mesh, mu, eps, 1.0, ops)
     Kq = Q.T @ (base.K @ Q)
@@ -253,7 +256,8 @@ def test_block_kernel_basis_matches_pivoted_qr(name, request):
 
     build, components = BLOCK_BASIS_MESHES[name]
     mesh = build(request)
-    basis = kernel_subspace_basis(assemble_surface_operators(extract_boundary(mesh), mesh))
+    basis = kernel_subspace_basis(assemble_surface_operators(extract_boundary(mesh), mesh),
+                                  hcurl_gram(mesh))
     Q = dense_kernel_basis(basis)
     interior = mesh.interior_edge_ids
     n_bv = len(mesh.boundary_vertex_ids)
@@ -287,7 +291,7 @@ def test_kernel_diagnostic_ball2_matches_dense_value_in_small_memory():
 
     mesh = generate_ball_mesh(2)
     pencil = make_pencil(mesh, eps_entry={"re": 4.0, "im": 1.0})
-    basis = kernel_subspace_basis(pencil.B)
+    basis = kernel_subspace_basis(pencil.B, hcurl_gram(mesh))
     pencil.a0()
     tracemalloc.start()
     try:
@@ -300,12 +304,13 @@ def test_kernel_diagnostic_ball2_matches_dense_value_in_small_memory():
 
 
 def test_kernel_diagnostic_details(cube2_pencil):
-    sigma = kernelS_diagnostic(cube2_pencil)
-    details = kernel_subspace_basis(cube2_pencil.B).info
+    basis = kernel_subspace_basis(cube2_pencil.B, hcurl_gram(cube2_pencil.mesh))
+    sigma = kernelS_diagnostic(cube2_pencil, basis)
+    details = basis.info
     assert sigma > 0
     assert details["subspace_dim"] <= details["kernel_dim_from_rank"]
     assert details["unspanned_kernel_dim"] >= 0
-    ne = cube2_pencil.n_dofs
+    ne = cube2_pencil.K.shape[0]
     assert details["n_edges"] == ne
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fem_helpers import dump_matrix_market
 from kernel_basis_oracle import dense_inf_sup
-from steklovlab._assembly import p1_mass, p1_stiffness
+from steklovlab._assembly import h1_gram, p1_mass, p1_stiffness
 from steklovlab.fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic
 from steklovlab.materials import build_field
 from steklovlab.mesh import Mesh, generate_ball_mesh, generate_cube_mesh
@@ -24,7 +25,7 @@ def ball1_pencil():
 
 
 def test_stiffness_kills_constants(ball1_pencil):
-    one = np.ones(ball1_pencil.n_dofs)
+    one = np.ones(ball1_pencil.K.shape[0])
     assert np.abs(ball1_pencil.K @ one).max() <= 1e-12
 
 
@@ -89,7 +90,7 @@ def test_complex_eps_gives_complex_symmetric_mass():
 
 
 def test_dirichlet_diagnostic_positive_at_omega_zero(ball1_pencil):
-    sigma = scalar_dirichlet_diagnostic(ball1_pencil)
+    sigma = scalar_dirichlet_diagnostic(ball1_pencil, h1_gram(ball1_pencil.mesh))
     assert sigma > 1e-6
 
 
@@ -105,8 +106,9 @@ def test_dirichlet_diagnostic_drops_at_dirichlet_eigenvalue():
     M = base.M.toarray().real[np.ix_(interior, interior)]
     lam = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
     hit = assemble_scalar(mesh, mu, eps, omega=float(np.sqrt(lam)))
-    s_hit = scalar_dirichlet_diagnostic(hit)
-    s_base = scalar_dirichlet_diagnostic(base)
+    gram = h1_gram(mesh)
+    s_hit = scalar_dirichlet_diagnostic(hit, gram)
+    s_base = scalar_dirichlet_diagnostic(base, gram)
     assert s_hit <= 1e-8 * s_base
 
 
@@ -115,10 +117,11 @@ def test_dirichlet_diagnostic_absorbing_sweep():
     # real omega: sweep stays bounded away from zero
     mesh = generate_ball_mesh(1)
     mu, eps = fields(mesh, eps_entry={"re": 2.0, "im": 1.0})
+    gram = h1_gram(mesh)
     values = []
     for omega in np.linspace(0.5, 6.0, 10):
         pencil = assemble_scalar(mesh, mu, eps, omega=float(omega))
-        values.append(scalar_dirichlet_diagnostic(pencil))
+        values.append(scalar_dirichlet_diagnostic(pencil, gram))
     assert min(values) > 1e-6
 
 
@@ -128,8 +131,6 @@ def test_matrix_market_dump(tmp_path):
     mesh = generate_cube_mesh(2)
     mu, eps = fields(mesh, eps_entry={"re": 4.0, "im": 1.0})
     pencil = assemble_scalar(mesh, mu, eps, omega=1.0)
-    from steklovlab.fem_scalar import dump_matrix_market
-
     paths = dump_matrix_market(pencil, tmp_path)
     assert set(paths) == {"K", "M", "B"}
     back = scipy.io.mmread(paths["M"]).tocsr()
@@ -151,7 +152,8 @@ def test_sparse_sigma_path_matches_dense():
     A = pencil.a0().toarray()[np.ix_(interior, interior)]
     W = h1_gram_dense(mesh)[np.ix_(interior, interior)]
     assert pencil.beta == 1.0
-    assert scalar_dirichlet_diagnostic(pencil) == pytest.approx(dense_inf_sup(A, W), rel=1e-10)
+    sigma = scalar_dirichlet_diagnostic(pencil, h1_gram(mesh))
+    assert sigma == pytest.approx(dense_inf_sup(A, W), rel=1e-10)
 
 
 def test_dirichlet_diagnostic_tiny_interior(two_cubes):
@@ -159,15 +161,18 @@ def test_dirichlet_diagnostic_tiny_interior(two_cubes):
     # cubes n=2 two (one per cube, decoupled and equal): at omega = 0 the
     # value is K_cc / (K_cc + M_cc) in the H^1 norm, zero at omega^2 = K_cc / M_cc
     mu, eps = fields(generate_cube_mesh(1))
-    assert scalar_dirichlet_diagnostic(assemble_scalar(mu.mesh, mu, eps, omega=1.0)) == np.inf
+    pencil = assemble_scalar(mu.mesh, mu, eps, omega=1.0)
+    assert scalar_dirichlet_diagnostic(pencil, h1_gram(mu.mesh)) == np.inf
     for mesh, n_interior in ((generate_cube_mesh(2), 1), (two_cubes, 2)):
         mu, eps = fields(mesh)
         base = assemble_scalar(mesh, mu, eps, omega=0.0)
+        gram = h1_gram(mesh)
         c = base.mesh.interior_vertex_ids
         assert len(c) == n_interior
         k_cc, m_cc = base.K[c[0], c[0]], base.M[c[0], c[0]].real
-        assert scalar_dirichlet_diagnostic(base) == pytest.approx(k_cc / (k_cc + m_cc), rel=1e-14)
+        sigma = scalar_dirichlet_diagnostic(base, gram)
+        assert sigma == pytest.approx(k_cc / (k_cc + m_cc), rel=1e-14)
         omega = float(np.sqrt(base.K[c[0], c[0]] / base.M[c[0], c[0]].real))
         hit = assemble_scalar(mesh, mu, eps, omega=omega)
         assert hit.a0()[c[0], c[0]] == 0.0
-        assert scalar_dirichlet_diagnostic(hit) == 0.0
+        assert scalar_dirichlet_diagnostic(hit, gram) == 0.0

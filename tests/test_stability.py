@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fem_helpers import DegenerateCluster, first_order_prediction, nondegeneracy
 from steklovlab import stability
-from steklovlab.errors import DegenerateCluster, InsufficientData
+from steklovlab.errors import InsufficientData
 from steklovlab.materials import build_field, lp_diff_norm, PerturbationSpec
 from steklovlab.mesh import generate_cube_mesh
-from steklovlab.stability import (
-    StudySetup,
-    first_order_prediction,
-    fit_rate,
-    nondegeneracy,
-    run_study,
-)
+from steklovlab.stability import StudySetup, fit_rate, run_study
 
 
 class _StubPencil:
@@ -184,6 +179,25 @@ def test_norms_in_records_match_materials(cube3):
     for p in (2.0, 4.0):
         assert step.norms["eps"][p] == pytest.approx(lp_diff_norm(eps_h, eps0, p), rel=1e-12)
     assert step.norms["mu_inv"][2.0] == 0.0
+
+
+def test_step_norms_only_the_target_field(cube3, monkeypatch):
+    # the field a step does not perturb is the baseline one: its norms are
+    # written as 0.0, and lp_diff_norm runs once per step and p
+    real = stability.lp_diff_norm
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stability, "lp_diff_norm", counted)
+    setup = maxwell_setup(cube3, schedule=[(0.45, 1e-3j), (0.3, 1e-3j)])
+    report = run_study(setup)
+    assert len(calls) == len(report.steps) * len(setup.p_list) == 4
+    for step in report.steps:
+        assert step.norms["mu_inv"] == {2.0: 0.0, 4.0: 0.0}
+        assert all(v > 0.0 for v in step.norms["eps"].values())
 
 
 def test_prediction_vs_measured_small_delta(cube3):
