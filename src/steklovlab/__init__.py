@@ -52,8 +52,8 @@ from .mesh import (
 )
 from .stability import (
     FitResult,
+    RunConfig,
     StudyReport,
-    StudySetup,
     fit_rate,
     run_study,
 )
@@ -71,11 +71,11 @@ __all__ = [
     "Mesh",
     "Pencil",
     "PerturbationSpec",
+    "RunConfig",
     "SectorCensus",
     "ShiftAtEigenvalue",
     "SolverFailure",
     "StudyReport",
-    "StudySetup",
     "SurfaceMesh",
     "assemble_maxwell",
     "assemble_scalar",

@@ -31,7 +31,7 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .materials import FIELD_NAMES, PerturbationSpec, build_field, tensor_from_entry
 from .mesh import generate_ball_mesh, generate_cube_mesh, load_mesh, save_mesh
-from .stability import Problem, StudySetup, run_study
+from .stability import Problem, RunConfig, run_study
 
 # Not called here (stability.Problem builds every pencil, build_field validates each field);
 # perfbench/tracing.py wraps them on cli.
@@ -54,8 +54,6 @@ from .fem_maxwell import assemble_maxwell, kernelS_diagnostic  # noqa: F401
 from .fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic  # noqa: F401
 from .materials import validate  # noqa: F401
 from .mesh import extract_boundary  # noqa: F401
-
-DEFAULT_CENSUS_DELTA = np.pi / 3.0
 
 
 def _cell(x) -> str:
@@ -69,90 +67,76 @@ def _cell(x) -> str:
     return format(float(x), ".17g")
 
 
-def _cx(z):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
+def _run_config(doc) -> RunConfig:
+    """The checked ``RunConfig`` of a config document (see README for the
+    JSON schema): the only reader of the raw JSON.  Every value is typed and
+    range-checked, and a key that no reader reads is refused; an absent key
+    takes the ``RunConfig`` default."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be a JSON object")
+    _known(doc, "", ("problem", "mesh", "omega", "materials", "perturbations", "solver",
+                     "census", "diagnostics", "study"))
+    problem = doc.get("problem")
+    if problem not in ("scalar", "maxwell"):
+        raise ConfigError(f"problem must be 'scalar' or 'maxwell', got {problem!r}")
+    omega = _number(doc, "omega", RunConfig.omega)
+    if problem == "maxwell" and omega == 0.0:
+        raise ConfigError("omega must be nonzero for the maxwell problem")
+
+    pert_docs = doc.get("perturbations", [])
+    if not isinstance(pert_docs, list):
+        raise ConfigError("perturbations must be a list")
+
+    solver = _section(doc, "solver", ("sigma_re", "sigma_im", "k", "tol", "seed",
+                                      "cluster_reltol", "krylov_dim", "max_krylov"))
+    sigma = complex(_number(solver, "sigma_re", RunConfig.sigma.real, "solver."),
+                    _number(solver, "sigma_im", RunConfig.sigma.imag, "solver."))
+    tol = _number(solver, "tol", RunConfig.tol, "solver.")
+    if tol <= 0:
+        raise ConfigError(f"solver.tol must be > 0, got {tol}")
+    census = _section(doc, "census", ("delta", "radius"))
+    census_delta = _number(census, "delta", RunConfig.census_delta, "census.")
+    if not 0.0 < census_delta < np.pi:
+        raise ConfigError(f"census.delta must be in (0, pi), got {census_delta}")
+    census_radius = _number(census, "radius", None, "census.")
+    if census_radius is not None and census_radius <= 0:
+        raise ConfigError(f"census.radius must be > 0, got {census_radius}")
+    diag = _section(doc, "diagnostics", ("threshold",))
+
+    return RunConfig(
+        problem=problem,
+        mesh_spec=_mesh_spec(doc.get("mesh")),
+        omega=omega,
+        materials=_materials(doc.get("materials"), problem),
+        perturbations=tuple(_ball(p, f"perturbations[{i}]") for i, p in enumerate(pert_docs)),
+        sigma=sigma,
+        k=_number(solver, "k", RunConfig.k, "solver.", int, minimum=1),
+        tol=tol,
+        seed=_number(solver, "seed", RunConfig.seed, "solver.", int, minimum=0),
+        cluster_reltol=_number(solver, "cluster_reltol", RunConfig.cluster_reltol, "solver.",
+                               minimum=0.0),
+        krylov_dim=_number(solver, "krylov_dim", None, "solver.", int, minimum=1),
+        max_krylov=_number(solver, "max_krylov", None, "solver.", int, minimum=1),
+        census_delta=census_delta,
+        census_radius=census_radius,
+        diag_threshold=_number(diag, "threshold", RunConfig.diag_threshold, "diagnostics."),
+        **_study(doc.get("study")),
+    )
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration (see README for the JSON schema).
-
-    ``from_dict`` is the only reader of the raw JSON; every field is typed
-    and range-checked.
-    """
-
-    problem: str
-    mesh_spec: dict          # {"path"}, {"kind": "cube", "n"} or {"kind": "ball", "level"}
-    omega: float
-    materials: dict          # "mu_inv"/"eps" -> {region tag: 3x3 complex tensor}
-    perturbations: list      # PerturbationSpec
-    sigma: complex = 1.0 + 0.0j
-    k: int = 12
-    tol: float = 1e-10
-    seed: int = 0
-    cluster_reltol: float = 1e-6
-    krylov_dim: int | None = None
-    max_krylov: int | None = None
-    census_delta: float = DEFAULT_CENSUS_DELTA
-    census_radius: float | None = None
-    diag_threshold: float = 1e-6
-    study: dict | None = None    # StudySetup keyword arguments
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
-        problem = doc.get("problem")
-        if problem not in ("scalar", "maxwell"):
-            raise ConfigError(f"problem must be 'scalar' or 'maxwell', got {problem!r}")
-        omega = _number(doc, "omega", 0.0)
-        if problem == "maxwell" and omega == 0.0:
-            raise ConfigError("omega must be nonzero for the maxwell problem")
-
-        pert_docs = doc.get("perturbations", [])
-        if not isinstance(pert_docs, list):
-            raise ConfigError("perturbations must be a list")
-
-        solver = _section(doc, "solver")
-        sigma = complex(_number(solver, "sigma_re", 1.0, "solver."),
-                        _number(solver, "sigma_im", 0.0, "solver."))
-        tol = _number(solver, "tol", 1e-10, "solver.")
-        if tol <= 0:
-            raise ConfigError(f"solver.tol must be > 0, got {tol}")
-        census = _section(doc, "census")
-        census_delta = _number(census, "delta", DEFAULT_CENSUS_DELTA, "census.")
-        if not 0.0 < census_delta < np.pi:
-            raise ConfigError(f"census.delta must be in (0, pi), got {census_delta}")
-        census_radius = _number(census, "radius", None, "census.")
-        if census_radius is not None and census_radius <= 0:
-            raise ConfigError(f"census.radius must be > 0, got {census_radius}")
-        diag = _section(doc, "diagnostics")
-
-        return cls(
-            problem=problem,
-            mesh_spec=_mesh_spec(doc.get("mesh")),
-            omega=omega,
-            materials=_materials(doc.get("materials"), problem),
-            perturbations=[_ball(p, f"perturbations[{i}]") for i, p in enumerate(pert_docs)],
-            sigma=sigma,
-            k=_number(solver, "k", 12, "solver.", int, minimum=1),
-            tol=tol,
-            seed=_number(solver, "seed", 0, "solver.", int, minimum=0),
-            cluster_reltol=_number(solver, "cluster_reltol", 1e-6, "solver.", minimum=0.0),
-            krylov_dim=_number(solver, "krylov_dim", None, "solver.", int, minimum=1),
-            max_krylov=_number(solver, "max_krylov", None, "solver.", int, minimum=1),
-            census_delta=census_delta,
-            census_radius=census_radius,
-            diag_threshold=_number(diag, "threshold", 1e-6, "diagnostics."),
-            study=_study(doc.get("study")),
-        )
+def _known(sec, where, keys):
+    """Refuse a key of the config section ``sec`` that is not in ``keys``,
+    the keys its reader reads."""
+    unknown = sorted(set(sec) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key {where}{unknown[0]}")
 
 
-def _section(doc, name):
+def _section(doc, name, keys):
     sec = doc.get(name, {})
     if not isinstance(sec, dict):
         raise ConfigError(f"{name} must be a JSON object, got {sec!r}")
+    _known(sec, f"{name}.", keys)
     return sec
 
 
@@ -200,13 +184,16 @@ def _mesh_spec(spec):
     if not isinstance(spec, dict):
         raise ConfigError("config requires a 'mesh' object")
     if "path" in spec:
+        _known(spec, "mesh.", ("path",))
         if not isinstance(spec["path"], str):
             raise ConfigError(f"mesh.path must be a string, got {spec['path']!r}")
         return {"path": spec["path"]}
     kind = spec.get("kind")
     if kind == "cube":
+        _known(spec, "mesh.", ("kind", "n"))
         return {"kind": kind, "n": _number(spec, "n", where="mesh.", cast=int, minimum=1)}
     if kind == "ball":
+        _known(spec, "mesh.", ("kind", "level"))
         return {"kind": kind, "level": _number(spec, "level", where="mesh.", cast=int, minimum=0)}
     raise ConfigError("mesh needs 'path' or kind 'cube'/'ball'")
 
@@ -215,6 +202,7 @@ def _materials(materials, problem):
     """Both region tables as {int tag: 3x3 complex tensor}."""
     if not isinstance(materials, dict) or not {"mu_inv", "eps"} <= set(materials):
         raise ConfigError("materials must provide 'mu_inv' and 'eps' region tables")
+    _known(materials, "materials.", FIELD_NAMES)
     tables = {}
     for name in FIELD_NAMES:
         table = materials[name]
@@ -248,9 +236,11 @@ def _ball(entry, where, center=None, target=None):
     """
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a JSON object, got {entry!r}")
+    keys = ("h", "delta_re", "delta_im")
+    _known(entry, f"{where}.", keys if center is not None else keys + ("center", "target"))
     if center is None:
         center = _point(entry, "center", f"{where}.")
-        target = entry.get("target", "eps")
+        target = entry.get("target", PerturbationSpec.target)
     h = _number(entry, "h", where=f"{where}.")
     delta = complex(_number(entry, "delta_re", 0.0, f"{where}."),
                     _number(entry, "delta_im", 0.0, f"{where}."))
@@ -261,13 +251,15 @@ def _ball(entry, where, center=None, target=None):
 
 
 def _study(st):
-    """The ``study`` section as StudySetup keyword arguments; None when absent."""
+    """The ``study`` section as RunConfig keyword arguments; {} when it is absent."""
     if st is None:
-        return None
+        return {}
     if not isinstance(st, dict):
         raise ConfigError(f"study must be a JSON object, got {st!r}")
-    center = _point(st, "center", "study.", (0.0, 0.0, 0.0))
-    target = st.get("target", "eps")
+    _known(st, "study.", ("center", "target", "schedule", "p_list", "target_lambda",
+                          "step_diagnostics"))
+    center = _point(st, "center", "study.", RunConfig.center)
+    target = st.get("target", RunConfig.target)
     if target not in FIELD_NAMES:
         raise ConfigError(f"study.target must be 'mu_inv' or 'eps', got {target!r}")
     steps = st.get("schedule")
@@ -277,16 +269,17 @@ def _study(st):
     for i, entry in enumerate(steps):
         spec = _ball(entry, f"study.schedule[{i}]", center, target)
         schedule.append((spec.radius, spec.delta))
-    p_list = st.get("p_list", [4.0])
+    p_list = st.get("p_list", list(RunConfig.p_list))
     if not isinstance(p_list, list) or not p_list:
         raise ConfigError(f"study.p_list must be a non-empty list, got {p_list!r}")
     target_lambda = st.get("target_lambda")
     if target_lambda is not None:
         if not isinstance(target_lambda, dict):
             raise ConfigError(f"study.target_lambda must be a JSON object, got {target_lambda!r}")
+        _known(target_lambda, "study.target_lambda.", ("re", "im"))
         target_lambda = complex(_number(target_lambda, "re", 0.0, "study.target_lambda."),
                                 _number(target_lambda, "im", 0.0, "study.target_lambda."))
-    step_diagnostics = st.get("step_diagnostics", True)
+    step_diagnostics = st.get("step_diagnostics", RunConfig.step_diagnostics)
     if not isinstance(step_diagnostics, bool):
         raise ConfigError(f"study.step_diagnostics must be true or false, got {step_diagnostics!r}")
     return {
@@ -308,7 +301,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return RunConfig.from_dict(doc)
+    return _run_config(doc)
 
 
 def _config(args) -> RunConfig:
@@ -346,7 +339,7 @@ def _diagnosed_pencil(cfg: RunConfig, mesh):
         "problem": cfg.problem,
         "omega": cfg.omega,
         "mesh": _mesh_info(mesh),
-        "materials": {fld.name: asdict(fld.report) for fld in (mu, eps)},
+        "materials": {fld.name: fld.report for fld in (mu, eps)},
         "diagnostics": diag,
     }
     return pencil, sigma_min, head
@@ -363,10 +356,18 @@ def _mesh_info(mesh):
 
 
 def _json_safe(x):
-    """``x`` with every non-finite float replaced by None, written as null."""
+    """``x`` as JSON data, the one encoder of every report: a dataclass as
+    its fields (under a field's ``metadata["json"]`` name where one is given),
+    a complex number as ``{"re", "im"}``, an array as a list, every dict key as
+    a string, and every non-finite float as None, written as null."""
+    if is_dataclass(x):
+        return {f.metadata.get("json", f.name): _json_safe(getattr(x, f.name))
+                for f in fields(x)}
+    if isinstance(x, complex):
+        return {"re": _json_safe(x.real), "im": _json_safe(x.imag)}
     if isinstance(x, dict):
-        return {key: _json_safe(v) for key, v in x.items()}
-    if isinstance(x, (list, tuple)):
+        return {str(key): _json_safe(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
         return [_json_safe(v) for v in x]
     return None if isinstance(x, float) and not np.isfinite(x) else x
 
@@ -405,7 +406,7 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     pencil, sigma_min, meta = _diagnosed_pencil(cfg, mesh)
-    meta["solver"] = {"sigma": _cx(cfg.sigma), "k": cfg.k, "tol": cfg.tol, "seed": cfg.seed}
+    meta["solver"] = {"sigma": cfg.sigma, "k": cfg.k, "tol": cfg.tol, "seed": cfg.seed}
     if not meta["diagnostics"]["passed"]:
         _write_json(out / "solve_meta.json", meta)
         raise AssumptionViolation(
@@ -413,9 +414,7 @@ def cmd_solve(args) -> int:
             f"{cfg.diag_threshold:.1e}; no eigenvalue table emitted"
         )
 
-    result = solve_shift_invert(pencil.a0(), pencil.B, cfg.sigma, cfg.k,
-                                tol=cfg.tol, seed=cfg.seed,
-                                krylov_dim=cfg.krylov_dim, max_krylov=cfg.max_krylov)
+    result = solve_shift_invert(pencil.a0(), pencil.B, cfg.sigma, cfg.k, **cfg.solver_options())
     if len(result) == 0:
         raise SolverFailure("no eigenvalue converged at the requested tolerance")
     clustered = cluster(result, cfg.cluster_reltol)
@@ -432,10 +431,10 @@ def cmd_solve(args) -> int:
         for i, lam in enumerate(clustered.eigenvalues)
     ])
 
-    meta["census"] = asdict(census)
+    meta["census"] = census
     meta["solver"].update({key: result.meta[key] for key in (
         "converged", "iterations", "partial", "confirmed", "exhausted", "sweeps", "schur_defect")})
-    meta["cluster_means"] = [_cx(m) for m in clustered.cluster_means]
+    meta["cluster_means"] = clustered.cluster_means
     _write_json(out / "solve_meta.json", meta)
     print(f"wrote {csv_path} ({len(clustered)} eigenvalues)")
     return 0
@@ -443,7 +442,7 @@ def cmd_solve(args) -> int:
 
 def cmd_study(args) -> int:
     cfg = _config(args)
-    if cfg.study is None:
+    if cfg.schedule is None:
         raise ConfigError("config has no 'study' section")
     if cfg.perturbations:
         raise ConfigError("perturbations apply to solve and diagnose only; "
@@ -452,23 +451,8 @@ def cmd_study(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
-    report = run_study(StudySetup(
-        mesh=mesh,
-        omega=cfg.omega,
-        problem=cfg.problem,
-        mu_base=cfg.materials["mu_inv"],
-        eps_base=cfg.materials["eps"],
-        sigma=cfg.sigma,
-        k=cfg.k,
-        tol=cfg.tol,
-        cluster_reltol=cfg.cluster_reltol,
-        diag_threshold=cfg.diag_threshold,
-        seed=cfg.seed,
-        krylov_dim=cfg.krylov_dim,
-        max_krylov=cfg.max_krylov,
-        **cfg.study,
-    ))
-    _write_json(out / "study_report.json", report.as_dict())
+    report = run_study(cfg, mesh)
+    _write_json(out / "study_report.json", report)
     csv_path = out / "study_summary.csv"
     _write_csv(csv_path, report.csv_rows())
     print(f"wrote {csv_path} ({len(report.steps)} steps)")

@@ -50,8 +50,10 @@ def _triangle_edges(tri):
 
 
 def _signed_volumes(vertices, tets):
-    e = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
-    return np.linalg.det(e) / 6.0
+    """Signed tet volumes; inf or nan where finite coordinates overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
+        return np.linalg.det(e) / 6.0
 
 
 class Mesh:
@@ -85,6 +87,9 @@ class Mesh:
                 raise MalformedMeshError("region tag array must have one entry per tet")
 
         vols = _signed_volumes(vertices, tets)
+        if not np.all(np.isfinite(vols)):
+            bad = int(np.argmin(np.isfinite(vols)))
+            raise MalformedMeshError(f"tet {bad} has non-finite volume {float(vols[bad])!r}")
         if np.any(vols <= 0.0):
             bad = int(np.argmin(vols))
             raise MalformedMeshError(f"tet {bad} has non-positive volume {vols[bad]:.3e}")
@@ -433,6 +438,9 @@ def load_mesh(path) -> Mesh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("version") != MESH_FORMAT_VERSION:
         raise ConfigError(f"unsupported mesh file version in {path}")
+    if type(doc["version"]) is not int:      # true and 1.0 equal 1
+        raise MalformedMeshError(
+            f"mesh file 'version' must be the integer 1, got {doc['version']!r}")
     for key in ("vertices", "tets", "region"):
         if key not in doc:
             raise ConfigError(f"mesh file missing '{key}'")

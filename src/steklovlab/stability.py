@@ -18,14 +18,14 @@ perturbation (delta K - omega^2 delta M) is
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._assembly import h1_gram
 from .boundary_ops import assemble_surface_operators
 from .eigensolver import cluster, solve_shift_invert
-from .errors import AssumptionViolation, InsufficientData, ShiftAtEigenvalue
+from .errors import AssumptionViolation, InsufficientData, ShiftAtEigenvalue, SolverFailure
 from .fem_maxwell import (
     assemble_maxwell,
     hcurl_gram,
@@ -119,36 +119,6 @@ def _first_order_drift(pencil0, pencil_h, vecs, c) -> complex:
 # --------------------------------------------------------------------- #
 
 @dataclass
-class StudySetup:
-    """Inputs of a perturbation study on a fixed mesh."""
-
-    mesh: Mesh
-    omega: float
-    schedule: list                      # (h, delta) pairs, coarsest first
-    problem: str = "maxwell"
-    mu_base: dict = field(default_factory=lambda: {1: 1.0})
-    eps_base: dict = field(default_factory=lambda: {1: 1.0})
-    center: tuple = (0.0, 0.0, 0.0)
-    target: str = "eps"
-    p_list: tuple = (4.0,)
-    sigma: complex = 1.0 + 0.0j
-    target_lambda: complex | None = None
-    k: int = 12
-    tol: float = 1e-11
-    cluster_reltol: float = 1e-6
-    diag_threshold: float = 1e-6
-    step_diagnostics: bool = True
-    seed: int = 0
-    krylov_dim: int | None = None
-    max_krylov: int | None = None
-
-    def solver_options(self) -> dict:
-        """Keyword arguments of every solve_shift_invert call of the study."""
-        return {"tol": self.tol, "seed": self.seed,
-                "krylov_dim": self.krylov_dim, "max_krylov": self.max_krylov}
-
-
-@dataclass
 class StepRecord:
     index: int
     h: float
@@ -159,36 +129,13 @@ class StepRecord:
     confirmed: bool | None = None        # the step solve's flags; None without a solve
     partial: bool | None = None
     n_matched: int = 0
-    lam: complex | None = None
+    lam: complex | None = field(default=None, metadata={"json": "lambda"})
     drift: float | None = None
-    mean_lam: complex | None = None
+    mean_lam: complex | None = field(default=None, metadata={"json": "lambda_mean"})
     mean_drift: float | None = None
     cluster_diameter: float | None = None
     predicted: complex | None = None
     prediction_note: str = ""
-
-    def as_dict(self):
-        def cx(z):
-            return None if z is None else {"re": z.real, "im": z.imag}
-
-        return {
-            "index": self.index,
-            "h": self.h,
-            "delta": cx(self.delta),
-            "status": self.status,
-            "norms": {f: {str(p): v for p, v in ps.items()} for f, ps in self.norms.items()},
-            "diag_sigma": self.diag_sigma,
-            "confirmed": self.confirmed,
-            "partial": self.partial,
-            "n_matched": self.n_matched,
-            "lambda": cx(self.lam),
-            "drift": self.drift,
-            "lambda_mean": cx(self.mean_lam),
-            "mean_drift": self.mean_drift,
-            "cluster_diameter": self.cluster_diameter,
-            "predicted": cx(self.predicted),
-            "prediction_note": self.prediction_note,
-        }
 
 
 @dataclass
@@ -206,23 +153,6 @@ class StudyReport:
     fits: dict                           # p -> FitResult (drift vs target-field norm)
     mean_fits: dict                      # p -> FitResult (mean drift)
     meta: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        return {
-            "problem": self.problem,
-            "omega": self.omega,
-            "target": self.target,
-            "p_list": list(self.p_list),
-            "lambda0": {"re": self.lambda0.real, "im": self.lambda0.imag},
-            "cluster_size": self.cluster_size,
-            "c": {"re": self.c.real, "im": self.c.imag},
-            "guard_radius": self.guard_radius,
-            "baseline_diag": self.baseline_diag,
-            "steps": [s.as_dict() for s in self.steps],
-            "fits": {str(p): asdict(f) for p, f in self.fits.items()},
-            "mean_fits": {str(p): asdict(f) for p, f in self.mean_fits.items()},
-            "meta": self.meta,
-        }
 
     def csv_rows(self):
         """Summary rows: h, norms (None if no fields were built), drifts, predictions."""
@@ -246,6 +176,43 @@ class StudyReport:
             ]
             rows.append(row)
         return rows
+
+
+@dataclass
+class RunConfig:
+    """One run of ``solve``, ``diagnose`` or ``study``: the problem, its
+    materials, the solver and its checks, and the study section.
+
+    The command line reads it from JSON (``cli._run_config``; see README for
+    the schema).  ``schedule`` is None when the config has no study.
+    """
+
+    problem: str                         # "scalar" or "maxwell"
+    materials: dict                      # "mu_inv"/"eps" -> {region tag: tensor entry}
+    omega: float = 0.0
+    mesh_spec: dict | None = None        # {"path"} or {"kind": "cube"|"ball", "n"|"level"}
+    perturbations: tuple = ()            # PerturbationSpec; solve and diagnose apply them
+    sigma: complex = 1.0 + 0.0j
+    k: int = 12
+    tol: float = 1e-10
+    seed: int = 0
+    cluster_reltol: float = 1e-6
+    krylov_dim: int | None = None
+    max_krylov: int | None = None
+    census_delta: float = np.pi / 3.0
+    census_radius: float | None = None
+    diag_threshold: float = 1e-6
+    schedule: list | None = None         # study steps as (h, delta) pairs; None: no study
+    center: tuple = (0.0, 0.0, 0.0)
+    target: str = "eps"
+    p_list: tuple = (4.0,)
+    target_lambda: complex | None = None
+    step_diagnostics: bool = True
+
+    def solver_options(self) -> dict:
+        """Keyword arguments of every solve_shift_invert call of the run."""
+        return {"tol": self.tol, "seed": self.seed,
+                "krylov_dim": self.krylov_dim, "max_krylov": self.max_krylov}
 
 
 class Problem:
@@ -289,31 +256,31 @@ class Problem:
         return {"kind": "kernel_subspace", **self.basis.info}
 
 
-def run_study(setup: StudySetup) -> StudyReport:
-    """Track one eigenvalue cluster across a perturbation schedule.
+def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
+    """Track one eigenvalue cluster across the perturbation schedule of ``cfg``.
 
     Rebuilds the coefficient fields per step, reassembles only the
     coefficient-dependent matrices on the same mesh, resolves near the
     tracked eigenvalue with the shift placed at it, and matches eigenvalues
     by nearest neighbor inside a guard radius of half the baseline gap.
     """
-    prob = Problem(setup.problem, setup.mesh, setup.omega)
+    prob = Problem(cfg.problem, mesh, cfg.omega)
 
-    mu0 = build_field(setup.mesh, "mu_inv", setup.mu_base)
-    eps0 = build_field(setup.mesh, "eps", setup.eps_base)
+    mu0 = build_field(mesh, "mu_inv", cfg.materials["mu_inv"])
+    eps0 = build_field(mesh, "eps", cfg.materials["eps"])
     pencil0 = prob.assemble(mu0, eps0)
     baseline_diag = prob.diagnostic(pencil0)
-    if setup.step_diagnostics and baseline_diag < setup.diag_threshold:
+    if cfg.step_diagnostics and baseline_diag < cfg.diag_threshold:
         raise AssumptionViolation(
-            f"baseline diagnostic {baseline_diag:.3e} below threshold {setup.diag_threshold:.1e}"
+            f"baseline diagnostic {baseline_diag:.3e} below threshold {cfg.diag_threshold:.1e}"
         )
 
-    base = solve_shift_invert(pencil0.a0(), pencil0.B, setup.sigma, max(setup.k, MIN_STUDY_K),
-                              **setup.solver_options())
+    base = solve_shift_invert(pencil0.a0(), pencil0.B, cfg.sigma, max(cfg.k, MIN_STUDY_K),
+                              **cfg.solver_options())
     if len(base) == 0:
-        raise AssumptionViolation("baseline solve produced no certified eigenvalues")
-    clustered = cluster(base, setup.cluster_reltol)
-    guess = setup.target_lambda if setup.target_lambda is not None else setup.sigma
+        raise SolverFailure("baseline solve produced no certified eigenvalues")
+    clustered = cluster(base, cfg.cluster_reltol)
+    guess = cfg.target_lambda if cfg.target_lambda is not None else cfg.sigma
     tracked_label = clustered.cluster_labels[int(np.argmin(np.abs(clustered.eigenvalues - guess)))]
     members = clustered.cluster_labels == tracked_label
     lam0 = complex(clustered.cluster_means[tracked_label])
@@ -325,8 +292,8 @@ def run_study(setup: StudySetup) -> StudyReport:
     c, degenerate = _nondegeneracy(pencil0.B, vectors)   # baseline-only: decided once
 
     records = []
-    for idx, (h, delta) in enumerate(setup.schedule):
-        rec = _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
+    for idx, (h, delta) in enumerate(cfg.schedule):
+        rec = _run_step(cfg, prob, pencil0, mu0, eps0, lam0, n_members, guard,
                         vectors, c, degenerate, idx, float(h), complex(delta))
         records.append(rec)
     records.sort(key=lambda r: r.h)
@@ -334,9 +301,9 @@ def run_study(setup: StudySetup) -> StudyReport:
     fits, mean_fits = {}, {}
     ok = [r for r in records if r.status == "ok"]
     ok_coarse_first = sorted(ok, key=lambda r: -r.h)
-    for p in setup.p_list:
-        pairs = [(r.norms[setup.target][p], r.drift) for r in ok_coarse_first]
-        mean_pairs = [(r.norms[setup.target][p], r.mean_drift) for r in ok_coarse_first]
+    for p in cfg.p_list:
+        pairs = [(r.norms[cfg.target][p], r.drift) for r in ok_coarse_first]
+        mean_pairs = [(r.norms[cfg.target][p], r.mean_drift) for r in ok_coarse_first]
         try:
             fits[p] = fit_rate(pairs)
             mean_fits[p] = fit_rate(mean_pairs)
@@ -344,10 +311,10 @@ def run_study(setup: StudySetup) -> StudyReport:
             continue
 
     return StudyReport(
-        problem=setup.problem,
-        omega=setup.omega,
-        target=setup.target,
-        p_list=tuple(setup.p_list),
+        problem=cfg.problem,
+        omega=cfg.omega,
+        target=cfg.target,
+        p_list=tuple(cfg.p_list),
         lambda0=lam0,
         cluster_size=n_members,
         c=complex(c),
@@ -357,34 +324,33 @@ def run_study(setup: StudySetup) -> StudyReport:
         fits=fits,
         mean_fits=mean_fits,
         meta={
-            "sigma": {"re": complex(setup.sigma).real, "im": complex(setup.sigma).imag},
-            "seed": setup.seed,
-            "k": setup.k,
-            "tol": setup.tol,
+            "sigma": complex(cfg.sigma),
+            "seed": cfg.seed,
+            "k": cfg.k,
+            "tol": cfg.tol,
             "baseline": {"confirmed": base.meta["confirmed"], "partial": base.meta["partial"]},
             "n_steps": len(records),
-            "mesh": {"vertices": setup.mesh.n_vertices, "tets": setup.mesh.n_tets,
-                     "edges": setup.mesh.n_edges, "kind": setup.mesh.kind},
+            "mesh": {"vertices": mesh.n_vertices, "tets": mesh.n_tets,
+                     "edges": mesh.n_edges, "kind": mesh.kind},
         },
     )
 
 
-def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
+def _run_step(cfg, prob, pencil0, mu0, eps0, lam0, n_members, guard,
               vectors, c, degenerate, idx, h, delta):
-    spec = PerturbationSpec(setup.center, h, delta, setup.target)
+    spec = PerturbationSpec(cfg.center, h, delta, cfg.target)
     baseline = {"mu_inv": mu0, "eps": eps0}
     fields = dict(baseline)
-    base = setup.mu_base if setup.target == "mu_inv" else setup.eps_base
     try:
-        fields[setup.target] = build_field(setup.mesh, setup.target, base, [spec])
+        fields[cfg.target] = build_field(prob.mesh, cfg.target, cfg.materials[cfg.target], [spec])
     except AssumptionViolation as exc:
         return StepRecord(idx, h, delta, f"aborted-invalid-field: {exc}", {})
     mu_h, eps_h = fields["mu_inv"], fields["eps"]
 
     # the field the step does not perturb is the baseline one: its norms are 0.0
-    norms = {name: dict.fromkeys(setup.p_list, 0.0) for name in baseline}
-    norms[setup.target] = {p: lp_diff_norm(fields[setup.target], baseline[setup.target], p)
-                           for p in setup.p_list}
+    norms = {name: dict.fromkeys(cfg.p_list, 0.0) for name in baseline}
+    norms[cfg.target] = {p: lp_diff_norm(fields[cfg.target], baseline[cfg.target], p)
+                         for p in cfg.p_list}
     rec = StepRecord(idx, h, delta, "ok", norms)
 
     if all(v == 0.0 for ps in norms.values() for v in ps.values()):
@@ -399,21 +365,21 @@ def _run_step(setup, prob, pencil0, mu0, eps0, lam0, n_members, guard,
         return rec
 
     pencil_h = prob.assemble(mu_h, eps_h)
-    if setup.step_diagnostics:
+    if cfg.step_diagnostics:
         rec.diag_sigma = float(prob.diagnostic(pencil_h))
-        if rec.diag_sigma < setup.diag_threshold:
+        if rec.diag_sigma < cfg.diag_threshold:
             rec.status = "aborted-diagnostic"
             return rec
 
     k_step = max(n_members + 4, MIN_STUDY_K)
     try:
-        res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step, **setup.solver_options())
+        res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step, **cfg.solver_options())
     except ShiftAtEigenvalue:
         # lam0 is an eigenvalue of the step pencil too (at omega = 0 an eps
         # perturbation does not enter it), so the shift moves off it once
         offset = SHIFT_OFFSET * (guard if np.isfinite(guard) else abs(lam0))
         res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0 + offset, k_step,
-                                 **setup.solver_options())
+                                 **cfg.solver_options())
     rec.confirmed = res.meta["confirmed"]
     rec.partial = res.meta["partial"]
     cand = res.eigenvalues[np.abs(res.eigenvalues - lam0) < guard]

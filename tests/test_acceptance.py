@@ -33,7 +33,7 @@ from steklovlab.fem_maxwell import (
 from steklovlab.fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic
 from steklovlab.materials import build_field
 from steklovlab.mesh import extract_boundary, generate_ball_mesh, generate_cube_mesh, refine_uniform
-from steklovlab.stability import StudySetup, run_study
+from steklovlab.stability import RunConfig, run_study
 
 ABSORBING = {"re": 4.0, "im": 1.0}
 
@@ -275,15 +275,15 @@ def test_criterion_6_stability_bound_and_prediction():
     failures = []
     mesh = generate_cube_mesh(5)
     common = dict(
-        mesh=mesh, omega=1.0, problem="maxwell",
-        eps_base={1: ABSORBING}, center=(0.5, 0.5, 0.5), target="eps",
+        omega=1.0, problem="maxwell",
+        materials={"mu_inv": {1: 1.0}, "eps": {1: ABSORBING}}, center=(0.5, 0.5, 0.5), target="eps",
         sigma=2.3 + 0.0j, k=8, tol=1e-11,
     )
 
     # (a) shrinking element-resolved radii at fixed delta: bound satisfaction
     radii = (0.42, 0.34, 0.26, 0.18)
-    rep_a = run_study(StudySetup(
-        schedule=[(h, 1e-3j) for h in radii], p_list=(2.0, 4.0, 8.0), **common))
+    rep_a = run_study(RunConfig(
+        schedule=[(h, 1e-3j) for h in radii], p_list=(2.0, 4.0, 8.0), **common), mesh)
     if any(s.status != "ok" for s in rep_a.steps):
         failures.append("study (a) has non-ok steps")
     norms = [s.norms["eps"][2.0] for s in rep_a.steps]
@@ -297,8 +297,8 @@ def test_criterion_6_stability_bound_and_prediction():
             failures.append(f"p={p}: bound violated, ratio {fit.bound_ratio_max:.4f}")
 
     # (b) delta halving at fixed radius: first-order prediction accuracy
-    rep_b = run_study(StudySetup(
-        schedule=[(0.42, 4e-3j), (0.42, 2e-3j), (0.42, 1e-3j)], p_list=(4.0,), **common))
+    rep_b = run_study(RunConfig(
+        schedule=[(0.42, 4e-3j), (0.42, 2e-3j), (0.42, 1e-3j)], p_list=(4.0,), **common), mesh)
     if abs(rep_b.c) <= 1e-8:
         failures.append(f"tracked cluster degenerate: |c| = {abs(rep_b.c):.2e}")
     steps = sorted(rep_b.steps, key=lambda s: -abs(s.delta))

@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from steklovlab import cli, fem_scalar
 from steklovlab.cli import run
+from steklovlab.errors import ConfigError
 from steklovlab.fem_scalar import assemble_scalar
 from steklovlab.materials import build_field
 from steklovlab.mesh import generate_cube_mesh, save_mesh
@@ -141,6 +144,29 @@ def test_diagnose_scalar_cube_no_interior_vertex_writes_null(tmp_path):
     # a study whose baseline has one cluster has an infinite guard radius
     cli._write_json(tmp_path / "report.json", {"guard_radius": np.inf, "fits": [np.nan, 1.5]})
     assert _strict_json(tmp_path / "report.json") == {"guard_radius": None, "fits": [None, 1.5]}
+
+    # the one encoder: dataclasses (nested, renamed by metadata["json"]),
+    # complex numbers and arrays of them, float dict keys
+    @dataclass
+    class Step:
+        lam: complex = field(default=2 - 0.5j, metadata={"json": "lambda"})
+        norms: dict = field(default_factory=lambda: {2.0: 0.5, 10.0: np.inf})
+
+    @dataclass
+    class Report:
+        c: complex
+        steps: list
+
+    cli._write_json(tmp_path / "report.json", {
+        "report": Report(complex(np.inf, 1.0), [Step()]),
+        "means": np.array([1 + 1j, -2j]),
+    })
+    assert _strict_json(tmp_path / "report.json") == {
+        "report": {"c": {"re": None, "im": 1.0},
+                   "steps": [{"lambda": {"re": 2.0, "im": -0.5},
+                              "norms": {"2.0": 0.5, "10.0": None}}]},
+        "means": [{"re": 1.0, "im": 1.0}, {"re": 0.0, "im": -2.0}],
+    }
 
 
 def test_diagnose_scalar_two_cubes_from_mesh_path(tmp_path, capsys, two_cubes):
@@ -295,6 +321,11 @@ MALFORMED_MESH_FILES = {
                           "mesh file 'region' holds an integer outside int64"),
     "region-1e400": (["region", 0], "INF", "mesh file 'region' holds a non-finite value inf"),
     "kind-5": (["kind"], 5, "mesh file 'kind' must be cube, ball or generic, got 5"),
+    "version-true": (["version"], True, "mesh file 'version' must be the integer 1, got True"),
+    "version-1.0": (["version"], 1.0, "mesh file 'version' must be the integer 1, got 1.0"),
+    # finite coordinates whose volumes overflow
+    "vertices-1e200": (["vertices"], (generate_cube_mesh(2).vertices * 1e200).tolist(),
+                       "tet 0 has non-finite volume inf"),
 }
 
 
@@ -535,6 +566,19 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
      "config-error", 1),
     ("solve --seed 1.5", _SMALL, "config-error", 1),
     ("solve --threads abc", _SMALL, "config-error", 1),
+    ("solve", _with(_SMALL, ("sudy",), {}), "config-error", 1),
+    ("solve", _with(_SMALL, ("mesh", "size"), 2), "config-error", 1),
+    ("solve", _with(_SMALL, ("materials", "sigma"), {"1": 1.0}), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "sigma"), 2.3), "config-error", 1),
+    ("solve", _with(_SMALL, ("census", "angle"), 1.0), "config-error", 1),
+    ("solve", _with(_SMALL, ("diagnostics", "tol"), 1e-6), "config-error", 1),
+    ("solve", _with(_SMALL, ("perturbations",),
+                    [{"center": [0, 0, 0], "h": 0.3, "radius": 0.3}]), "config-error", 1),
+    ("study", _with(_SMALL, ("study",), {**_STUDY, "radius": 0.3}), "config-error", 1),
+    ("study", _with(_SMALL, ("study",), {"schedule": [{"h": 0.3, "center": [0, 0, 0]}]}),
+     "config-error", 1),
+    ("study", _with(_SMALL, ("study",), {**_STUDY, "target_lambda": {"re": 1.0, "real": 1.0}}),
+     "config-error", 1),
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
         "krylov-dim-zero", "krylov-dim-negative", "max-krylov-zero", "census-delta-range",
@@ -543,7 +587,10 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
         "cube-n-string", "ball-level-negative", "region-tag-name", "fractional-k",
         "fractional-cube-n", "step-diagnostics-string", "census-radius-negative",
         "cluster-reltol-negative", "scalar-anisotropic-eps", "fractional-seed-flag",
-        "thread-flag-string"])
+        "thread-flag-string", "unknown-root-key", "unknown-mesh-key", "unknown-materials-key",
+        "unknown-solver-key", "unknown-census-key", "unknown-diagnostics-key",
+        "unknown-perturbation-key", "unknown-study-key", "unknown-schedule-key",
+        "unknown-target-lambda-key"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
     if kind == "solver-failure":
         def fail(args):
@@ -612,6 +659,44 @@ def test_malformed_config_value_is_at_most_one_error_line(base):
         assert sum(ln.startswith("error:") for ln in text.splitlines()) <= 1
 
     check()
+
+
+def test_unknown_config_key_is_named():
+    # each section reader refuses a key it does not read, named by its path;
+    # the full config, which carries every key, is read without complaint
+    base = _FUZZ_BASES["scalar-ball-l0"]
+    cli._run_config(base)
+    for path, name in [
+        (("sudy",), "sudy"),
+        (("mesh", "n"), "mesh.n"),
+        (("materials", "mu"), "materials.mu"),
+        (("solver", "sigma"), "solver.sigma"),
+        (("census", "angle"), "census.angle"),
+        (("diagnostics", "tol"), "diagnostics.tol"),
+        (("perturbations", 0, "radius"), "perturbations[0].radius"),
+        (("study", "radius"), "study.radius"),
+        (("study", "schedule", 0, "center"), "study.schedule[0].center"),
+        (("study", "target_lambda", "real"), "study.target_lambda.real"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^unknown key {re.escape(name)}$"):
+            cli._run_config(_with(base, path, 1.0))
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_no_certified_pair_is_solver_failure(tmp_path, capsys, command):
+    # no pair meets a 1e-30 certificate: a study's baseline fails as a solve does
+    doc = {
+        "problem": "maxwell",
+        "mesh": {"kind": "cube", "n": 2},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "k": 4, "tol": 1e-30},
+        "study": {"center": [0.5, 0.5, 0.5], "schedule": [{"h": 0.45, "delta_im": 1e-3}]},
+    }
+    cfg = write_config(tmp_path, doc)
+    assert run([command, "--config", cfg, "--output", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solver-failure: ")
 
 
 def test_solve_diagnose_study_report_one_diagnostic(tmp_path):

@@ -3,11 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from fem_helpers import DegenerateCluster, first_order_prediction, nondegeneracy
-from steklovlab import stability
+from steklovlab import cli, stability
 from steklovlab.errors import InsufficientData
 from steklovlab.materials import build_field, lp_diff_norm, PerturbationSpec
 from steklovlab.mesh import generate_cube_mesh
-from steklovlab.stability import StudySetup, fit_rate, run_study
+from steklovlab.stability import RunConfig, fit_rate, run_study
 
 
 class _StubPencil:
@@ -127,12 +127,11 @@ def cube3():
     return generate_cube_mesh(3)
 
 
-def maxwell_setup(mesh, **kw):
+def maxwell_setup(**kw):
     args = dict(
-        mesh=mesh,
         omega=1.0,
         problem="maxwell",
-        eps_base={1: {"re": 4.0, "im": 1.0}},
+        materials={"mu_inv": {1: 1.0}, "eps": {1: {"re": 4.0, "im": 1.0}}},
         center=(0.5, 0.5, 0.5),
         target="eps",
         schedule=[],
@@ -142,18 +141,18 @@ def maxwell_setup(mesh, **kw):
         tol=1e-11,
     )
     args.update(kw)
-    return StudySetup(**args)
+    return RunConfig(**args)
 
 
 def test_empty_schedule_no_drifts(cube3):
-    report = run_study(maxwell_setup(cube3))
+    report = run_study(maxwell_setup(), cube3)
     assert report.steps == []
     assert report.cluster_size >= 1
     assert all(d is None or d == 0 for d in [])  # trivially: no drift entries at all
 
 
 def test_ball_outside_domain_gives_zero_drift(cube3):
-    report = run_study(maxwell_setup(cube3, schedule=[(0.2, 1e-3j)], center=(5.0, 5.0, 5.0)))
+    report = run_study(maxwell_setup(schedule=[(0.2, 1e-3j)], center=(5.0, 5.0, 5.0)), cube3)
     (step,) = report.steps
     assert step.status == "ok"
     assert step.drift == 0.0
@@ -162,8 +161,8 @@ def test_ball_outside_domain_gives_zero_drift(cube3):
 
 def test_delta_halving_first_order_regime(cube3):
     report = run_study(maxwell_setup(
-        cube3, schedule=[(0.45, 2e-3j), (0.45, 1e-3j)],
-    ))
+        schedule=[(0.45, 2e-3j), (0.45, 1e-3j)],
+    ), cube3)
     steps = sorted(report.steps, key=lambda s: -abs(s.delta))
     ratio = steps[0].drift / steps[1].drift
     assert ratio == pytest.approx(2.0, rel=0.2)
@@ -171,7 +170,7 @@ def test_delta_halving_first_order_regime(cube3):
 
 def test_norms_in_records_match_materials(cube3):
     h, delta = 0.4, 1e-3j
-    report = run_study(maxwell_setup(cube3, schedule=[(h, delta)]))
+    report = run_study(maxwell_setup(schedule=[(h, delta)]), cube3)
     (step,) = report.steps
     eps0 = build_field(cube3, "eps", {1: {"re": 4.0, "im": 1.0}})
     eps_h = build_field(cube3, "eps", {1: {"re": 4.0, "im": 1.0}},
@@ -192,8 +191,8 @@ def test_step_norms_only_the_target_field(cube3, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(stability, "lp_diff_norm", counted)
-    setup = maxwell_setup(cube3, schedule=[(0.45, 1e-3j), (0.3, 1e-3j)])
-    report = run_study(setup)
+    setup = maxwell_setup(schedule=[(0.45, 1e-3j), (0.3, 1e-3j)])
+    report = run_study(setup, cube3)
     assert len(calls) == len(report.steps) * len(setup.p_list) == 4
     for step in report.steps:
         assert step.norms["mu_inv"] == {2.0: 0.0, 4.0: 0.0}
@@ -201,7 +200,7 @@ def test_step_norms_only_the_target_field(cube3, monkeypatch):
 
 
 def test_prediction_vs_measured_small_delta(cube3):
-    report = run_study(maxwell_setup(cube3, schedule=[(0.45, 1e-3j)]))
+    report = run_study(maxwell_setup(schedule=[(0.45, 1e-3j)]), cube3)
     (step,) = report.steps
     shift = step.lam - report.lambda0
     assert abs(shift - step.predicted) / abs(shift) <= 0.2
@@ -210,11 +209,10 @@ def test_prediction_vs_measured_small_delta(cube3):
 def test_degenerate_cluster_tracked_and_mean_triangle(cube3):
     # centered ball = symmetric perturbation of the symmetric double cluster
     report = run_study(maxwell_setup(
-        cube3,
         schedule=[(0.45, 4e-3j), (0.45, 2e-3j), (0.45, 1e-3j), (0.45, 5e-4j)],
         target_lambda=2.50 - 0.13j,
         p_list=(4.0,),
-    ))
+    ), cube3)
     assert report.cluster_size == 2
     for step in report.steps:
         assert step.status == "ok"
@@ -228,18 +226,17 @@ def test_degenerate_cluster_tracked_and_mean_triangle(cube3):
 
 def test_records_sorted_by_h(cube3):
     report = run_study(maxwell_setup(
-        cube3, schedule=[(0.45, 1e-3j), (0.2, 1e-3j), (0.3, 1e-3j)],
-    ))
+        schedule=[(0.45, 1e-3j), (0.2, 1e-3j), (0.3, 1e-3j)],
+    ), cube3)
     hs = [s.h for s in report.steps]
     assert hs == sorted(hs)
 
 
 def test_scalar_study_runs(cube3):
-    report = run_study(StudySetup(
-        mesh=cube3,
+    report = run_study(RunConfig(
         omega=1.0,
         problem="scalar",
-        eps_base={1: {"re": 4.0, "im": 1.0}},
+        materials={"mu_inv": {1: 1.0}, "eps": {1: {"re": 4.0, "im": 1.0}}},
         center=(0.5, 0.5, 0.5),
         target="eps",
         schedule=[(0.45, 1e-3j)],
@@ -247,7 +244,7 @@ def test_scalar_study_runs(cube3):
         sigma=0.5 + 0.0j,
         k=6,
         tol=1e-10,
-    ))
+    ), cube3)
     (step,) = report.steps
     assert step.status == "ok"
     assert step.drift > 0
@@ -257,7 +254,7 @@ def test_scalar_study_runs(cube3):
 
 def test_invalid_field_step_aborts(cube3):
     # perturbation large enough to destroy coercivity of Re(eps)
-    report = run_study(maxwell_setup(cube3, schedule=[(0.45, -10.0 + 0j)]))
+    report = run_study(maxwell_setup(schedule=[(0.45, -10.0 + 0j)]), cube3)
     (step,) = report.steps
     assert step.status.startswith("aborted-invalid-field")
     # no fields were built, so the summary row has empty norm cells, not zeros
@@ -280,20 +277,20 @@ def test_step_records_solver_flags_without_changing_status(cube3, monkeypatch):
         return res
 
     monkeypatch.setattr(stability, "solve_shift_invert", unconfirmed_steps)
-    report = run_study(maxwell_setup(cube3, schedule=[(0.45, 1e-3j), (0.3, -10.0 + 0j)]))
+    report = run_study(maxwell_setup(schedule=[(0.45, 1e-3j), (0.3, -10.0 + 0j)]), cube3)
     assert len(calls) == 2
     assert report.meta["baseline"] == {"confirmed": True, "partial": calls[0].meta["partial"]}
     invalid, solved = report.steps
     assert solved.status == "ok"
     assert (solved.confirmed, solved.partial) == (False, calls[1].meta["partial"])
     assert invalid.status.startswith("aborted-invalid-field")
-    doc = invalid.as_dict()
+    doc = cli._json_safe(invalid)
     assert doc["confirmed"] is None and doc["partial"] is None
-    assert solved.as_dict()["confirmed"] is False
+    assert cli._json_safe(solved)["confirmed"] is False
 
 
 def test_csv_rows_shape(cube3):
-    report = run_study(maxwell_setup(cube3, schedule=[(0.45, 1e-3j)]))
+    report = run_study(maxwell_setup(schedule=[(0.45, 1e-3j)]), cube3)
     rows = report.csv_rows()
     assert len(rows) == 2
     assert len(rows[0]) == len(rows[1])

@@ -86,10 +86,10 @@ def test_study_builds_mesh_operators_once(kind, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(stability, name, counted(name, getattr(stability, name)))
-    report = stability.run_study(stability.StudySetup(
-        mesh=generate_cube_mesh(2), omega=1.0, problem=kind,
-        eps_base={1: {"re": 4.0, "im": 1.0}}, center=(0.5, 0.5, 0.5),
+    report = stability.run_study(stability.RunConfig(
+        omega=1.0, problem=kind,
+        materials={"mu_inv": {1: 1.0}, "eps": {1: {"re": 4.0, "im": 1.0}}}, center=(0.5, 0.5, 0.5),
         schedule=[(0.45, 1e-3j), (0.3, 1e-3j)], p_list=(4.0,),
-        sigma=(2.3 if kind == "maxwell" else 0.5) + 0.0j, k=6, tol=1e-10))
+        sigma=(2.3 if kind == "maxwell" else 0.5) + 0.0j, k=6, tol=1e-10), generate_cube_mesh(2))
     assert [r.status for r in report.steps] == ["ok", "ok"]
     assert calls == {name: int(name in MESH_BUILDERS[kind]) for name in calls}
