@@ -106,7 +106,9 @@ class GroundedLaplacian:
 class BoundaryGram:
     """Boundary Gram form B = D^T L^+ D on edge dofs, with the surface
     operators it is made of: the surface stiffness L, the coupling D
-    (surface vertices x edge dofs) and the grounded solve of L.
+    (surface vertices x edge dofs), the grounded solve of L, and ``D_free``,
+    the rows of D on the free vertices of that solve, which every shifted
+    solve with this form takes.
 
     Applied matrix-free (one coupling matvec, one factorized surface solve,
     one transposed matvec per application); ``to_sparse`` materializes the
@@ -119,6 +121,7 @@ class BoundaryGram:
         self.L = L
         self.D = D
         self.laplacian = laplacian
+        self.D_free = D.tocsr()[laplacian.free]
         self.shape = (D.shape[1], D.shape[1])
         self._sparse = None
 

@@ -338,21 +338,11 @@ def _diagnosed_pencil(cfg: RunConfig, mesh):
     head = {
         "problem": cfg.problem,
         "omega": cfg.omega,
-        "mesh": _mesh_info(mesh),
+        "mesh": mesh.summary(),
         "materials": {fld.name: fld.report for fld in (mu, eps)},
         "diagnostics": diag,
     }
     return pencil, sigma_min, head
-
-
-def _mesh_info(mesh):
-    return {
-        "vertices": mesh.n_vertices,
-        "tets": mesh.n_tets,
-        "edges": mesh.n_edges,
-        "boundary_faces": int(len(mesh.boundary_faces)),
-        "kind": mesh.kind,
-    }
 
 
 def _json_safe(x):

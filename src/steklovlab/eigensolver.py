@@ -118,11 +118,10 @@ class _ShiftedSolver:
         self.n = A0.shape[0]
 
         if isinstance(B, BoundaryGram):
-            grounded = B.laplacian
-            self._Df = B.D.tocsr()[grounded.free]
+            self._Df = B.D_free
             aug = sp.bmat(
                 [[A0.astype(np.complex128), -self._Df.T],
-                 [self.sigma * self._Df, -grounded.L_ff]],
+                 [self.sigma * self._Df, -B.laplacian.L_ff]],
                 format="csc",
             )
             try:
@@ -303,7 +302,9 @@ class _Arnoldi:
         self.G = np.zeros((locked.shape[1], cap), dtype=np.complex128)
         self.steps = 0
         self.beta = 0.0
-        v = _cgs2(locked, v0.astype(np.complex128))[0]
+        v = v0.astype(np.complex128)
+        if locked.shape[1]:         # nothing to project out before the first lock
+            v = _cgs2(locked, v)[0]
         nv = np.linalg.norm(v)
         self.breakdown = nv == 0.0
         if not self.breakdown:
@@ -315,7 +316,9 @@ class _Arnoldi:
             return
         V, H = self.V, self.H
         for j in range(self.steps, m):
-            w, self.G[:, j] = _cgs2(self.locked, self.apply_op(V[:, j]))
+            w = self.apply_op(V[:, j])
+            if self.locked.shape[1]:
+                w, self.G[:, j] = _cgs2(self.locked, w)
             self.steps = j + 1
             w, h = _cgs2(V[:, : j + 1], w)
             H[: j + 1, j] = h

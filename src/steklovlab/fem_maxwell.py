@@ -82,17 +82,20 @@ def hcurl_gram(mesh: Mesh) -> sp.csr_matrix:
 
 
 def assemble_maxwell(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField,
-                     omega: float, B: BoundaryGram) -> Pencil:
+                     omega: float, B: BoundaryGram, K=None, M=None) -> Pencil:
     """Assemble the Maxwell pencil; piecewise-constant coefficients are
-    integrated exactly (the integrands are at most quadratic)."""
+    integrated exactly (the integrands are at most quadratic); a given
+    ``K`` or ``M`` is taken as that field's matrix on ``mesh``."""
     if omega == 0:
         raise ValueError("omega must be nonzero for the Maxwell pencil")
     beta = continuity_bound(mesh, mu_inv, eps, omega)
     if B.mesh is not mesh:
         raise ConfigError("boundary form belongs to a different mesh")
 
-    K = curl_curl_matrix(mesh, np.ascontiguousarray(mu_inv.tensors.real))
-    M = edge_mass_matrix(mesh, eps.tensors)
+    if K is None:
+        K = curl_curl_matrix(mesh, np.ascontiguousarray(mu_inv.tensors.real))
+    if M is None:
+        M = edge_mass_matrix(mesh, eps.tensors)
     return Pencil(K, M, B, float(omega), beta, mesh)
 
 

@@ -35,6 +35,10 @@ from .mesh import Mesh
 # Lanczos steps allowed for the smallest singular value of inf_sup
 LANCZOS_MAX_STEPS = 500
 
+# inf_sup's Lanczos stops once its top Ritz pair's residual is at most this
+# fraction of the Ritz value
+LANCZOS_TOL = 1e-10
+
 
 @dataclass
 class Pencil:
@@ -60,11 +64,15 @@ class Pencil:
         return self._a0
 
 
-def assemble_scalar(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField, omega: float) -> Pencil:
-    """Assemble the scalar pencil with exact per-element integration."""
+def assemble_scalar(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField, omega: float,
+                    K=None, M=None) -> Pencil:
+    """Assemble the scalar pencil with exact per-element integration; a
+    given ``K`` or ``M`` is taken as that field's matrix on ``mesh``."""
     beta = continuity_bound(mesh, mu_inv, eps, omega)
-    K = p1_stiffness(mesh, np.ascontiguousarray(mu_inv.tensors.real))
-    M = p1_mass(mesh, eps.scalar_values())
+    if K is None:
+        K = p1_stiffness(mesh, np.ascontiguousarray(mu_inv.tensors.real))
+    if M is None:
+        M = p1_mass(mesh, eps.scalar_values())
     B = boundary_p1_mass(mesh)
     return Pencil(K, M, B, float(omega), beta, mesh)
 
@@ -132,7 +140,7 @@ def _lanczos_top(apply, W, n):
 
     Lanczos in the W-inner product with full reorthogonalization (two
     Gram-Schmidt passes) from a fixed start vector; stops once the top Ritz
-    pair's residual beta |s_m| is at most 1e-10 of its Ritz value.
+    pair's residual beta |s_m| is at most ``LANCZOS_TOL`` of its Ritz value.
     """
     v = np.random.default_rng(0).standard_normal(n).astype(np.complex128)
     v /= np.sqrt(np.vdot(v, W @ v).real)
@@ -152,7 +160,7 @@ def _lanczos_top(apply, W, n):
         b = np.sqrt(max(np.vdot(w, W @ w).real, 0.0))
         T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
         theta, S = np.linalg.eigh(T)
-        if b * abs(S[-1, -1]) <= 1e-10 * theta[-1]:
+        if b * abs(S[-1, -1]) <= LANCZOS_TOL * theta[-1]:
             return float(theta[-1])
         beta.append(b)
         v = w / b

@@ -39,6 +39,16 @@ LOCAL_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]], dtype=np.in
 
 MESH_FORMAT_VERSION = 1
 
+# Bounds on the largest side of a mesh's bounding box (an empty mesh counts
+# as side 1).  The assembled forms carry up to the third power of the length
+# and the solvers square them, so a run over- or underflows well inside the
+# float range (2.2e-308 to 1.8e308): a cube n=2 scaled by 1e-35 draws numpy
+# warnings from the diagnostic's Lanczos, and one scaled by 1e60 from the
+# residual certificate.  The bounds keep the tenth power of the side and of
+# its inverse inside that range.
+MIN_EXTENT = 1e-30
+MAX_EXTENT = 1e30
+
 
 def _triangle_edges(tri):
     """The distinct edges of the triangles ``tri`` (F, 3) as sorted vertex
@@ -93,6 +103,12 @@ class Mesh:
         if np.any(vols <= 0.0):
             bad = int(np.argmin(vols))
             raise MalformedMeshError(f"tet {bad} has non-positive volume {vols[bad]:.3e}")
+        with np.errstate(over="ignore"):
+            extent = float(np.ptp(vertices, axis=0).max()) if len(vertices) else 1.0
+        if not MIN_EXTENT <= extent <= MAX_EXTENT:
+            raise MalformedMeshError(
+                f"mesh scale {extent:.3e} (largest bounding-box side) outside "
+                f"[{MIN_EXTENT:g}, {MAX_EXTENT:g}]")
 
         self.vertices = vertices
         self.tets = tets
@@ -145,6 +161,16 @@ class Mesh:
     @property
     def volumes(self):
         return self._volumes
+
+    def summary(self) -> dict:
+        """The mesh block of every report: element counts and kind."""
+        return {
+            "vertices": self.n_vertices,
+            "tets": self.n_tets,
+            "edges": self.n_edges,
+            "boundary_faces": int(len(self.boundary_faces)),
+            "kind": self.kind,
+        }
 
     def _cached(self, key, fn):
         if key not in self._cache:

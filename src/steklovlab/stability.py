@@ -32,7 +32,7 @@ from .fem_maxwell import (
     kernelS_diagnostic,
     kernel_subspace_basis,
 )
-from .fem_scalar import assemble_scalar, scalar_dirichlet_diagnostic
+from .fem_scalar import LANCZOS_TOL, assemble_scalar, scalar_dirichlet_diagnostic
 from .materials import PerturbationSpec, build_field, lp_diff_norm
 from .mesh import Mesh, extract_boundary
 
@@ -45,8 +45,8 @@ C_THRESHOLD = 1e-8
 # solved once more at a shift this fraction of the guard radius away
 SHIFT_OFFSET = 1e-3
 
-# fewest eigenvalues a study solve asks for; the baseline asks for as many
-# as a step, so a neighboring cluster sets a finite guard radius
+# fewest eigenvalues the baseline solve asks for, so a neighboring cluster
+# sets a finite guard radius
 MIN_STUDY_K = 6
 
 
@@ -126,6 +126,7 @@ class StepRecord:
     status: str                          # ok | lost-track | ambiguous | aborted-*
     norms: dict                          # field -> {p: value}
     diag_sigma: float | None = None
+    diag_kind: str | None = None         # "bound" | "lanczos"; None without diag_sigma
     confirmed: bool | None = None        # the step solve's flags; None without a solve
     partial: bool | None = None
     n_matched: int = 0
@@ -161,7 +162,8 @@ class StudyReport:
             header.append(f"norm_mu_inv_p{p:g}")
         for p in self.p_list:
             header.append(f"norm_eps_p{p:g}")
-        header += ["drift", "mean_drift", "predicted_re", "predicted_im", "diag_sigma"]
+        header += ["drift", "mean_drift", "predicted_re", "predicted_im", "diag_sigma",
+                   "diag_kind"]
         rows = [header]
         for s in self.steps:
             row = [s.index, s.h, s.delta.real, s.delta.imag, s.status]
@@ -173,6 +175,7 @@ class StudyReport:
                 None if s.predicted is None else s.predicted.real,
                 None if s.predicted is None else s.predicted.imag,
                 s.diag_sigma,
+                s.diag_kind,
             ]
             rows.append(row)
         return rows
@@ -238,10 +241,28 @@ class Problem:
         self.gram = hcurl_gram(mesh)
         self.basis = kernel_subspace_basis(self.B, self.gram)
 
-    def assemble(self, mu, eps):
+    def assemble(self, mu, eps, K=None, M=None):
+        """The pencil of (mu, eps); ``K`` or ``M``, when given, is that
+        field's matrix from an earlier pencil, taken as it is."""
         if self.kind == "scalar":
-            return assemble_scalar(self.mesh, mu, eps, self.omega)
-        return assemble_maxwell(self.mesh, mu, eps, self.omega, self.B)
+            return assemble_scalar(self.mesh, mu, eps, self.omega, K, M)
+        return assemble_maxwell(self.mesh, mu, eps, self.omega, self.B, K, M)
+
+    def volume_change(self, old, new) -> float:
+        """d, the largest over elements of ||Re delta mu_inv||_2 and
+        omega^2 ||delta eps||_2 between the (mu_inv, eps) pairs ``old`` and
+        ``new``, in the coefficients the assembler reads (the scalar mass
+        reads trace(eps)/3).  The volume form changes by at most d in the
+        norm of ``gram``, so by Weyl's inequality for singular values
+        (Horn & Johnson, Topics in Matrix Analysis, 1991, Thm 3.3.16) the
+        unnormalized sigma_min of ``diagnostic`` moves by at most d."""
+        (mu0, eps0), (mu, eps) = old, new
+        d_mu = _largest_norm(mu.tensors.real - mu0.tensors.real)
+        if self.kind == "scalar":
+            d_eps = float(np.abs(eps.scalar_values() - eps0.scalar_values()).max())
+        else:
+            d_eps = _largest_norm(eps.tensors - eps0.tensors)
+        return max(d_mu, self.omega**2 * d_eps)
 
     def diagnostic(self, pencil) -> float:
         """Well-posedness value sigma_min of ``pencil`` in the norm of ``gram``."""
@@ -254,6 +275,12 @@ class Problem:
         if self.kind == "scalar":
             return {"kind": "interior_dirichlet"}
         return {"kind": "kernel_subspace", **self.basis.info}
+
+
+def _largest_norm(tensors) -> float:
+    """The largest spectral norm of the (T, 3, 3) ``tensors``; 0.0 when all are zero."""
+    nonzero = tensors[np.any(tensors != 0, axis=(1, 2))]
+    return float(np.linalg.norm(nonzero, 2, axis=(1, 2)).max()) if len(nonzero) else 0.0
 
 
 def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
@@ -291,9 +318,11 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     vectors = normalize_vectors(base.eigenvectors[:, members], prob.gram)
     c, degenerate = _nondegeneracy(pencil0.B, vectors)   # baseline-only: decided once
 
+    # sigma_min of the baseline, less the Lanczos tolerance of its value
+    sigma_floor = baseline_diag * pencil0.beta * (1.0 - LANCZOS_TOL)
     records = []
     for idx, (h, delta) in enumerate(cfg.schedule):
-        rec = _run_step(cfg, prob, pencil0, mu0, eps0, lam0, n_members, guard,
+        rec = _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard,
                         vectors, c, degenerate, idx, float(h), complex(delta))
         records.append(rec)
     records.sort(key=lambda r: r.h)
@@ -330,13 +359,12 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
             "tol": cfg.tol,
             "baseline": {"confirmed": base.meta["confirmed"], "partial": base.meta["partial"]},
             "n_steps": len(records),
-            "mesh": {"vertices": mesh.n_vertices, "tets": mesh.n_tets,
-                     "edges": mesh.n_edges, "kind": mesh.kind},
+            "mesh": mesh.summary(),
         },
     )
 
 
-def _run_step(cfg, prob, pencil0, mu0, eps0, lam0, n_members, guard,
+def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard,
               vectors, c, degenerate, idx, h, delta):
     spec = PerturbationSpec(cfg.center, h, delta, cfg.target)
     baseline = {"mu_inv": mu0, "eps": eps0}
@@ -364,14 +392,22 @@ def _run_step(cfg, prob, pencil0, mu0, eps0, lam0, n_members, guard,
         rec.predicted = 0.0 + 0.0j
         return rec
 
-    pencil_h = prob.assemble(mu_h, eps_h)
+    # the matrix of the field the step does not perturb is the baseline one
+    unchanged = {"K": pencil0.K} if cfg.target == "eps" else {"M": pencil0.M}
+    pencil_h = prob.assemble(mu_h, eps_h, **unchanged)
     if cfg.step_diagnostics:
-        rec.diag_sigma = float(prob.diagnostic(pencil_h))
-        if rec.diag_sigma < cfg.diag_threshold:
-            rec.status = "aborted-diagnostic"
-            return rec
+        bound = (sigma_floor - prob.volume_change((mu0, eps0), (mu_h, eps_h))) / pencil_h.beta
+        if bound >= cfg.diag_threshold:
+            rec.diag_sigma, rec.diag_kind = float(bound), "bound"
+        else:
+            rec.diag_sigma, rec.diag_kind = float(prob.diagnostic(pencil_h)), "lanczos"
+            if rec.diag_sigma < cfg.diag_threshold:
+                rec.status = "aborted-diagnostic"
+                return rec
 
-    k_step = max(n_members + 4, MIN_STUDY_K)
+    # the guard test reads the cluster and one value more: ok holds at most
+    # n_members values inside the guard, one more is ambiguous
+    k_step = n_members + 1
     try:
         res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step, **cfg.solver_options())
     except ShiftAtEigenvalue:

@@ -326,6 +326,11 @@ MALFORMED_MESH_FILES = {
     # finite coordinates whose volumes overflow
     "vertices-1e200": (["vertices"], (generate_cube_mesh(2).vertices * 1e200).tolist(),
                        "tet 0 has non-finite volume inf"),
+    # finite volumes, but a scale whose powers leave the float range
+    "vertices-1e100": (["vertices"], (generate_cube_mesh(2).vertices * 1e100).tolist(),
+                       "mesh scale 1.000e+100 (largest bounding-box side) outside [1e-30, 1e+30]"),
+    "vertices-1e-100": (["vertices"], (generate_cube_mesh(2).vertices * 1e-100).tolist(),
+                        "mesh scale 1.000e-100 (largest bounding-box side) outside [1e-30, 1e+30]"),
 }
 
 
@@ -353,6 +358,83 @@ def test_malformed_mesh_file_is_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: malformed-mesh: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("problem, scale", [
+    ("maxwell", 1e100), ("maxwell", 1e-100),
+    ("scalar", 1e3), ("scalar", 1e-3), ("maxwell", 1e3), ("maxwell", 1e-3),
+])
+def test_mesh_scale_is_checked_against_the_float_range(tmp_path, capsys, problem, scale):
+    path = tmp_path / "scaled.json"
+    save_mesh(generate_cube_mesh(2), path)
+    mesh_doc = json.loads(path.read_text())
+    mesh_doc["vertices"] = (np.array(mesh_doc["vertices"]) * scale).tolist()
+    path.write_text(json.dumps(mesh_doc))
+    doc = {
+        "problem": problem,
+        "mesh": {"path": str(path)},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3 if problem == "maxwell" else 0.5, "k": 5, "tol": 1e-9},
+    }
+    code = run(["solve", "--config", write_config(tmp_path, doc), "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    if 1e-30 <= scale <= 1e30:
+        assert (code, err) == (0, [])
+    else:
+        assert code == 1
+        assert err == [f"error: malformed-mesh: mesh scale {scale:.3e} (largest bounding-box "
+                       "side) outside [1e-30, 1e+30]"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_config_example():
+    """The text of README's config example (the jsonc block after "Config
+    schema") and its JSON data with the comments taken out."""
+    text = README.read_text().split("### Config schema", 1)[1]
+    block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return block, json.loads(re.sub(r"//.*", "", block))
+
+
+def _known_key_tuples():
+    """Each tuple of key names a ``_known`` or ``_section`` call in cli.py
+    names: a tuple literal in its arguments, or a name bound to one."""
+    import ast
+    tree = ast.parse(Path(cli.__file__).read_text())
+    tuples = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {t.id: node.value for node in ast.walk(func) if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name)}
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in ("_known", "_section")):
+                continue
+            for node in (n for arg in call.args[2:] for n in ast.walk(arg)):
+                if isinstance(node, ast.Name) and node.id in bound:
+                    node = bound[node.id]
+                elif isinstance(node, ast.Name) and isinstance(getattr(cli, node.id, None), tuple):
+                    tuples.append(getattr(cli, node.id))
+                    continue
+                if isinstance(node, ast.Tuple) and all(
+                        isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+                    tuples.append(tuple(e.value for e in node.elts))
+    return tuples
+
+
+def test_readme_config_example_matches_the_reader():
+    # the example is a config the reader accepts, and it names every key a
+    # section reader reads
+    block, doc = _readme_config_example()
+    cli._run_config(doc)
+    tuples = _known_key_tuples()
+    assert len(tuples) >= 10
+    missing = sorted({key for keys in tuples for key in keys if f'"{key}"' not in block})
+    assert missing == []
 
 
 def test_study_command(tmp_path):
@@ -803,8 +885,8 @@ def test_study_step_at_exact_eigenvalue_shifts_off_it(tmp_path, capsys):
 
 
 def test_study_with_k1_baseline_finds_a_guard(tmp_path, capsys):
-    # the baseline solve asks for as many eigenvalues as a step solve, so a
-    # k=1 study still sees a neighboring cluster and gets a finite guard
+    # the baseline solve asks for at least six eigenvalues, so a k=1 study
+    # still sees a neighboring cluster and gets a finite guard
     doc = {**scalar_ball_config(omega=1.0, eps={"re": 2.0, "im": 1.0}), "study": {
         "target": "eps", "center": [0.0, 0.0, 0.0],
         "schedule": [{"h": 0.5, "delta_re": 1e-3}]}}

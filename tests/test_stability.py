@@ -295,3 +295,81 @@ def test_csv_rows_shape(cube3):
     assert len(rows) == 2
     assert len(rows[0]) == len(rows[1])
     assert rows[0][0] == "index"
+
+
+def _step_pencil(cube3, setup, h, delta):
+    """The Problem of ``setup`` and the pencil of its step (h, delta), built
+    from scratch."""
+    prob = stability.Problem(setup.problem, cube3, setup.omega)
+    spec = PerturbationSpec(setup.center, h, delta, setup.target)
+    fields = {name: build_field(cube3, name, setup.materials[name], [spec])
+              for name in ("mu_inv", "eps")}
+    return prob, prob.assemble(fields["mu_inv"], fields["eps"])
+
+
+def test_study_solves_ask_for_what_the_record_reads(cube3, monkeypatch):
+    # the baseline asks for max(k, MIN_STUDY_K) values, a step for its
+    # cluster and one value more
+    real = stability.solve_shift_invert
+    asked = []
+
+    def recording(A0, B, sigma, k, **kwargs):
+        asked.append(k)
+        return real(A0, B, sigma, k, **kwargs)
+
+    monkeypatch.setattr(stability, "solve_shift_invert", recording)
+    report = run_study(maxwell_setup(k=4, schedule=[(0.45, 1e-3j), (0.3, 1e-3j)]), cube3)
+    assert [s.status for s in report.steps] == ["ok", "ok"]
+    assert asked == [6] + [report.cluster_size + 1] * 2
+
+
+def test_step_diagnostic_is_the_perturbation_bound(cube3):
+    # |delta eps| = 1e-3 moves sigma_min by at most 1e-3: the bound passes,
+    # and it lies below the step's own Lanczos value
+    setup = maxwell_setup(schedule=[(0.45, 1e-3j), (0.3, 2e-3j)])
+    report = run_study(setup, cube3)
+    for step in report.steps:
+        prob, pencil = _step_pencil(cube3, setup, step.h, step.delta)
+        assert step.diag_kind == "bound"
+        assert setup.diag_threshold <= step.diag_sigma <= prob.diagnostic(pencil)
+    header, *rows = report.csv_rows()
+    assert header[-2:] == ["diag_sigma", "diag_kind"]
+    assert [row[-1] for row in rows] == ["bound", "bound"]
+
+
+def test_step_falls_back_to_lanczos_below_the_bound(cube3):
+    # a threshold between a step's bound and its Lanczos value: the bound
+    # cannot certify the step, so it runs the diagnostic, which passes
+    h, delta = 0.45, 4e-3j
+    (bounded,) = run_study(maxwell_setup(schedule=[(h, delta)]), cube3).steps
+    setup = maxwell_setup(schedule=[(h, delta)])
+    prob, pencil = _step_pencil(cube3, setup, h, delta)
+    lanczos = prob.diagnostic(pencil)
+    assert bounded.diag_sigma < lanczos
+    setup.diag_threshold = 0.5 * (bounded.diag_sigma + lanczos)
+    (step,) = run_study(setup, cube3).steps
+    assert step.diag_kind == "lanczos"
+    assert step.diag_sigma == lanczos
+    assert step.status == "ok"
+    assert (step.lam, step.drift) == (bounded.lam, bounded.drift)
+
+
+def test_step_outcome_does_not_depend_on_extra_values(cube3, monkeypatch):
+    # asking a step for three more values than the guard test reads changes
+    # neither its status nor its matched eigenvalue
+    schedule = [(0.45, 2e-3j), (0.3, 1e-3j)]
+    report = run_study(maxwell_setup(schedule=schedule), cube3)
+    real = stability.solve_shift_invert
+    asked = []
+
+    def more_values(A0, B, sigma, k, **kwargs):
+        if asked:                       # the first call is the baseline
+            k += 3
+        asked.append(k)
+        return real(A0, B, sigma, k, **kwargs)
+
+    monkeypatch.setattr(stability, "solve_shift_invert", more_values)
+    wider = run_study(maxwell_setup(schedule=schedule), cube3)
+    assert asked[1:] == [report.cluster_size + 4] * 2
+    for a, b in zip(report.steps, wider.steps):
+        assert (a.status, a.lam, a.drift) == (b.status, b.lam, b.drift)
