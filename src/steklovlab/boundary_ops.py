@@ -94,7 +94,9 @@ class GroundedLaplacian:
             p = self._solve_free(b)
         for idx, w in self._parts:
             p[idx] -= (w @ p[idx]) / w.sum()
-        resid = np.linalg.norm(self.L @ p - b)
+        # on the free rows, the system the factor solves: a grounded row's
+        # residual is the roundoff in the component sum of b, which no p changes
+        resid = np.linalg.norm((self.L @ p - b)[self.free])
         # relative to the data plus a roundoff floor, so a numerically zero
         # right-hand side (e.g. a discrete gradient) is not flagged
         tol = 1e-10 * np.linalg.norm(b) + 1e-12 * self._scale * (1.0 + np.linalg.norm(p))

@@ -9,15 +9,12 @@ study     run a perturbation study; writes study_report.json + study_summary.csv
 diagnose  evaluate the coefficient and well-posedness checks; exit 2 on failure
 
 Exit codes: 0 success, 1 configuration error, 2 assumption violation
-(diagnostic failure), 3 solver failure.  Every failure prints one
-machine-parsable line on stderr: ``error: <kind>: <message>``.
+(diagnostic failure), 3 solver failure or out of memory.  Every failure
+prints one machine-parsable line on stderr: ``error: <kind>: <message>``.
 
 A run sets every OpenBLAS runtime in the process (numpy and scipy each bundle
-one) to one thread, or to ``--threads N`` (fallback: the ``STEKLOV_THREADS``
-environment variable), and restores the previous counts on return.  Where no
-runtime is found, ``--threads N`` prints one ``note:`` line on stderr and the
-run goes ahead at the library default.  A thread count that is not an integer
->= 1 is a configuration error.
+one) to one thread and restores the previous counts on return, so its
+outputs never depend on a thread setting.
 
 Identical config and seed produce byte-identical CSV outputs; no timestamps
 or environment-dependent values are written.
@@ -29,7 +26,6 @@ import argparse
 import ctypes
 import json
 import numbers
-import os
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -87,8 +83,7 @@ def _run_config(doc) -> RunConfig:
     if not isinstance(pert_docs, list):
         raise ConfigError("perturbations must be a list")
 
-    solver = _section(doc, "solver", ("sigma_re", "sigma_im", "k", "tol", "seed",
-                                      "cluster_reltol", "krylov_dim", "max_krylov"))
+    solver = _section(doc, "solver", ("sigma_re", "sigma_im", "k", "tol", "seed", "cluster_reltol"))
     sigma = complex(_number(solver, "sigma_re", RunConfig.sigma.real, "solver."),
                     _number(solver, "sigma_im", RunConfig.sigma.imag, "solver."))
     tol = _number(solver, "tol", RunConfig.tol, "solver.")
@@ -115,8 +110,6 @@ def _run_config(doc) -> RunConfig:
         seed=_number(solver, "seed", RunConfig.seed, "solver.", int, minimum=0),
         cluster_reltol=_number(solver, "cluster_reltol", RunConfig.cluster_reltol, "solver.",
                                minimum=0.0),
-        krylov_dim=_number(solver, "krylov_dim", None, "solver.", int, minimum=1),
-        max_krylov=_number(solver, "max_krylov", None, "solver.", int, minimum=1),
         census_delta=census_delta,
         census_radius=census_radius,
         diag_threshold=_number(diag, "threshold", RunConfig.diag_threshold, "diagnostics."),
@@ -256,8 +249,7 @@ def _study(st):
         return {}
     if not isinstance(st, dict):
         raise ConfigError(f"study must be a JSON object, got {st!r}")
-    _known(st, "study.", ("center", "target", "schedule", "p_list", "target_lambda",
-                          "step_diagnostics"))
+    _known(st, "study.", ("center", "target", "schedule", "p_list", "target_lambda"))
     center = _point(st, "center", "study.", RunConfig.center)
     target = st.get("target", RunConfig.target)
     if target not in FIELD_NAMES:
@@ -279,9 +271,6 @@ def _study(st):
         _known(target_lambda, "study.target_lambda.", ("re", "im"))
         target_lambda = complex(_number(target_lambda, "re", 0.0, "study.target_lambda."),
                                 _number(target_lambda, "im", 0.0, "study.target_lambda."))
-    step_diagnostics = st.get("step_diagnostics", RunConfig.step_diagnostics)
-    if not isinstance(step_diagnostics, bool):
-        raise ConfigError(f"study.step_diagnostics must be true or false, got {step_diagnostics!r}")
     return {
         "center": center,
         "target": target,
@@ -289,7 +278,6 @@ def _study(st):
         "p_list": tuple(_number({"p_list": p}, "p_list", where="study.", minimum=1.0)
                         for p in p_list),
         "target_lambda": target_lambda,
-        "step_diagnostics": step_diagnostics,
     }
 
 
@@ -501,7 +489,6 @@ def _parser():
         p.add_argument("--config", required=True)
         p.add_argument("--output", default=".")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     return ap
 
 
@@ -511,27 +498,9 @@ _ERROR_KINDS = [
     (AssumptionViolation, "assumption-violation", 2),
     (SolverFailure, "solver-failure", 3),
     (np.linalg.LinAlgError, "solver-failure", 3),   # a ValueError subclass
+    (MemoryError, "out-of-memory", 3),
     (ValueError, "invalid-argument", 1),
 ]
-
-
-def _thread_limit(args):
-    """BLAS thread count and where it came from: ``--threads``, else
-    ``STEKLOV_THREADS``, else ``(1, None)``."""
-    threads = getattr(args, "threads", None)
-    source = "--threads"
-    if threads is None:
-        env = os.environ.get("STEKLOV_THREADS")
-        if not env:
-            return 1, None
-        source = "STEKLOV_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(f"{source} must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ConfigError(f"{source} must be >= 1, got {threads}")
-    return threads, source
 
 
 # thread-count (getter, setter) of the OpenBLAS builds numpy and scipy bundle
@@ -570,14 +539,10 @@ def _blas_pools():
 def run(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        threads, source = _thread_limit(args)
         pools = _blas_pools()
-        if not pools and source is not None:
-            print(f"note: {source} {threads} not enforced: no OpenBLAS runtime found",
-                  file=sys.stderr)
         previous = [get() for get, _ in pools]
         for _, set_ in pools:
-            set_(threads)
+            set_(1)
         try:
             return _dispatch(args)
         finally:

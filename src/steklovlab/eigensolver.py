@@ -117,37 +117,32 @@ class _ShiftedSolver:
         self.sigma = complex(sigma)
         self.n = A0.shape[0]
 
+        self._Df = None            # D_f of the augmented form; None for an explicit B
         if isinstance(B, BoundaryGram):
             self._Df = B.D_free
-            aug = sp.bmat(
+            matrix = sp.bmat(
                 [[A0.astype(np.complex128), -self._Df.T],
                  [self.sigma * self._Df, -B.laplacian.L_ff]],
                 format="csc",
             )
-            try:
-                self._lu = spla.splu(aug, **SPLU_OPTIONS)
-            except RuntimeError as exc:
-                raise ShiftAtEigenvalue(f"augmented factorization failed: {exc}") from exc
-            self._mode = "augmented"
         else:
-            shifted = (A0.astype(np.complex128) - self.sigma * B).tocsc()
-            try:
-                self._lu = spla.splu(shifted, **SPLU_OPTIONS)
-            except RuntimeError as exc:
-                raise ShiftAtEigenvalue(f"factorization failed: {exc}") from exc
-            self._mode = "sparse"
+            matrix = (A0.astype(np.complex128) - self.sigma * B).tocsc()
+        try:
+            self._lu = spla.splu(matrix, **SPLU_OPTIONS)
+        except RuntimeError as exc:
+            raise ShiftAtEigenvalue(f"factorization failed: {exc}") from exc
 
         self._probe()
 
     def solve_shifted(self, b):
-        if self._mode == "augmented":
+        if self._Df is not None:
             rhs = np.concatenate([b, np.zeros(self._Df.shape[0], dtype=np.complex128)])
             return self._lu.solve(rhs)[: self.n]
         return self._lu.solve(b.astype(np.complex128))
 
     def apply(self, v):
         """(A0 - sigma B)^-1 (B v)."""
-        if self._mode == "augmented":
+        if self._Df is not None:
             rhs = np.concatenate([np.zeros(self.n, dtype=np.complex128), -(self._Df @ v)])
             return self._lu.solve(rhs)[: self.n]
         return self.solve_shifted(self.B @ v)

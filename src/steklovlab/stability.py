@@ -200,8 +200,6 @@ class RunConfig:
     tol: float = 1e-10
     seed: int = 0
     cluster_reltol: float = 1e-6
-    krylov_dim: int | None = None
-    max_krylov: int | None = None
     census_delta: float = np.pi / 3.0
     census_radius: float | None = None
     diag_threshold: float = 1e-6
@@ -210,12 +208,10 @@ class RunConfig:
     target: str = "eps"
     p_list: tuple = (4.0,)
     target_lambda: complex | None = None
-    step_diagnostics: bool = True
 
     def solver_options(self) -> dict:
         """Keyword arguments of every solve_shift_invert call of the run."""
-        return {"tol": self.tol, "seed": self.seed,
-                "krylov_dim": self.krylov_dim, "max_krylov": self.max_krylov}
+        return {"tol": self.tol, "seed": self.seed}
 
 
 class Problem:
@@ -297,7 +293,7 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     eps0 = build_field(mesh, "eps", cfg.materials["eps"])
     pencil0 = prob.assemble(mu0, eps0)
     baseline_diag = prob.diagnostic(pencil0)
-    if cfg.step_diagnostics and baseline_diag < cfg.diag_threshold:
+    if baseline_diag < cfg.diag_threshold:
         raise AssumptionViolation(
             f"baseline diagnostic {baseline_diag:.3e} below threshold {cfg.diag_threshold:.1e}"
         )
@@ -395,15 +391,14 @@ def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard
     # the matrix of the field the step does not perturb is the baseline one
     unchanged = {"K": pencil0.K} if cfg.target == "eps" else {"M": pencil0.M}
     pencil_h = prob.assemble(mu_h, eps_h, **unchanged)
-    if cfg.step_diagnostics:
-        bound = (sigma_floor - prob.volume_change((mu0, eps0), (mu_h, eps_h))) / pencil_h.beta
-        if bound >= cfg.diag_threshold:
-            rec.diag_sigma, rec.diag_kind = float(bound), "bound"
-        else:
-            rec.diag_sigma, rec.diag_kind = float(prob.diagnostic(pencil_h)), "lanczos"
-            if rec.diag_sigma < cfg.diag_threshold:
-                rec.status = "aborted-diagnostic"
-                return rec
+    bound = (sigma_floor - prob.volume_change((mu0, eps0), (mu_h, eps_h))) / pencil_h.beta
+    if bound >= cfg.diag_threshold:
+        rec.diag_sigma, rec.diag_kind = float(bound), "bound"
+    else:
+        rec.diag_sigma, rec.diag_kind = float(prob.diagnostic(pencil_h)), "lanczos"
+        if rec.diag_sigma < cfg.diag_threshold:
+            rec.status = "aborted-diagnostic"
+            return rec
 
     # the guard test reads the cluster and one value more: ok holds at most
     # n_members values inside the guard, one more is ambiguous

@@ -3,6 +3,7 @@ import pytest
 
 from fem_helpers import apply_S, surface_l2_product
 from steklovlab.boundary_ops import assemble_surface_operators
+from steklovlab.errors import SolverFailure
 from steklovlab.fem_maxwell import discrete_gradient
 from steklovlab.mesh import extract_boundary, generate_ball_mesh, generate_cube_mesh
 
@@ -158,3 +159,33 @@ def test_gram_of_two_cubes_is_block_diagonal(two_cubes):
         u = random_edge_vector(two_cubes, seed)
         ref = np.concatenate([B1 @ u[:ne], B1 @ u[ne:]])
         assert np.abs(B2 @ u - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_grounded_solve_accepts_data_with_a_large_gradient_part():
+    # D kills gradients, so for u = 1e8 G phi + w the data b = D u is O(1)
+    # while its component sum, the grounded row's residual, is the O(1e-8)
+    # roundoff of the large terms; the solve is judged on the free rows
+    mesh = generate_cube_mesh(2)
+    ops = assemble_surface_operators(extract_boundary(mesh), mesh)
+    rng = np.random.default_rng(0)
+    u = 1e8 * (discrete_gradient(mesh) @ rng.standard_normal(mesh.n_vertices))
+    u += rng.standard_normal(mesh.n_edges)
+    b = ops.D @ u
+    assert abs(b.sum()) > 1e-10 * np.linalg.norm(b)
+    p = ops.laplacian.solve(b)
+    free = ops.laplacian.free
+    assert np.linalg.norm((ops.L @ p - b)[free]) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_grounded_solve_refuses_a_wrong_factor_solve(monkeypatch):
+    mesh = generate_cube_mesh(2)
+    ops = assemble_surface_operators(extract_boundary(mesh), mesh)
+    lap = ops.laplacian
+
+    class _Zeros:
+        def solve(self, r):
+            return np.zeros_like(r)
+
+    monkeypatch.setattr(lap, "_lu", _Zeros())
+    with pytest.raises(SolverFailure, match="grounded Laplacian solve residual"):
+        lap.solve(ops.D @ random_edge_vector(mesh, 4))

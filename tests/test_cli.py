@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from steklovlab import cli, fem_scalar
 from steklovlab.cli import run
+from steklovlab.eigensolver import solve_shift_invert
 from steklovlab.errors import ConfigError
 from steklovlab.fem_scalar import assemble_scalar
 from steklovlab.materials import build_field
@@ -79,11 +81,13 @@ def test_solve_scalar_ball(tmp_path, capsys):
     assert 0.0 <= solver["schur_defect"] <= 1e-12
 
 
-def test_solve_reports_unconfirmed_answer(tmp_path):
+def test_solve_reports_unconfirmed_answer(tmp_path, monkeypatch):
     # a Krylov cap of 12 lets the sweeps lock k = 4 pairs, but the last sweep
     # runs out of space before it can settle, so the 4 nearest are unconfirmed
+    monkeypatch.setattr(cli, "solve_shift_invert",
+                        functools.partial(solve_shift_invert, krylov_dim=4, max_krylov=12))
     doc = scalar_ball_config(sigma=0.7)
-    doc["solver"].update({"k": 4, "krylov_dim": 4, "max_krylov": 12})
+    doc["solver"]["k"] = 4
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "run"
     assert run(["solve", "--config", cfg, "--output", str(out)]) == 0
@@ -463,23 +467,24 @@ def test_study_command(tmp_path):
 
 
 def test_study_passes_krylov_sizes_to_every_solve(tmp_path, monkeypatch):
-    # a Krylov cap of 12 leaves the baseline's k = 8 nearest unconfirmed
+    # a Krylov cap of 12 leaves the baseline's k = 8 nearest unconfirmed; the
+    # capped solve receives the run's tol and seed at every call
     from steklovlab import stability
 
-    sizes = []
-    solve = stability.solve_shift_invert
+    options = []
 
     def recording_solve(*args, **kwargs):
-        sizes.append((kwargs.get("krylov_dim"), kwargs.get("max_krylov")))
-        return solve(*args, **kwargs)
+        options.append((kwargs["tol"], kwargs["seed"], kwargs["krylov_dim"], kwargs["max_krylov"]))
+        return solve_shift_invert(*args, **kwargs)
 
-    monkeypatch.setattr(stability, "solve_shift_invert", recording_solve)
+    monkeypatch.setattr(stability, "solve_shift_invert",
+                        functools.partial(recording_solve, krylov_dim=4, max_krylov=12))
     doc = {
         "problem": "maxwell",
         "mesh": {"kind": "cube", "n": 2},
         "omega": 1.0,
         "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
-        "solver": {"sigma_re": 2.3, "k": 8, "tol": 1e-11, "krylov_dim": 4, "max_krylov": 12},
+        "solver": {"sigma_re": 2.3, "k": 8, "tol": 1e-11, "seed": 7},
         "study": {"target": "eps", "center": [0.5, 0.5, 0.5],
                   "schedule": [{"h": 0.45, "delta_im": 1e-3}], "p_list": [4]},
     }
@@ -488,7 +493,7 @@ def test_study_passes_krylov_sizes_to_every_solve(tmp_path, monkeypatch):
     assert run(["study", "--config", cfg, "--output", str(out)]) == 0
     report = json.loads((out / "study_report.json").read_text())
     assert report["meta"]["baseline"]["confirmed"] is False
-    assert len(sizes) >= 2 and set(sizes) == {(4, 12)}
+    assert len(options) >= 2 and set(options) == {(1e-11, 7, 4, 12)}
 
 
 def test_study_requires_section(tmp_path):
@@ -526,14 +531,10 @@ def test_solve_suppresses_table_on_diagnostic_failure(tmp_path, capsys):
     assert meta["diagnostics"]["passed"] is False
 
 
-def test_threads_flag_accepted(tmp_path):
-    cfg = write_config(tmp_path, scalar_ball_config())
-    out = tmp_path / "thr"
-    assert run(["solve", "--config", cfg, "--output", str(out), "--threads", "1"]) == 0
-
-
 def test_blas_threads_pinned_during_dispatch(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("STEKLOV_THREADS", raising=False)
+    # every run computes at one BLAS thread, whatever the pools or the
+    # environment say, and gives the pools back as it found them
+    monkeypatch.setenv("STEKLOV_THREADS", "2")
     pools = cli._blas_pools()      # numpy and scipy each bundle an OpenBLAS
     assert pools
     before = [get() for get, _ in pools]
@@ -546,24 +547,19 @@ def test_blas_threads_pinned_during_dispatch(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_dispatch", probe)
     cfg = write_config(tmp_path, scalar_ball_config())
     try:
-        for _, set_ in pools:      # so that the default run has something to change
+        for _, set_ in pools:
             set_(2)
         assert run(["solve", "--config", cfg, "--output", str(tmp_path)]) == 0
         assert [get() for get, _ in pools] == [2] * len(pools)
-        for _, set_ in pools:
-            set_(1)
-        assert run(["solve", "--config", cfg, "--output", str(tmp_path), "--threads", "2"]) == 0
-        assert [get() for get, _ in pools] == [1] * len(pools)
     finally:
         for (_, set_), n in zip(pools, before):
             set_(n)
-    assert seen == [[1] * len(pools), [2] * len(pools)]
+    assert seen == [[1] * len(pools)]
     assert capsys.readouterr().err == ""
 
     monkeypatch.setattr(cli, "_blas_pools", lambda: [])
-    assert run(["solve", "--config", cfg, "--output", str(tmp_path), "--threads", "1"]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("note: --threads 1 not enforced")
+    assert run(["solve", "--config", cfg, "--output", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_outputs_do_not_depend_on_openblas_thread_count(tmp_path):
@@ -573,29 +569,11 @@ def test_outputs_do_not_depend_on_openblas_thread_count(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-        env.pop("STEKLOV_THREADS", None)
         subprocess.run([sys.executable, "-m", "steklovlab.cli", "solve", "--config", cfg,
                         "--output", str(out)], env=env, check=True, capture_output=True,
                        timeout=300)
         outputs.append([(out / f).read_bytes() for f in ("eigenvalues.csv", "solve_meta.json")])
     assert outputs[0] == outputs[1]
-
-
-@pytest.mark.parametrize("flag, env", [
-    (["--threads", "0"], None),
-    (["--threads", "-1"], None),
-    ([], "abc"),
-    ([], "0"),
-])
-def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, flag, env):
-    if env is not None:
-        monkeypatch.setenv("STEKLOV_THREADS", env)
-    cfg = write_config(tmp_path, scalar_ball_config())
-    out = tmp_path / "out"
-    assert run(["solve", "--config", cfg, "--output", str(out), *flag]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: config-error: ")
-    assert not out.exists()
 
 
 def _with(doc, path, value):
@@ -625,7 +603,6 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
                     [{"center": [0, 0, 0], "h": 0.3, "delta_im": 1e-3}]), "config-error", 1),
     ("study", _with(_SMALL, ("study",), {**_STUDY, "target_lambda": [1]}), "config-error", 1),
     ("solve", _with(_SMALL, ("solver", "krylov_dim"), 0), "config-error", 1),
-    ("solve", _with(_SMALL, ("solver", "krylov_dim"), -5), "config-error", 1),
     ("solve", _with(_SMALL, ("solver", "max_krylov"), 0), "config-error", 1),
     ("solve", _with(_SMALL, ("census", "delta"), 4.0), "config-error", 1),
     ("solve", _SMALL, "solver-failure", 3),      # _dispatch raises LinAlgError
@@ -648,6 +625,7 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
      "config-error", 1),
     ("solve --seed 1.5", _SMALL, "config-error", 1),
     ("solve --threads abc", _SMALL, "config-error", 1),
+    ("solve --threads 2", _SMALL, "config-error", 1),
     ("solve", _with(_SMALL, ("sudy",), {}), "config-error", 1),
     ("solve", _with(_SMALL, ("mesh", "size"), 2), "config-error", 1),
     ("solve", _with(_SMALL, ("materials", "sigma"), {"1": 1.0}), "config-error", 1),
@@ -661,31 +639,38 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
      "config-error", 1),
     ("study", _with(_SMALL, ("study",), {**_STUDY, "target_lambda": {"re": 1.0, "real": 1.0}}),
      "config-error", 1),
+    ("solve", _with(_SMALL, ("mesh",), {"kind": "cube", "n": 100000}), "out-of-memory", 3),
+    ("mesh --kind cube --n 100000", None, "out-of-memory", 3),
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
-        "krylov-dim-zero", "krylov-dim-negative", "max-krylov-zero", "census-delta-range",
+        "krylov-dim-zero", "max-krylov-zero", "census-delta-range",
         "linalg-error", "mu-inv-list", "study-target-name", "study-center-2d",
         "schedule-negative-h", "negative-seed", "negative-seed-flag", "cube-n-zero",
         "cube-n-string", "ball-level-negative", "region-tag-name", "fractional-k",
         "fractional-cube-n", "step-diagnostics-string", "census-radius-negative",
         "cluster-reltol-negative", "scalar-anisotropic-eps", "fractional-seed-flag",
-        "thread-flag-string", "unknown-root-key", "unknown-mesh-key", "unknown-materials-key",
+        "thread-flag-string", "thread-flag", "unknown-root-key", "unknown-mesh-key", "unknown-materials-key",
         "unknown-solver-key", "unknown-census-key", "unknown-diagnostics-key",
         "unknown-perturbation-key", "unknown-study-key", "unknown-schedule-key",
-        "unknown-target-lambda-key"])
+        "unknown-target-lambda-key", "cube-too-large-to-allocate",
+        "mesh-command-too-large-to-allocate"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
     if kind == "solver-failure":
         def fail(args):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         monkeypatch.setattr(cli, "_dispatch", fail)
-    cfg = write_config(tmp_path, doc)
+    # the mesh command takes no config; a mesh of n = 100000 is refused by
+    # numpy at once (petabytes), so the test allocates nothing
     out = tmp_path / "out"
-    assert run([*command.split(), "--config", cfg, "--output", str(out)]) == code
+    argv = [*command.split(), "--output", str(out)]
+    if doc is not None:
+        argv += ["--config", write_config(tmp_path, doc)]
+    assert run(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
-    if kind == "config-error":
+    if kind in ("config-error", "out-of-memory"):
         assert not out.exists()      # rejected before any output is written
 
 
@@ -705,8 +690,7 @@ _FULL_SECTIONS = {
     "diagnostics": {"threshold": 1e-6},
     "study": {"target": "eps", "center": [0.0, 0.0, 0.0],
               "schedule": [{"h": 0.4, "delta_re": 0.0, "delta_im": 1e-3}],
-              "p_list": [2, 4], "target_lambda": {"re": 1.0, "im": 0.0},
-              "step_diagnostics": True},
+              "p_list": [2, 4], "target_lambda": {"re": 1.0, "im": 0.0}},
 }
 # tiny meshes only: no pool value turns a mesh size into a large valid one
 _FUZZ_BASES = {
@@ -717,7 +701,7 @@ _FUZZ_BASES = {
         "omega": 1.0,
         "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
         "solver": {"sigma_re": 2.3, "sigma_im": 0.0, "k": 4, "tol": 1e-9, "seed": 0,
-                   "cluster_reltol": 1e-6, "krylov_dim": 20, "max_krylov": 40},
+                   "cluster_reltol": 1e-6},
         **_FULL_SECTIONS,
     },
 }
@@ -725,6 +709,9 @@ _FUZZ_BASES = {
 
 @pytest.mark.parametrize("base", list(_FUZZ_BASES.values()), ids=list(_FUZZ_BASES))
 def test_malformed_config_value_is_at_most_one_error_line(base):
+    # a base the reader refuses would end every example at the same error
+    cli._run_config(base)
+
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(path=st.sampled_from(list(_key_paths(base))), value=st.sampled_from(_MALFORMED))
     def check(path, value):
@@ -759,6 +746,10 @@ def test_unknown_config_key_is_named():
         (("study", "radius"), "study.radius"),
         (("study", "schedule", 0, "center"), "study.schedule[0].center"),
         (("study", "target_lambda", "real"), "study.target_lambda.real"),
+        # run settings that are constants of the program, not of the config
+        (("solver", "krylov_dim"), "solver.krylov_dim"),
+        (("solver", "max_krylov"), "solver.max_krylov"),
+        (("study", "step_diagnostics"), "study.step_diagnostics"),
     ]:
         with pytest.raises(ConfigError, match=f"^unknown key {re.escape(name)}$"):
             cli._run_config(_with(base, path, 1.0))
