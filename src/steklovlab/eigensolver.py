@@ -278,8 +278,9 @@ class _Arnoldi:
     orthonormal ``locked`` columns Q, that ``extend`` resumes from where it
     stopped.
 
-    V (n x (cap + 1)), H ((cap + 1) x cap) and G (p x cap) are allocated
-    once; after ``steps`` operator applies,
+    H ((cap + 1) x cap) and G (p x cap) are allocated once; V grows to
+    n x (m + 1) when ``extend(m)`` starts, so it holds only the columns the
+    sweep reaches.  After ``steps`` operator applies,
 
         apply_op V[:, :steps] = Q G[:, :steps] + V[:, :steps + 1] H[:steps + 1, :steps].
 
@@ -292,7 +293,7 @@ class _Arnoldi:
         n = v0.shape[0]
         self.apply_op = apply_op
         self.locked = locked
-        self.V = np.zeros((n, cap + 1), dtype=np.complex128)
+        self.V = np.zeros((n, 1), dtype=np.complex128)
         self.H = np.zeros((cap + 1, cap), dtype=np.complex128)
         self.G = np.zeros((locked.shape[1], cap), dtype=np.complex128)
         self.steps = 0
@@ -309,6 +310,10 @@ class _Arnoldi:
         """Continue the factorization up to ``m`` steps (or a breakdown)."""
         if self.breakdown:
             return
+        if self.V.shape[1] < m + 1:
+            V = np.zeros((self.V.shape[0], m + 1), dtype=np.complex128)
+            V[:, : self.V.shape[1]] = self.V
+            self.V = V
         V, H = self.V, self.H
         for j in range(self.steps, m):
             w = self.apply_op(V[:, j])

@@ -18,6 +18,7 @@ perturbation (delta K - omega^2 delta M) is
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,12 +317,16 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
 
     # sigma_min of the baseline, less the Lanczos tolerance of its value
     sigma_floor = baseline_diag * pencil0.beta * (1.0 - LANCZOS_TOL)
-    records = []
-    for idx, (h, delta) in enumerate(cfg.schedule):
-        rec = _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard,
-                        vectors, c, degenerate, idx, float(h), complex(delta))
-        records.append(rec)
-    records.sort(key=lambda r: r.h)
+
+    # The baseline has filled every lazy value a step reads (pencil0.a0()
+    # and the mesh's cached arrays), so the steps share only read-only
+    # state and may run in any order.
+    def step(idx, h, delta):
+        return _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard,
+                         vectors, c, degenerate, idx, float(h), complex(delta))
+
+    # the index orders tied h as the schedule does, whichever step ended first
+    records = sorted(_run_steps(step, cfg.schedule), key=lambda r: (r.h, r.index))
 
     fits, mean_fits = {}, {}
     ok = [r for r in records if r.status == "ok"]
@@ -358,6 +363,46 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
             "mesh": mesh.summary(),
         },
     )
+
+
+def _run_steps(step, schedule):
+    """The records of ``step(index, h, delta)`` for every schedule entry, in
+    completion order: this thread and one worker thread take the entries
+    from one queue in schedule order.
+
+    SuperLU and BLAS release the GIL, so the two threads use two cores.  A
+    failing step stops both threads from taking further entries; once both
+    are done, the error of the lowest-index failing step is raised, the one
+    a loop over the schedule would raise.
+    """
+    pending = iter(enumerate(schedule))
+    lock = threading.Lock()
+    stop = threading.Event()
+    records, errors = {}, {}
+
+    def drain():
+        while not stop.is_set():
+            with lock:
+                entry = next(pending, None)
+            if entry is None:
+                return
+            idx, (h, delta) = entry
+            try:
+                records[idx] = step(idx, h, delta)
+            except Exception as exc:
+                errors[idx] = exc
+                stop.set()
+
+    worker = threading.Thread(target=drain, name="study-step")
+    worker.start()
+    try:
+        drain()
+    finally:
+        stop.set()
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return list(records.values())
 
 
 def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard,

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -494,6 +495,43 @@ def test_study_passes_krylov_sizes_to_every_solve(tmp_path, monkeypatch):
     report = json.loads((out / "study_report.json").read_text())
     assert report["meta"]["baseline"]["confirmed"] is False
     assert len(options) >= 2 and set(options) == {(1e-11, 7, 4, 12)}
+
+
+def test_failing_steps_end_as_the_lowest_index_error(tmp_path, capsys, monkeypatch):
+    # step 2 fails first in time, step 1 after it: the run reports step 1's
+    # error alone, as a loop over the schedule would, and leaves no thread behind
+    from steklovlab import stability
+    from steklovlab.errors import SolverFailure
+
+    real = stability._run_step
+    step2_failed = threading.Event()
+
+    def failing(*args):
+        idx = args[-3]
+        if idx == 1:
+            step2_failed.wait(timeout=10.0)
+            raise MemoryError("step 1")
+        if idx == 2:
+            step2_failed.set()
+            raise SolverFailure("step 2")
+        return real(*args)
+
+    monkeypatch.setattr(stability, "_run_step", failing)
+    doc = {
+        "problem": "maxwell",
+        "mesh": {"kind": "cube", "n": 2},
+        "omega": 1.0,
+        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+        "solver": {"sigma_re": 2.3, "k": 6, "tol": 1e-11},
+        "study": {"target": "eps", "center": [0.5, 0.5, 0.5], "p_list": [4],
+                  "schedule": [{"h": 0.45, "delta_im": d} for d in (1e-3, 2e-3, 3e-3, 4e-3)]},
+    }
+    cfg = write_config(tmp_path, doc)
+    threads = threading.active_count()
+    assert run(["study", "--config", cfg, "--output", str(tmp_path / "study")]) == 3
+    assert threading.active_count() == threads
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: out-of-memory: step 1"]
 
 
 def test_study_requires_section(tmp_path):

@@ -361,6 +361,26 @@ def test_extended_factorization_equals_single_run():
     assert np.abs(V.conj().T @ V - np.eye(2 * m + 1)).max() <= 1e-12
 
 
+def test_basis_holds_the_columns_extend_reached():
+    # V grows to m + 1 columns per checkpoint, not to the cap up front, and
+    # the deflated Arnoldi relation still holds on the shift-invert operator
+    A0, B = random_pencil(60, 40, seed=8)
+    solver = eigensolver._ShiftedSolver(sp.csr_matrix(A0), sp.csr_matrix(B), 0.3 + 0.1j)
+    rng = np.random.default_rng(8)
+    locked = np.linalg.qr(rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3)))[0]
+    krylov = eigensolver._Arnoldi(solver.apply, rng.standard_normal(60) + 0j, locked, 150)
+    assert krylov.V.shape == (60, 1)
+    for m in (10, 20, 30):
+        krylov.extend(m)
+        s = krylov.steps
+        assert s == m and not krylov.breakdown
+        assert krylov.V.shape == (60, m + 1) and krylov.V.flags.c_contiguous
+        V, H, G = krylov.V, krylov.H, krylov.G
+        TV = np.stack([solver.apply(V[:, j]) for j in range(s)], axis=1)
+        assert np.abs(TV - locked @ G[:, :s] - V[:, : s + 1] @ H[: s + 1, :s]).max() \
+            <= 1e-12 * np.abs(TV).max()
+
+
 def test_bad_krylov_sizes_rejected():
     A0, B = random_pencil(10, 6, 0)
     for kwargs in ({"krylov_dim": 0}, {"krylov_dim": -5}, {"max_krylov": 0}):

@@ -1,3 +1,6 @@
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -230,6 +233,59 @@ def test_records_sorted_by_h(cube3):
     ), cube3)
     hs = [s.h for s in report.steps]
     assert hs == sorted(hs)
+
+
+def test_tied_steps_in_schedule_order_and_independent(cube3, monkeypatch):
+    # the steps run on two threads: tied h comes back in schedule order even
+    # when step 0 ends after step 1, and each record is the one a study of
+    # that step alone writes
+    real = stability._run_step
+    step1_done = threading.Event()
+
+    def step0_last(*args):
+        idx = args[-3]
+        if idx == 0:
+            step1_done.wait(timeout=10.0)
+        rec = real(*args)
+        if idx == 1:
+            step1_done.set()
+        return rec
+
+    monkeypatch.setattr(stability, "_run_step", step0_last)
+    schedule = [(0.42, 4e-3j), (0.42, 2e-3j), (0.42, 1e-3j)]
+    report = run_study(maxwell_setup(schedule=schedule), cube3)
+    monkeypatch.undo()
+    assert [(s.index, s.h, s.delta) for s in report.steps] == [
+        (i, h, delta) for i, (h, delta) in enumerate(schedule)]
+    for step, entry in zip(report.steps, schedule):
+        (alone,) = run_study(maxwell_setup(schedule=[entry]), cube3).steps
+        assert step.status == "ok"
+        assert dataclasses.replace(alone, index=step.index) == step
+
+
+@pytest.mark.parametrize("problem", ["maxwell", "scalar"])
+def test_steps_fill_no_shared_lazy_value(problem, monkeypatch):
+    # the baseline fills pencil0.a0() and every mesh cache entry a step
+    # reads, so the two step threads only read shared state (a fresh mesh:
+    # the module fixture's cache is already full)
+    real = stability._run_step
+    seen = []
+
+    def checked(cfg, prob, pencil0, *args):
+        assert pencil0._a0 is not None
+        seen.append(set(prob.mesh._cache))
+        rec = real(cfg, prob, pencil0, *args)
+        seen.append(set(prob.mesh._cache))
+        return rec
+
+    monkeypatch.setattr(stability, "_run_step", checked)
+    mesh = generate_cube_mesh(3)
+    setup = maxwell_setup(problem=problem, schedule=[(0.45, 4e-3j), (0.3, 1e-3j), (0.45, -10.0)])
+    if problem == "scalar":
+        setup.sigma = 0.5 + 0.0j
+    report = run_study(setup, mesh)
+    assert [s.status == "ok" for s in report.steps] == [True, True, False]
+    assert len(seen) == 6 and all(keys == set(mesh._cache) for keys in seen)
 
 
 def test_scalar_study_runs(cube3):
