@@ -14,7 +14,10 @@ prints one machine-parsable line on stderr: ``error: <kind>: <message>``.
 
 A run sets every OpenBLAS runtime in the process (numpy and scipy each bundle
 one) to one thread and restores the previous counts on return, so its
-outputs never depend on a thread setting.
+outputs never depend on a thread setting.  ``study`` runs on two Python
+threads (its baseline diagnostic beside its baseline solve, then its steps
+two at a time), so it first ends the OpenBLAS worker threads, which
+otherwise busy-wait on the second core for a while after import.
 
 Identical config and seed produce byte-identical CSV outputs; no timestamps
 or environment-dependent values are written.
@@ -97,6 +100,10 @@ def _run_config(doc) -> RunConfig:
     if census_radius is not None and census_radius <= 0:
         raise ConfigError(f"census.radius must be > 0, got {census_radius}")
     diag = _section(doc, "diagnostics", ("threshold",))
+    diag_threshold = _number(diag, "threshold", RunConfig.diag_threshold, "diagnostics.")
+    if not 0.0 <= diag_threshold <= 1.0:
+        # sigma_min is normalized by the continuity bound, so it lies in [0, 1]
+        raise ConfigError(f"diagnostics.threshold must be in [0, 1], got {diag_threshold}")
 
     return RunConfig(
         problem=problem,
@@ -112,7 +119,7 @@ def _run_config(doc) -> RunConfig:
                                minimum=0.0),
         census_delta=census_delta,
         census_radius=census_radius,
-        diag_threshold=_number(diag, "threshold", RunConfig.diag_threshold, "diagnostics."),
+        diag_threshold=diag_threshold,
         **_study(doc.get("study")),
     )
 
@@ -429,6 +436,7 @@ def cmd_study(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
+    _stop_blas_workers()
     report = run_study(cfg, mesh)
     _write_json(out / "study_report.json", report)
     csv_path = out / "study_summary.csv"
@@ -513,19 +521,26 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-def _blas_pools():
-    """(get, set) thread-count functions of each OpenBLAS mapped into the process."""
+def _openblas_libs():
+    """Every OpenBLAS mapped into the process, as a ctypes library."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
     except OSError:
         return []
-    pools = []
+    libs = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return libs
+
+
+def _blas_pools():
+    """(get, set) thread-count functions of each OpenBLAS mapped into the process."""
+    pools = []
+    for lib in _openblas_libs():
         for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
             get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and set_ is not None:
@@ -534,6 +549,21 @@ def _blas_pools():
                 pools.append((get, set_))
                 break
     return pools
+
+
+def _stop_blas_workers():
+    """End the worker threads of each OpenBLAS mapped into the process.
+
+    OpenBLAS starts its workers at import, and at one BLAS thread they stay
+    idle but busy-wait for a while before they sleep, on a core a study's
+    second thread needs.  Setting a pool above one thread, as ``run`` does on
+    return when it found one there, starts its workers again.
+    """
+    for lib in _openblas_libs():
+        shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            shutdown()
 
 
 def run(argv=None) -> int:

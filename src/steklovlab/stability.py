@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -64,12 +65,15 @@ def fit_rate(pairs) -> FitResult:
 
     The first pair is the reference (coarsest) step for the bound-satisfaction
     ratio.  Pairs with nonpositive norm or drift are unusable; fewer than
-    three usable pairs raise InsufficientData.
+    three usable pairs, or usable pairs that all share one norm, raise
+    InsufficientData.
     """
     usable = [(float(n), float(d)) for n, d in pairs if n > 0 and d > 0]
     if len(usable) < 3:
         raise InsufficientData(f"need >= 3 positive (norm, drift) pairs, got {len(usable)}")
     norms = np.array([n for n, _ in usable])
+    if np.all(norms == norms[0]):
+        raise InsufficientData(f"all {len(usable)} usable norms equal {norms[0]:.6g}: no slope")
     drifts = np.array([d for _, d in usable])
     slope, intercept = np.polyfit(np.log(norms), np.log(drifts), 1)
     resid = np.log(drifts) - (slope * np.log(norms) + intercept)
@@ -219,10 +223,11 @@ class Problem:
     """One pencil family on a fixed mesh: the layer behind solve, diagnose and study.
 
     ``kind`` is "scalar" or "maxwell".  Every operator that depends on the
-    mesh only is built here, once: the coefficient-free energy Gram
+    mesh only is built once: for Maxwell the boundary form ``B`` here, since
+    assembly reads it, and on first use the coefficient-free energy Gram
     ``gram`` (H^1 or H(curl)), the norm of the diagnostic and of eigenvector
-    normalization, and for Maxwell the boundary form ``B`` and the kernel
-    ``basis``.  Every pencil assembled on the mesh reuses them.
+    normalization, and for Maxwell the kernel ``basis``, which only the
+    diagnostic reads.  Every pencil assembled on the mesh reuses them.
     """
 
     def __init__(self, kind, mesh: Mesh, omega):
@@ -231,12 +236,16 @@ class Problem:
         self.kind = kind
         self.mesh = mesh
         self.omega = omega
-        if kind == "scalar":
-            self.gram = h1_gram(mesh)
-            return
-        self.B = assemble_surface_operators(extract_boundary(mesh), mesh)
-        self.gram = hcurl_gram(mesh)
-        self.basis = kernel_subspace_basis(self.B, self.gram)
+        if kind == "maxwell":
+            self.B = assemble_surface_operators(extract_boundary(mesh), mesh)
+
+    @cached_property
+    def gram(self):
+        return h1_gram(self.mesh) if self.kind == "scalar" else hcurl_gram(self.mesh)
+
+    @cached_property
+    def basis(self):
+        return kernel_subspace_basis(self.B, self.gram)
 
     def assemble(self, mu, eps, K=None, M=None):
         """The pencil of (mu, eps); ``K`` or ``M``, when given, is that
@@ -293,14 +302,22 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     mu0 = build_field(mesh, "mu_inv", cfg.materials["mu_inv"])
     eps0 = build_field(mesh, "eps", cfg.materials["eps"])
     pencil0 = prob.assemble(mu0, eps0)
-    baseline_diag = prob.diagnostic(pencil0)
-    if baseline_diag < cfg.diag_threshold:
-        raise AssumptionViolation(
-            f"baseline diagnostic {baseline_diag:.3e} below threshold {cfg.diag_threshold:.1e}"
-        )
+    a0 = pencil0.a0()       # filled here, so the two tasks below only read it
 
-    base = solve_shift_invert(pencil0.a0(), pencil0.B, cfg.sigma, max(cfg.k, MIN_STUDY_K),
-                              **cfg.solver_options())
+    def check_baseline():
+        sigma_min = prob.diagnostic(pencil0)     # builds prob.gram and prob.basis
+        if sigma_min < cfg.diag_threshold:
+            raise AssumptionViolation(
+                f"baseline diagnostic {sigma_min:.3e} below threshold {cfg.diag_threshold:.1e}"
+            )
+        return sigma_min
+
+    def solve_baseline():
+        return solve_shift_invert(a0, pencil0.B, cfg.sigma, max(cfg.k, MIN_STUDY_K),
+                                  **cfg.solver_options())
+
+    # the diagnostic is task 0, so its failure wins over a solve error
+    baseline_diag, base = _run_tasks([check_baseline, solve_baseline])
     if len(base) == 0:
         raise SolverFailure("baseline solve produced no certified eigenvalues")
     clustered = cluster(base, cfg.cluster_reltol)
@@ -318,15 +335,14 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     # sigma_min of the baseline, less the Lanczos tolerance of its value
     sigma_floor = baseline_diag * pencil0.beta * (1.0 - LANCZOS_TOL)
 
-    # The baseline has filled every lazy value a step reads (pencil0.a0()
-    # and the mesh's cached arrays), so the steps share only read-only
-    # state and may run in any order.
-    def step(idx, h, delta):
-        return _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard,
-                         vectors, c, degenerate, idx, float(h), complex(delta))
-
-    # the index orders tied h as the schedule does, whichever step ended first
-    records = sorted(_run_steps(step, cfg.schedule), key=lambda r: (r.h, r.index))
+    # The baseline has filled every lazy value a step reads (pencil0.a0(),
+    # prob.gram, prob.basis and the mesh's cached arrays), so the steps
+    # share only read-only state and may run in any order.
+    steps = [partial(_run_step, cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members,
+                     guard, vectors, c, degenerate, idx, float(h), complex(delta))
+             for idx, (h, delta) in enumerate(cfg.schedule)]
+    # the records come in schedule order, so the stable sort keeps tied h in it
+    records = sorted(_run_tasks(steps), key=lambda r: r.h)
 
     fits, mean_fits = {}, {}
     ok = [r for r in records if r.status == "ok"]
@@ -365,20 +381,19 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     )
 
 
-def _run_steps(step, schedule):
-    """The records of ``step(index, h, delta)`` for every schedule entry, in
-    completion order: this thread and one worker thread take the entries
-    from one queue in schedule order.
+def _run_tasks(tasks):
+    """The results of the thunks ``tasks``, in task order: this thread and
+    one worker thread take the tasks from one queue in list order.
 
     SuperLU and BLAS release the GIL, so the two threads use two cores.  A
-    failing step stops both threads from taking further entries; once both
-    are done, the error of the lowest-index failing step is raised, the one
-    a loop over the schedule would raise.
+    failing task stops both threads from taking further tasks; once both
+    are done, the error of the lowest-index failing task is raised, the one
+    a loop over the tasks would raise.
     """
-    pending = iter(enumerate(schedule))
+    pending = iter(enumerate(tasks))
     lock = threading.Lock()
     stop = threading.Event()
-    records, errors = {}, {}
+    results, errors = {}, {}
 
     def drain():
         while not stop.is_set():
@@ -386,14 +401,14 @@ def _run_steps(step, schedule):
                 entry = next(pending, None)
             if entry is None:
                 return
-            idx, (h, delta) = entry
+            idx, task = entry
             try:
-                records[idx] = step(idx, h, delta)
+                results[idx] = task()
             except Exception as exc:
                 errors[idx] = exc
                 stop.set()
 
-    worker = threading.Thread(target=drain, name="study-step")
+    worker = threading.Thread(target=drain, name="study-task")
     worker.start()
     try:
         drain()
@@ -402,7 +417,7 @@ def _run_steps(step, schedule):
         worker.join()
     if errors:
         raise errors[min(errors)]
-    return list(records.values())
+    return [results[idx] for idx in range(len(tasks))]
 
 
 def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard,

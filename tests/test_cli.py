@@ -497,6 +497,18 @@ def test_study_passes_krylov_sizes_to_every_solve(tmp_path, monkeypatch):
     assert len(options) >= 2 and set(options) == {(1e-11, 7, 4, 12)}
 
 
+# a one-step Maxwell study on cube n=2 that runs in well under a second
+_CUBE_STUDY = {
+    "problem": "maxwell",
+    "mesh": {"kind": "cube", "n": 2},
+    "omega": 1.0,
+    "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
+    "solver": {"sigma_re": 2.3, "k": 6, "tol": 1e-11},
+    "study": {"target": "eps", "center": [0.5, 0.5, 0.5], "p_list": [4],
+              "schedule": [{"h": 0.45, "delta_im": 1e-3}]},
+}
+
+
 def test_failing_steps_end_as_the_lowest_index_error(tmp_path, capsys, monkeypatch):
     # step 2 fails first in time, step 1 after it: the run reports step 1's
     # error alone, as a loop over the schedule would, and leaves no thread behind
@@ -517,21 +529,76 @@ def test_failing_steps_end_as_the_lowest_index_error(tmp_path, capsys, monkeypat
         return real(*args)
 
     monkeypatch.setattr(stability, "_run_step", failing)
-    doc = {
-        "problem": "maxwell",
-        "mesh": {"kind": "cube", "n": 2},
-        "omega": 1.0,
-        "materials": {"mu_inv": {"1": 1.0}, "eps": {"1": {"re": 4.0, "im": 1.0}}},
-        "solver": {"sigma_re": 2.3, "k": 6, "tol": 1e-11},
-        "study": {"target": "eps", "center": [0.5, 0.5, 0.5], "p_list": [4],
-                  "schedule": [{"h": 0.45, "delta_im": d} for d in (1e-3, 2e-3, 3e-3, 4e-3)]},
-    }
+    doc = _with(_CUBE_STUDY, ("study", "schedule"),
+                [{"h": 0.45, "delta_im": d} for d in (1e-3, 2e-3, 3e-3, 4e-3)])
     cfg = write_config(tmp_path, doc)
     threads = threading.active_count()
     assert run(["study", "--config", cfg, "--output", str(tmp_path / "study")]) == 3
     assert threading.active_count() == threads
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors == ["error: out-of-memory: step 1"]
+
+
+def test_failing_baseline_diagnostic_wins_over_baseline_solve_error(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the baseline diagnostic runs beside the baseline solve; the solve fails
+    # first in time, the diagnostic after it, and the run reports the
+    # diagnostic alone, as running them in turn would
+    from steklovlab import stability
+
+    real = stability.Problem.diagnostic
+    solve_failed = threading.Event()
+
+    def late_diagnostic(self, pencil):
+        solve_failed.wait(timeout=10.0)
+        return real(self, pencil)
+
+    def failing_solve(*args, **kwargs):
+        solve_failed.set()
+        raise MemoryError("baseline solve")
+
+    monkeypatch.setattr(stability.Problem, "diagnostic", late_diagnostic)
+    monkeypatch.setattr(stability, "solve_shift_invert", failing_solve)
+    cfg = write_config(tmp_path, _with(_CUBE_STUDY, ("diagnostics", "threshold"), 0.99))
+    threads = threading.active_count()
+    assert run(["study", "--config", cfg, "--output", str(tmp_path / "study")]) == 2
+    assert threading.active_count() == threads
+    assert solve_failed.is_set()
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: assumption-violation: baseline")
+
+
+def test_baseline_solve_error_after_passing_diagnostic(tmp_path, capsys, monkeypatch):
+    from steklovlab import stability
+    from steklovlab.errors import SolverFailure
+
+    def failing_solve(*args, **kwargs):
+        raise SolverFailure("baseline solve")
+
+    monkeypatch.setattr(stability, "solve_shift_invert", failing_solve)
+    cfg = write_config(tmp_path, _CUBE_STUDY)
+    threads = threading.active_count()
+    assert run(["study", "--config", cfg, "--output", str(tmp_path / "study")]) == 3
+    assert threading.active_count() == threads
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: solver-failure: baseline solve"]
+
+
+def test_repeated_step_study_fits_nothing_quietly(tmp_path):
+    # three equal steps share one norm: no rate is fitted, and nothing
+    # (numpy's RankWarning included) is printed
+    doc = {**_CUBE_STUDY, "mesh": {"kind": "cube", "n": 3}, "solver": {"sigma_re": 2.3, "k": 8},
+           "study": {**_CUBE_STUDY["study"], "schedule": [{"h": 0.42, "delta_im": 1e-3}] * 3}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "study"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "steklovlab.cli", "study", "--config", cfg,
+                           "--output", str(out)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads((out / "study_report.json").read_text())
+    assert [s["status"] for s in report["steps"]] == ["ok"] * 3
+    assert report["fits"] == {} and report["mean_fits"] == {}
 
 
 def test_study_requires_section(tmp_path):
@@ -600,6 +667,65 @@ def test_blas_threads_pinned_during_dispatch(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _native_threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_study_runs_with_no_openblas_worker(tmp_path, monkeypatch):
+    # OpenBLAS workers busy-wait on the core a study's second thread uses, so
+    # a study ends them first: while it runs, every thread of the process is
+    # a Python one.  After the run the pools compute at two threads again.
+    import scipy.linalg.blas
+
+    from steklovlab import stability
+
+    pools = cli._blas_pools()
+    assert pools
+    before = [get() for get, _ in pools]
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((600, 600)), rng.standard_normal((600, 600))
+
+    def products():
+        return a @ b, scipy.linalg.blas.dgemm(1.0, a, b)
+
+    seen = []
+    real_study, real_step = cli.run_study, stability._run_step
+
+    def probed_study(*args):
+        seen.append((_native_threads(), threading.active_count()))
+        return real_study(*args)
+
+    def probed_step(*args):
+        rec = real_step(*args)
+        seen.append((_native_threads(), threading.active_count()))
+        return rec
+
+    monkeypatch.setattr(cli, "run_study", probed_study)
+    monkeypatch.setattr(stability, "_run_step", probed_step)
+    doc = _with(_CUBE_STUDY, ("study", "schedule"),
+                [{"h": 0.45, "delta_im": d} for d in (1e-3, 2e-3, 3e-3)])
+    cfg = write_config(tmp_path, doc)
+    try:
+        for _, set_ in pools:
+            set_(1)
+        single = products()
+        for _, set_ in pools:
+            set_(2)                 # both pools start their workers
+        products()
+        assert _native_threads() > threading.active_count()
+        assert run(["study", "--config", cfg, "--output", str(tmp_path / "study")]) == 0
+        assert [get() for get, _ in pools] == [2] * len(pools)
+        assert _native_threads() > threading.active_count()     # restored, with workers
+        double = products()
+    finally:
+        for (_, set_), n in zip(pools, before):
+            set_(n)
+    assert len(seen) == 4 and all(native == python for native, python in seen)
+    # two threads split the sums differently: equal up to roundoff
+    assert all(np.abs(x - y).max() <= 1e-12 * np.abs(y).max() for x, y in zip(double, single))
+
+
 def test_outputs_do_not_depend_on_openblas_thread_count(tmp_path):
     cfg = write_config(tmp_path, scalar_ball_config())
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -659,6 +785,9 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
     ("study", _with(_SMALL, ("study",), {**_STUDY, "step_diagnostics": "no"}), "config-error", 1),
     ("solve", _with(_SMALL, ("census", "radius"), -1), "config-error", 1),
     ("solve", _with(_SMALL, ("solver", "cluster_reltol"), -1), "config-error", 1),
+    ("study", _with(_with(_SMALL, ("study",), _STUDY), ("diagnostics", "threshold"), -1),
+     "config-error", 1),
+    ("solve", _with(_SMALL, ("diagnostics", "threshold"), 2), "config-error", 1),
     ("solve", _with(_SMALL, ("materials", "eps", "1"), [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
      "config-error", 1),
     ("solve --seed 1.5", _SMALL, "config-error", 1),
@@ -686,7 +815,8 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
         "schedule-negative-h", "negative-seed", "negative-seed-flag", "cube-n-zero",
         "cube-n-string", "ball-level-negative", "region-tag-name", "fractional-k",
         "fractional-cube-n", "step-diagnostics-string", "census-radius-negative",
-        "cluster-reltol-negative", "scalar-anisotropic-eps", "fractional-seed-flag",
+        "cluster-reltol-negative", "diag-threshold-negative", "diag-threshold-above-one",
+        "scalar-anisotropic-eps", "fractional-seed-flag",
         "thread-flag-string", "thread-flag", "unknown-root-key", "unknown-mesh-key", "unknown-materials-key",
         "unknown-solver-key", "unknown-census-key", "unknown-diagnostics-key",
         "unknown-perturbation-key", "unknown-study-key", "unknown-schedule-key",

@@ -54,6 +54,12 @@ def test_fit_rate_needs_three_points():
         fit_rate([(0.1, 0.1), (0.05, 0.0), (0.02, 0.01)])  # zero drift unusable
 
 
+def test_fit_rate_refuses_one_norm():
+    # a line through points that share one abscissa has no slope
+    with pytest.raises(InsufficientData, match="norms equal"):
+        fit_rate([(0.1, 0.2), (0.1, 0.3), (0.1, 0.25), (0.0, 0.1)])
+
+
 # ------------------------------------------------------------ nondegeneracy
 
 def test_nondegeneracy_real_vector():
@@ -265,14 +271,17 @@ def test_tied_steps_in_schedule_order_and_independent(cube3, monkeypatch):
 
 @pytest.mark.parametrize("problem", ["maxwell", "scalar"])
 def test_steps_fill_no_shared_lazy_value(problem, monkeypatch):
-    # the baseline fills pencil0.a0() and every mesh cache entry a step
-    # reads, so the two step threads only read shared state (a fresh mesh:
-    # the module fixture's cache is already full)
+    # the baseline fills pencil0.a0(), prob.gram, prob.basis and every mesh
+    # cache entry a step reads, so the two step threads only read shared
+    # state (a fresh mesh: the module fixture's cache is already full)
     real = stability._run_step
     seen = []
 
     def checked(cfg, prob, pencil0, *args):
         assert pencil0._a0 is not None
+        # Problem's lazy operators, built by the baseline diagnostic
+        assert {"gram", "basis"} & set(vars(prob)) == (
+            {"gram", "basis"} if problem == "maxwell" else {"gram"})
         seen.append(set(prob.mesh._cache))
         rec = real(cfg, prob, pencil0, *args)
         seen.append(set(prob.mesh._cache))
