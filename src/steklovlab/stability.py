@@ -4,16 +4,20 @@ perturbations, log-log rate fits, and first-order drift predictions.
 Baseline and perturbed eigenvalues are always computed on the same mesh, so
 discretization error cancels and the material effect is isolated.  For a
 complex-symmetric pencil the left eigenvectors are the unconjugated right
-ones, so all pairings below are bilinear (no conjugation): the nondegeneracy
-coefficient is
+ones, so all pairings below are bilinear (no conjugation).  A tracked
+cluster of N eigenvectors, the columns of X, has the cluster matrix
+C = X^T B X and the nondegeneracy coefficient
 
-    c = (1/N) sum_n u_n^T B u_n,
+    c = (1/N) tr C = (1/N) sum_n u_n^T B u_n,
 
-which can vanish for genuinely complex eigenvectors even when B u_n != 0,
-and the first-order drift of a tracked semisimple cluster under a pencil
-perturbation (delta K - omega^2 delta M) is
+which can vanish for genuinely complex eigenvectors even when B u_n != 0.
+A step records the cluster mean lambda_h of its matched eigenvalues, and
+the first-order drift of that mean for a semisimple cluster under a pencil
+perturbation delta A = delta K - omega^2 delta M is
 
-    lambda_h - lambda_0 ~= (1/N) sum_n u_n^T (delta K - omega^2 delta M) u_n / c.
+    lambda_h - lambda_0 ~= (1/N) tr(C^-1 G),   G = X^T delta A X,
+
+which for N = 1 is u^T delta A u / c.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from .fem_scalar import LANCZOS_TOL, assemble_scalar, scalar_dirichlet_diagnosti
 from .materials import PerturbationSpec, build_field, lp_diff_norm
 from .mesh import Mesh, extract_boundary
 
-# a study records no first-order prediction for a cluster whose |c| falls
-# below this fraction of its sesquilinear B average (the nondegeneracy
-# condition fails)
+# a study records no first-order prediction for a cluster whose cluster
+# matrix C has a smallest singular value below this fraction of its
+# sesquilinear B average (the nondegeneracy condition fails)
 C_THRESHOLD = 1e-8
 
 # a study step whose pencil is singular at the tracked eigenvalue itself is
@@ -94,29 +98,30 @@ def normalize_vectors(vectors, gram):
 
 
 def _nondegeneracy(B, vectors):
-    """The bilinear cluster coefficient c = (1/N) sum_n u_n^T B u_n of the
-    columns of ``vectors`` (normalized by :func:`normalize_vectors`), and why
-    the cluster is degenerate, or "" when it is not: |c| at most
-    ``C_THRESHOLD`` times the sesquilinear cluster average of B.  B is
-    applied once per vector."""
+    """The cluster matrix C = X^T B X of the columns X of ``vectors``
+    (normalized by :func:`normalize_vectors`), and why the cluster is
+    degenerate, or "" when it is not: sigma_min(C) at most ``C_THRESHOLD``
+    times the sesquilinear cluster average of B.  For one vector
+    sigma_min(C) is |c|."""
     vecs = np.asarray(vectors, dtype=np.complex128)
     if vecs.ndim == 1:
         vecs = vecs[:, None]
     if vecs.shape[1] == 0:
         raise ValueError("nondegeneracy needs at least one vector")
-    bvecs = [B @ vecs[:, j] for j in range(vecs.shape[1])]
-    c = complex(np.mean([vecs[:, j] @ bv for j, bv in enumerate(bvecs)]))
-    mags = [np.real(np.conj(vecs[:, j]) @ bv) for j, bv in enumerate(bvecs)]
-    scale = max(float(np.mean(mags)), 1e-300)
-    if abs(c) <= C_THRESHOLD * scale:
-        return c, f"|c| = {abs(c):.3e} below threshold {C_THRESHOLD:.1e} x {scale:.3e}"
-    return c, ""
+    bvecs = B @ vecs
+    C = vecs.T @ bvecs
+    scale = max(float(np.mean(np.real(np.sum(np.conj(vecs) * bvecs, axis=0)))), 1e-300)
+    sigma_min = float(np.linalg.svd(C, compute_uv=False)[-1])
+    if sigma_min <= C_THRESHOLD * scale:
+        return C, f"sigma_min(C) = {sigma_min:.3e} below threshold {C_THRESHOLD:.1e} x {scale:.3e}"
+    return C, ""
 
 
-def _first_order_drift(pencil0, pencil_h, vecs, c) -> complex:
-    delta_a = pencil_h.a0() - pencil0.a0()
-    vals = [vecs[:, j] @ (delta_a @ vecs[:, j]) for j in range(vecs.shape[1])]
-    return complex(np.mean(vals) / c)
+def _first_order_drift(pencil0, pencil_h, vecs, C) -> complex:
+    """(1/N) tr(C^-1 G), G = X^T delta A X: the first-order shift of the
+    cluster mean."""
+    G = vecs.T @ ((pencil_h.a0() - pencil0.a0()) @ vecs)
+    return complex(np.trace(np.linalg.solve(C, G)) / vecs.shape[1])
 
 
 # --------------------------------------------------------------------- #
@@ -135,10 +140,8 @@ class StepRecord:
     confirmed: bool | None = None        # the step solve's flags; None without a solve
     partial: bool | None = None
     n_matched: int = 0
-    lam: complex | None = field(default=None, metadata={"json": "lambda"})
+    lam: complex | None = field(default=None, metadata={"json": "lambda"})   # cluster mean
     drift: float | None = None
-    mean_lam: complex | None = field(default=None, metadata={"json": "lambda_mean"})
-    mean_drift: float | None = None
     cluster_diameter: float | None = None
     predicted: complex | None = None
     prediction_note: str = ""
@@ -157,18 +160,17 @@ class StudyReport:
     baseline_diag: float
     steps: list
     fits: dict                           # p -> FitResult (drift vs target-field norm)
-    mean_fits: dict                      # p -> FitResult (mean drift)
     meta: dict = field(default_factory=dict)
 
     def csv_rows(self):
-        """Summary rows: h, norms (None if no fields were built), drifts, predictions."""
+        """Summary rows: h, norms (None if no fields were built), the drift
+        of the cluster mean, its prediction and the step's diagnostic."""
         header = ["index", "h", "delta_re", "delta_im", "status"]
         for p in self.p_list:
             header.append(f"norm_mu_inv_p{p:g}")
         for p in self.p_list:
             header.append(f"norm_eps_p{p:g}")
-        header += ["drift", "mean_drift", "predicted_re", "predicted_im", "diag_sigma",
-                   "diag_kind"]
+        header += ["drift", "predicted_re", "predicted_im", "diag_sigma", "diag_kind"]
         rows = [header]
         for s in self.steps:
             row = [s.index, s.h, s.delta.real, s.delta.imag, s.status]
@@ -176,7 +178,7 @@ class StudyReport:
                 for p in self.p_list:
                     row.append(s.norms.get(fld, {}).get(p))
             row += [
-                s.drift, s.mean_drift,
+                s.drift,
                 None if s.predicted is None else s.predicted.real,
                 None if s.predicted is None else s.predicted.imag,
                 s.diag_sigma,
@@ -330,7 +332,7 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     guard = 0.5 * float(np.abs(other_means - lam0).min()) if len(other_means) else np.inf
 
     vectors = normalize_vectors(base.eigenvectors[:, members], prob.gram)
-    c, degenerate = _nondegeneracy(pencil0.B, vectors)   # baseline-only: decided once
+    C, degenerate = _nondegeneracy(pencil0.B, vectors)   # baseline-only: decided once
 
     # sigma_min of the baseline, less the Lanczos tolerance of its value
     sigma_floor = baseline_diag * pencil0.beta * (1.0 - LANCZOS_TOL)
@@ -339,20 +341,17 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     # prob.gram, prob.basis and the mesh's cached arrays), so the steps
     # share only read-only state and may run in any order.
     steps = [partial(_run_step, cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members,
-                     guard, vectors, c, degenerate, idx, float(h), complex(delta))
+                     guard, vectors, C, degenerate, idx, float(h), complex(delta))
              for idx, (h, delta) in enumerate(cfg.schedule)]
     # the records come in schedule order, so the stable sort keeps tied h in it
     records = sorted(_run_tasks(steps), key=lambda r: r.h)
 
-    fits, mean_fits = {}, {}
+    fits = {}
     ok = [r for r in records if r.status == "ok"]
     ok_coarse_first = sorted(ok, key=lambda r: -r.h)
     for p in cfg.p_list:
-        pairs = [(r.norms[cfg.target][p], r.drift) for r in ok_coarse_first]
-        mean_pairs = [(r.norms[cfg.target][p], r.mean_drift) for r in ok_coarse_first]
         try:
-            fits[p] = fit_rate(pairs)
-            mean_fits[p] = fit_rate(mean_pairs)
+            fits[p] = fit_rate([(r.norms[cfg.target][p], r.drift) for r in ok_coarse_first])
         except InsufficientData:
             continue
 
@@ -363,19 +362,17 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
         p_list=tuple(cfg.p_list),
         lambda0=lam0,
         cluster_size=n_members,
-        c=complex(c),
+        c=complex(np.mean(np.diag(C))),
         guard_radius=guard,
         baseline_diag=float(baseline_diag),
         steps=records,
         fits=fits,
-        mean_fits=mean_fits,
         meta={
             "sigma": complex(cfg.sigma),
             "seed": cfg.seed,
             "k": cfg.k,
             "tol": cfg.tol,
             "baseline": {"confirmed": base.meta["confirmed"], "partial": base.meta["partial"]},
-            "n_steps": len(records),
             "mesh": mesh.summary(),
         },
     )
@@ -421,7 +418,7 @@ def _run_tasks(tasks):
 
 
 def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard,
-              vectors, c, degenerate, idx, h, delta):
+              vectors, C, degenerate, idx, h, delta):
     spec = PerturbationSpec(cfg.center, h, delta, cfg.target)
     baseline = {"mu_inv": mu0, "eps": eps0}
     fields = dict(baseline)
@@ -442,8 +439,6 @@ def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard
         rec.n_matched = n_members
         rec.lam = lam0
         rec.drift = 0.0
-        rec.mean_lam = lam0
-        rec.mean_drift = 0.0
         rec.cluster_diameter = 0.0
         rec.predicted = 0.0 + 0.0j
         return rec
@@ -482,16 +477,12 @@ def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard
         rec.status = "ambiguous"
         return rec
 
-    nearest = cand[int(np.argmin(np.abs(cand - lam0)))]
-    mean = complex(cand.mean())
-    rec.lam = complex(nearest)
-    rec.drift = float(abs(lam0 - nearest))
-    rec.mean_lam = mean
-    rec.mean_drift = float(abs(lam0 - mean))
+    rec.lam = complex(cand.mean())
+    rec.drift = float(abs(lam0 - rec.lam))
     rec.cluster_diameter = float(np.abs(cand[:, None] - cand[None, :]).max()) if len(cand) > 1 else 0.0
 
     if degenerate:
         rec.prediction_note = degenerate
     else:
-        rec.predicted = _first_order_drift(pencil0, pencil_h, vectors, c)
+        rec.predicted = _first_order_drift(pencil0, pencil_h, vectors, C)
     return rec

@@ -81,15 +81,16 @@ class DegenerateCluster(Exception):
 
 def nondegeneracy(B, vectors) -> complex:
     """Bilinear cluster coefficient c = (1/N) sum_n u_n^T B u_n."""
-    return stability._nondegeneracy(B, vectors)[0]
+    return complex(np.mean(np.diag(stability._nondegeneracy(B, vectors)[0])))
 
 
 def first_order_prediction(pencil0, pencil_h, vectors):
-    """Predicted shift lambda_h - lambda_0 of a tracked cluster (eigenvectors
-    as the columns of ``vectors``) and its coefficient c, as run_study
-    computes them; DegenerateCluster where run_study records a note."""
+    """Predicted shift lambda_h - lambda_0 of the mean of a tracked cluster
+    (eigenvectors as the columns of ``vectors``) and its coefficient c, as
+    run_study computes them; DegenerateCluster where run_study records a
+    note."""
     vecs = np.asarray(vectors, dtype=np.complex128)
-    c, note = stability._nondegeneracy(pencil0.B, vecs)
+    C, note = stability._nondegeneracy(pencil0.B, vecs)
     if note:
         raise DegenerateCluster(note)
-    return stability._first_order_drift(pencil0, pencil_h, vecs, c), c
+    return stability._first_order_drift(pencil0, pencil_h, vecs, C), complex(np.mean(np.diag(C)))

@@ -321,6 +321,51 @@ def test_criterion_6_stability_bound_and_prediction():
     report(6, "stability bound and first-order prediction", failures)
 
 
+def test_criterion_6c_lp_stability_at_full_amplitude():
+    # delta = 4 doubles eps inside the ball and delta = -2 halves its real
+    # part: the L^infinity norm of the perturbation stays fixed while the
+    # radius shrinks, and the L^p claim (p < infinity) says the drift of the
+    # cluster mean still vanishes at the rate of the small-delta study.  At
+    # cluster_reltol 0.01 the tracked cluster is the triplet 2.36865 -
+    # 0.11975i plus the double 2.38150 - 0.12252i, so a full-amplitude step
+    # keeps all three members inside the guard.
+    failures = []
+    mesh = generate_cube_mesh(4)
+    radii = (0.42, 0.34, 0.26, 0.18)
+
+    def study(delta):
+        return run_study(RunConfig(
+            omega=1.0, problem="maxwell", materials={"mu_inv": {1: 1.0}, "eps": {1: ABSORBING}},
+            center=(0.5, 0.5, 0.5), target="eps", sigma=2.3 + 0.0j, k=8, tol=1e-11,
+            cluster_reltol=0.01, schedule=[(h, delta) for h in radii], p_list=(2.0, 4.0, 8.0)),
+            mesh)
+
+    small_slope = study(1e-3j).fits[2.0].slope
+    for delta in (4.0, -2.0):
+        rep = study(delta)
+        if any(s.status != "ok" for s in rep.steps):
+            failures.append(f"delta={delta}: non-ok steps")
+            continue
+        finest, coarsest = rep.steps[0], rep.steps[-1]      # sorted by h
+        if coarsest.drift < 10.0 * finest.drift:
+            failures.append(f"delta={delta}: drift falls only "
+                            f"{coarsest.drift / finest.drift:.1f}x from h=0.42 to h=0.18")
+        for p in (2.0, 4.0, 8.0):
+            fit = rep.fits.get(p)
+            if fit is None or fit.bound_ratio_max > 1.0 + 1e-6:
+                failures.append(f"delta={delta}, p={p}: bound violated or no fit")
+        fit = rep.fits.get(2.0)
+        if fit is not None and abs(fit.slope - small_slope) > 0.1 * small_slope:
+            failures.append(f"delta={delta}: p=2 slope {fit.slope:.3f} vs {small_slope:.3f} "
+                            "at delta=1e-3i")
+        for s in rep.steps:
+            shift = s.lam - rep.lambda0
+            rel = abs(shift - s.predicted) / abs(shift)
+            if rel > (0.01 if s.h == 0.18 else 0.10):
+                failures.append(f"delta={delta}, h={s.h}: prediction error {rel:.2%}")
+    report("6(c)", "L^p stability at full amplitude", failures)
+
+
 def test_criterion_7_assumption_diagnostics():
     failures = []
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -598,7 +599,38 @@ def test_repeated_step_study_fits_nothing_quietly(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     report = json.loads((out / "study_report.json").read_text())
     assert [s["status"] for s in report["steps"]] == ["ok"] * 3
-    assert report["fits"] == {} and report["mean_fits"] == {}
+    assert report["fits"] == {} and "mean_fits" not in report
+
+
+def test_study_of_a_triplet_records_the_cluster_mean(tmp_path):
+    # at cluster_reltol 0.01 the tracked cluster of cube n=4 is a triplet,
+    # the singleton 2.36865 - 0.11975i and the double 2.38150 - 0.12252i:
+    # a step's lambda is the mean of its three members, so its drift
+    # vanishes with the perturbation while the members stay 0.013 apart,
+    # and the first-order prediction of the mean is accurate
+    doc = {**_CUBE_STUDY, "mesh": {"kind": "cube", "n": 4},
+           "solver": {"sigma_re": 2.3, "k": 8, "tol": 1e-11, "cluster_reltol": 0.01},
+           "study": {**_CUBE_STUDY["study"], "p_list": [1, 2],
+                     "schedule": [{"h": h, "delta_im": 1e-3} for h in (0.42, 0.34, 0.26, 0.18)]}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "study"
+    assert run(["study", "--config", cfg, "--output", str(out)]) == 0
+    report = json.loads((out / "study_report.json").read_text())
+    assert report["cluster_size"] == 3
+    lam0 = complex(report["lambda0"]["re"], report["lambda0"]["im"])
+    for step in report["steps"]:
+        assert (step["status"], step["n_matched"]) == ("ok", 3)
+        assert step["cluster_diameter"] > 1e-2
+        shift = complex(step["lambda"]["re"], step["lambda"]["im"]) - lam0
+        predicted = complex(step["predicted"]["re"], step["predicted"]["im"])
+        assert abs(shift - predicted) / abs(shift) <= 1e-3
+    for p in ("1.0", "2.0"):
+        assert report["fits"][p]["bound_ratio_max"] <= 1.0 + 1e-6
+    assert 2.8 <= report["fits"]["2.0"]["slope"] <= 3.4
+    with open(out / "study_summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert "mean_drift" not in rows[0]
+    assert [float(row["drift"]) for row in rows] == [s["drift"] for s in report["steps"]]
 
 
 def test_study_requires_section(tmp_path):

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from fem_helpers import DegenerateCluster, first_order_prediction, nondegeneracy
@@ -115,6 +116,23 @@ def test_prediction_second_order_remainder():
     assert rems[1] / rems[2] == pytest.approx(4.0, rel=0.2)
 
 
+def test_prediction_is_the_shift_of_the_cluster_mean():
+    # the double eigenvalue 1 of (diag(1, 2, 10), diag(1, 2, 1)) has
+    # u^T B u = 1 and 2 on its members: delta A = diag(eta, 0, 0) moves one
+    # member by eta, so the mean by eta / 2, which tr(C^-1 G) / N gives and
+    # the ratio of means mean(u^T delta A u) / mean(u^T B u) = eta / 3 misses
+    eta = 1e-3
+    B = np.diag([1.0, 2.0, 1.0])
+    p0 = _StubPencil(np.diag([1.0, 2.0, 10.0]), B)
+    ph = _StubPencil(np.diag([1.0 + eta, 2.0, 10.0]), B)
+    predicted, c = first_order_prediction(p0, ph, np.eye(3)[:, :2])
+    assert c == pytest.approx(1.5)
+    exact = scipy.linalg.eigvals(ph.a0().toarray(), B)
+    shift = np.sort(exact.real)[:2].mean() - 1.0
+    assert shift == pytest.approx(eta / 2, rel=1e-12)
+    assert predicted == pytest.approx(shift, rel=1e-12)
+
+
 def test_prediction_zero_perturbation():
     p0 = _StubPencil(np.diag([1.0, 2.0]), np.eye(2))
     predicted, _ = first_order_prediction(p0, p0, np.array([1.0, 0.0])[:, None])
@@ -127,6 +145,17 @@ def test_prediction_refuses_degenerate():
     u = np.array([1.0, 1j]) / np.sqrt(2)
     with pytest.raises(DegenerateCluster):
         first_order_prediction(p0, ph, u[:, None])
+
+
+def test_prediction_refuses_cluster_with_an_isotropic_member():
+    # a cluster of the triple eigenvalue 1 whose second member has
+    # u_2^T u_2 = 0: C = diag(1, 0) is singular although c = 1/2
+    p0 = _StubPencil(np.eye(3), np.eye(3))
+    ph = _StubPencil(np.diag([1.1, 1.0, 1.0]), np.eye(3))
+    vectors = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1j]]).T / np.array([1.0, np.sqrt(2)])
+    assert nondegeneracy(sp.eye(3, format="csr"), vectors) == pytest.approx(0.5)
+    with pytest.raises(DegenerateCluster, match="sigma_min"):
+        first_order_prediction(p0, ph, vectors)
 
 
 # ---------------------------------------------------------------- run_study
@@ -215,22 +244,29 @@ def test_prediction_vs_measured_small_delta(cube3):
     assert abs(shift - step.predicted) / abs(shift) <= 0.2
 
 
-def test_degenerate_cluster_tracked_and_mean_triangle(cube3):
-    # centered ball = symmetric perturbation of the symmetric double cluster
+def test_double_cluster_records_its_mean(cube3):
+    # centered ball = symmetric perturbation of the symmetric double cluster:
+    # it stays a double, and a step records the mean of its two members,
+    # which moves linearly in delta as the first-order prediction says
     report = run_study(maxwell_setup(
         schedule=[(0.45, 4e-3j), (0.45, 2e-3j), (0.45, 1e-3j), (0.45, 5e-4j)],
         target_lambda=2.50 - 0.13j,
         p_list=(4.0,),
     ), cube3)
     assert report.cluster_size == 2
-    for step in report.steps:
+    steps = sorted(report.steps, key=lambda s: -abs(s.delta))
+    for step in steps:
         assert step.status == "ok"
         assert step.n_matched == 2
-        assert step.mean_drift <= step.drift + step.cluster_diameter + 1e-12
-    # weighted-mean drift fits are at least as clean on symmetric perturbations
+        assert step.cluster_diameter <= 1e-12
+        shift = step.lam - report.lambda0
+        assert step.drift == abs(shift)
+        assert abs(shift - step.predicted) / abs(shift) <= 1e-4
+    for larger, smaller in zip(steps, steps[1:]):
+        assert larger.drift / smaller.drift == pytest.approx(2.0, rel=1e-3)
     fit = report.fits[4.0]
-    mean_fit = report.mean_fits[4.0]
-    assert mean_fit.residual <= fit.residual + 1e-8
+    assert fit.slope == pytest.approx(1.0, abs=1e-3)
+    assert fit.residual <= 1e-5
 
 
 def test_records_sorted_by_h(cube3):
