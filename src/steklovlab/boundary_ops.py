@@ -24,6 +24,7 @@ solve (eigensolver) reuses its grounding.
 
 from __future__ import annotations
 
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,7 +114,7 @@ class BoundaryGram:
     solve with this form takes.
 
     Applied matrix-free (one coupling matvec, one factorized surface solve,
-    one transposed matvec per application); ``to_sparse`` materializes the
+    one transposed matvec per application); ``sparse`` materializes the
     dense boundary-edge block for oracle runs on small meshes.
     """
 
@@ -125,7 +126,6 @@ class BoundaryGram:
         self.laplacian = laplacian
         self.D_free = D.tocsr()[laplacian.free]
         self.shape = (D.shape[1], D.shape[1])
-        self._sparse = None
 
     def matvec(self, v):
         v = np.asarray(v)
@@ -138,22 +138,19 @@ class BoundaryGram:
             return self.matvec(other)
         return np.stack([self.matvec(other[:, j]) for j in range(other.shape[1])], axis=1)
 
-    def to_sparse(self) -> sp.csr_matrix:
+    @cached_property
+    def sparse(self) -> sp.csr_matrix:
         """Explicit symmetric CSR form (dense on the boundary-edge block)."""
-        if self._sparse is None:
-            bed = self.mesh.boundary_edge_ids
-            if len(bed) > DENSE_LIMIT:
-                raise ValueError(
-                    f"{len(bed)} boundary edge dofs exceed the dense limit {DENSE_LIMIT}"
-                )
-            Db = np.asarray(self.D[:, bed].todense())
-            block = Db.T @ self.laplacian.solve(Db)
-            block = 0.5 * (block + block.T)
-            rows = np.repeat(bed, len(bed))
-            cols = np.tile(bed, len(bed))
-            n = self.shape[0]
-            self._sparse = sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        return self._sparse
+        bed = self.mesh.boundary_edge_ids
+        if len(bed) > DENSE_LIMIT:
+            raise ValueError(f"{len(bed)} boundary edge dofs exceed the dense limit {DENSE_LIMIT}")
+        Db = np.asarray(self.D[:, bed].todense())
+        block = Db.T @ self.laplacian.solve(Db)
+        block = 0.5 * (block + block.T)
+        rows = np.repeat(bed, len(bed))
+        cols = np.tile(bed, len(bed))
+        n = self.shape[0]
+        return sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram:

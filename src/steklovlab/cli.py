@@ -218,7 +218,7 @@ def _materials(materials, problem):
                 raise ConfigError(f"{where}: region tag must be an integer") from None
             try:
                 tensor = tensor_from_entry(entry)
-            except (ConfigError, TypeError, ValueError) as exc:
+            except (ConfigError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{where} invalid: {exc}") from None
             # the scalar pencil takes one permittivity per element (trace/3)
             if problem == "scalar" and name == "eps" and not np.array_equal(
@@ -294,7 +294,7 @@ def load_config(path) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return _run_config(doc)
 
@@ -399,29 +399,29 @@ def cmd_solve(args) -> int:
             f"{cfg.diag_threshold:.1e}; no eigenvalue table emitted"
         )
 
-    result = solve_shift_invert(pencil.a0(), pencil.B, cfg.sigma, cfg.k, **cfg.solver_options())
+    result = solve_shift_invert(pencil.a0, pencil.B, cfg.sigma, cfg.k, **cfg.solver_options())
     if len(result) == 0:
         raise SolverFailure("no eigenvalue converged at the requested tolerance")
-    clustered = cluster(result, cfg.cluster_reltol)
+    labels, means = cluster(result.eigenvalues, cfg.cluster_reltol)
+    sizes = np.bincount(labels)[labels]
 
     radius = cfg.census_radius
     if radius is None:
-        radius = 10.0 * float(np.median(np.abs(clustered.eigenvalues)))
-    census = sector_census(clustered.eigenvalues, cfg.census_delta, radius)
+        radius = 10.0 * float(np.median(np.abs(result.eigenvalues)))
+    census = sector_census(result.eigenvalues, cfg.census_delta, radius)
 
     csv_path = out / "eigenvalues.csv"
     _write_csv(csv_path, [["index", "re", "im", "residual", "cluster_id", "cluster_size"]] + [
-        [i, lam.real, lam.imag, clustered.residuals[i],
-         clustered.cluster_labels[i], clustered.cluster_sizes[i]]
-        for i, lam in enumerate(clustered.eigenvalues)
+        [i, lam.real, lam.imag, result.residuals[i], labels[i], sizes[i]]
+        for i, lam in enumerate(result.eigenvalues)
     ])
 
     meta["census"] = census
     meta["solver"].update({key: result.meta[key] for key in (
         "converged", "iterations", "partial", "confirmed", "exhausted", "sweeps", "schur_defect")})
-    meta["cluster_means"] = clustered.cluster_means
+    meta["cluster_means"] = means
     _write_json(out / "solve_meta.json", meta)
-    print(f"wrote {csv_path} ({len(clustered)} eigenvalues)")
+    print(f"wrote {csv_path} ({len(result)} eigenvalues)")
     return 0
 
 

@@ -27,7 +27,7 @@ SIAM 2011, ch. 4; Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17(4),
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -42,14 +42,11 @@ DEFAULT_THETA_CUT = 1e-10
 
 @dataclass
 class EigenResult:
-    """Certified eigenpairs plus optional clustering information."""
+    """Certified eigenpairs, their residual certificates and the solver's record."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
     residuals: np.ndarray
-    cluster_labels: np.ndarray | None = None
-    cluster_sizes: np.ndarray | None = None
-    cluster_means: np.ndarray | None = None      # indexed by cluster label
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -176,7 +173,7 @@ def solve_dense_oracle(A0, B, residual_tol=1e-10) -> EigenResult:
     """
     A0 = np.asarray(A0.todense()) if sp.issparse(A0) else np.asarray(A0)
     if isinstance(B, BoundaryGram):
-        B = B.to_sparse()
+        B = B.sparse
     Bd = np.asarray(B.todense()) if sp.issparse(B) else np.asarray(B)
     n = A0.shape[0]
     if n > DENSE_LIMIT:
@@ -494,14 +491,8 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
         eigenvectors=vecs[:, order],
         residuals=res[order],
         meta={
-            "method": "shift_invert_arnoldi",
-            "sigma": sigma,
-            "requested": k,
             "converged": int(len(order)),
             "iterations": sum(s["applies"] for s in sweeps),
-            "krylov_dim": m0,
-            "seed": seed,
-            "tol": tol,
             "exhausted": bool(sweeps[-1]["stop"] == "breakdown" and len(order) < k),
             "partial": bool(len(order) < k),
             # k pairs, and a last sweep that saw nothing closer
@@ -516,20 +507,17 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
 # clustering and census
 # --------------------------------------------------------------------- #
 
-def cluster(values, reltol=1e-6) -> EigenResult:
+def cluster(values, reltol=1e-6):
     """Single-linkage clustering of eigenvalues with relative gap ``reltol``:
     the connected components of the graph that joins two values at most
     reltol * max|lambda| apart, labelled 0, 1, ... in the order of their
     first members.
 
-    Accepts an EigenResult (labels are attached to a copy) or a plain value
-    list.  The cluster mean is the multiplicity-weighted mean of its members
-    (each reported value counts with its numerical multiplicity one).
+    Returns ``(labels, means)``: the label of each value, and the mean of
+    each cluster's members indexed by label (each reported value counts with
+    its numerical multiplicity one).
     """
-    if not isinstance(values, EigenResult):
-        vals = np.asarray(values, dtype=np.complex128)
-        values = EigenResult(vals, None, np.full(len(vals), np.nan))
-    vals = np.asarray(values.eigenvalues)
+    vals = np.asarray(values, dtype=np.complex128)
     n = len(vals)
     scale = float(np.abs(vals).max(initial=0.0))
     near = np.abs(vals[:, None] - vals[None, :]) <= reltol * (scale if scale > 0 else 1.0)
@@ -541,16 +529,9 @@ def cluster(values, reltol=1e-6) -> EigenResult:
         if np.array_equal(lowest, first):
             break
         first = lowest
-    labels = np.unique(first, return_inverse=True)[1]
-    counts = np.bincount(labels)
-    return replace(
-        values,
-        cluster_labels=labels,
-        cluster_sizes=counts[labels],
-        cluster_means=np.array([vals[labels == c].mean() for c in range(len(counts))],
-                               dtype=vals.dtype),
-        meta={**values.meta, "cluster_reltol": reltol},
-    )
+    firsts, labels = np.unique(first, return_inverse=True)
+    return labels, np.array([vals[labels == c].mean() for c in range(len(firsts))],
+                            dtype=np.complex128)
 
 
 # Moduli at most this fraction of the largest count as zero in a sector census.

@@ -159,5 +159,5 @@ def kernelS_diagnostic(pencil: Pencil, basis: KernelBasis) -> float:
     well-posedness assumption behind the eigenvalue problem.  ``basis`` is
     the kernel_subspace_basis of ``pencil.B``.
     """
-    C = basis.Z.T @ (pencil.a0() @ basis.Z)
+    C = basis.Z.T @ (pencil.a0 @ basis.Z)
     return inf_sup(C, basis.W) / pencil.beta

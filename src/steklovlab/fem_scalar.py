@@ -10,8 +10,9 @@ which discretizes to the linear pencil (K - omega^2 M) u = lambda B u.
 K is the mu_inv-weighted stiffness, M the eps-weighted mass, and B the
 boundary mass; B is kept genuinely singular (its kernel is exactly the
 interior vertices), so the pencil has infinite eigenvalues that the solver
-discards.  The ``Pencil`` type, the continuity bound and the inf-sup routine
-defined here serve the Maxwell pencil (fem_maxwell) as well.
+discards.  The ``Pencil`` type (its left-hand matrix ``a0`` = K - omega^2 M
+is a ``cached_property``, built on first use), the continuity bound and the
+inf-sup routine defined here serve the Maxwell pencil (fem_maxwell) as well.
 
 Coefficients are piecewise constant per element, so all element integrals
 are exact.  The scalar permittivity per element is taken as trace(eps)/3,
@@ -21,6 +22,7 @@ which is exact for the isotropic tensors used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,13 +57,11 @@ class Pencil:
     omega: float
     beta: float                           # continuity bound, see continuity_bound
     mesh: Mesh = field(repr=False)
-    _a0: sp.csr_matrix | None = field(default=None, repr=False)
 
+    @cached_property
     def a0(self) -> sp.csr_matrix:
         """Left-hand matrix K - omega^2 M (complex CSR)."""
-        if self._a0 is None:
-            self._a0 = (self.K.astype(np.complex128) - (self.omega**2) * self.M).tocsr()
-        return self._a0
+        return (self.K.astype(np.complex128) - (self.omega**2) * self.M).tocsr()
 
 
 def assemble_scalar(mesh: Mesh, mu_inv: MaterialField, eps: MaterialField, omega: float,
@@ -110,7 +110,7 @@ def scalar_dirichlet_diagnostic(pencil: Pencil, gram) -> float:
     interior = pencil.mesh.interior_vertex_ids
     if len(interior) == 0:
         return np.inf
-    A = pencil.a0()[interior][:, interior]
+    A = pencil.a0[interior][:, interior]
     return inf_sup(A, gram[interior][:, interior]) / pencil.beta
 
 

@@ -13,6 +13,7 @@ function and all L^p norms are exact integrals of piecewise constants.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,7 +108,9 @@ def tensor_from_entry(value):
     """Coerce a config entry to a 3x3 complex tensor.
 
     Accepts a scalar (-> scalar * I), a 3x3 nested list, or a mapping with
-    "re"/"im" entries that are themselves scalars or 3x3 lists.
+    "re"/"im" entries that are themselves scalars or 3x3 lists; every number
+    must be real, and a boolean or a string is refused.  A numpy array is
+    taken as a tensor already built.
     """
     if isinstance(value, dict):
         extra = set(value) - {"re", "im"}
@@ -116,6 +119,10 @@ def tensor_from_entry(value):
         re = tensor_from_entry(value.get("re", 0.0)).real
         im = tensor_from_entry(value.get("im", 0.0)).real
         return re + 1j * im
+    if not isinstance(value, np.ndarray):
+        for leaf in np.asarray(value, dtype=object).flat:
+            if isinstance(leaf, bool) or not isinstance(leaf, numbers.Real):
+                raise ConfigError(f"tensor entry must hold real numbers, got {leaf!r}")
     arr = np.asarray(value, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"tensor entry must be finite, got {value!r}")

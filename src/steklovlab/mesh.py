@@ -15,6 +15,9 @@ Conventions
   domain.
 * Every vertex belongs to at least one tetrahedron.
 
+Arrays only some callers read (centroids, tet gradients, boundary and interior
+ids) are ``functools.cached_property`` values, built on first use and kept.
+
 Connectivity is deduplicated on 1-D int64 keys, never on rows.  A vertex
 pair lo < hi has the key ``lo * V + hi`` (V vertices), whose sort order is
 the lexicographic order of the pairs.  A triangle a < b < c has the key
@@ -27,6 +30,7 @@ would overflow above V = 2**21 = 2 097 152, which ball level 6 exceeds.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -114,14 +118,13 @@ class Mesh:
         self.tets = tets
         self.region = region
         self.kind = kind
-        self._volumes = vols
+        self.volumes = vols
 
         self._build_edges()
         self._build_faces()
         for arr in (self.vertices, self.tets, self.region, self.edges, self._edge_keys,
                     self.tet_edges, self.tet_edge_signs, self.boundary_faces):
             arr.setflags(write=False)
-        self._cache = {}
 
     # ------------------------------------------------------------------ #
     def _build_edges(self):
@@ -158,10 +161,6 @@ class Mesh:
     def n_edges(self):
         return len(self.edges)
 
-    @property
-    def volumes(self):
-        return self._volumes
-
     def summary(self) -> dict:
         """The mesh block of every report: element counts and kind."""
         return {
@@ -172,47 +171,33 @@ class Mesh:
             "kind": self.kind,
         }
 
-    def _cached(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def centroids(self):
-        return self._cached("centroids", lambda: self.vertices[self.tets].mean(axis=1))
+        return self.vertices[self.tets].mean(axis=1)
 
-    @property
+    @cached_property
     def tet_gradients(self):
         """Gradients of the four barycentric coordinates per tet, shape (T, 4, 3)."""
-        def build():
-            e = self.vertices[self.tets[:, 1:]] - self.vertices[self.tets[:, :1]]
-            gi = np.linalg.inv(e).transpose(0, 2, 1)           # rows: grad(lambda_1..3)
-            g0 = -gi.sum(axis=1, keepdims=True)
-            return np.concatenate([g0, gi], axis=1)
-        return self._cached("tet_gradients", build)
+        e = self.vertices[self.tets[:, 1:]] - self.vertices[self.tets[:, :1]]
+        gi = np.linalg.inv(e).transpose(0, 2, 1)               # rows: grad(lambda_1..3)
+        g0 = -gi.sum(axis=1, keepdims=True)
+        return np.concatenate([g0, gi], axis=1)
 
-    @property
+    @cached_property
     def boundary_vertex_ids(self):
-        return self._cached("bverts", lambda: np.unique(self.boundary_faces))
+        return np.unique(self.boundary_faces)
 
-    @property
+    @cached_property
     def interior_vertex_ids(self):
-        return self._cached(
-            "iverts",
-            lambda: np.setdiff1d(np.arange(self.n_vertices), self.boundary_vertex_ids),
-        )
+        return np.setdiff1d(np.arange(self.n_vertices), self.boundary_vertex_ids)
 
-    @property
+    @cached_property
     def boundary_edge_ids(self):
-        return self._cached(
-            "bedges", lambda: self.find_edges(_triangle_edges(self.boundary_faces)[0]))
+        return self.find_edges(_triangle_edges(self.boundary_faces)[0])
 
-    @property
+    @cached_property
     def interior_edge_ids(self):
-        return self._cached(
-            "iedges",
-            lambda: np.setdiff1d(np.arange(self.n_edges), self.boundary_edge_ids),
-        )
+        return np.setdiff1d(np.arange(self.n_edges), self.boundary_edge_ids)
 
     def find_edges(self, pairs):
         """Global edge ids for sorted vertex pairs; raises if a pair is not an edge."""
@@ -461,7 +446,10 @@ def _integers(doc, key):
 
 def load_mesh(path) -> Mesh:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise MalformedMeshError(f"mesh file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != MESH_FORMAT_VERSION:
         raise ConfigError(f"unsupported mesh file version in {path}")
     if type(doc["version"]) is not int:      # true and 1.0 equal 1

@@ -120,7 +120,7 @@ def _nondegeneracy(B, vectors):
 def _first_order_drift(pencil0, pencil_h, vecs, C) -> complex:
     """(1/N) tr(C^-1 G), G = X^T delta A X: the first-order shift of the
     cluster mean."""
-    G = vecs.T @ ((pencil_h.a0() - pencil0.a0()) @ vecs)
+    G = vecs.T @ ((pencil_h.a0 - pencil0.a0) @ vecs)
     return complex(np.trace(np.linalg.solve(C, G)) / vecs.shape[1])
 
 
@@ -304,7 +304,7 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     mu0 = build_field(mesh, "mu_inv", cfg.materials["mu_inv"])
     eps0 = build_field(mesh, "eps", cfg.materials["eps"])
     pencil0 = prob.assemble(mu0, eps0)
-    a0 = pencil0.a0()       # filled here, so the two tasks below only read it
+    a0 = pencil0.a0     # filled here, so the two tasks below only read it
 
     def check_baseline():
         sigma_min = prob.diagnostic(pencil0)     # builds prob.gram and prob.basis
@@ -322,13 +322,13 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     baseline_diag, base = _run_tasks([check_baseline, solve_baseline])
     if len(base) == 0:
         raise SolverFailure("baseline solve produced no certified eigenvalues")
-    clustered = cluster(base, cfg.cluster_reltol)
+    labels, means = cluster(base.eigenvalues, cfg.cluster_reltol)
     guess = cfg.target_lambda if cfg.target_lambda is not None else cfg.sigma
-    tracked_label = clustered.cluster_labels[int(np.argmin(np.abs(clustered.eigenvalues - guess)))]
-    members = clustered.cluster_labels == tracked_label
-    lam0 = complex(clustered.cluster_means[tracked_label])
+    tracked = labels[int(np.argmin(np.abs(base.eigenvalues - guess)))]
+    members = labels == tracked
+    lam0 = complex(means[tracked])
     n_members = int(members.sum())
-    other_means = np.array([m for i, m in enumerate(clustered.cluster_means) if i != tracked_label])
+    other_means = np.delete(means, tracked)
     guard = 0.5 * float(np.abs(other_means - lam0).min()) if len(other_means) else np.inf
 
     vectors = normalize_vectors(base.eigenvectors[:, members], prob.gram)
@@ -337,7 +337,7 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     # sigma_min of the baseline, less the Lanczos tolerance of its value
     sigma_floor = baseline_diag * pencil0.beta * (1.0 - LANCZOS_TOL)
 
-    # The baseline has filled every lazy value a step reads (pencil0.a0(),
+    # The baseline has filled every lazy value a step reads (pencil0.a0,
     # prob.gram, prob.basis and the mesh's cached arrays), so the steps
     # share only read-only state and may run in any order.
     steps = [partial(_run_step, cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members,
@@ -459,12 +459,12 @@ def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard
     # n_members values inside the guard, one more is ambiguous
     k_step = n_members + 1
     try:
-        res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0, k_step, **cfg.solver_options())
+        res = solve_shift_invert(pencil_h.a0, pencil_h.B, lam0, k_step, **cfg.solver_options())
     except ShiftAtEigenvalue:
         # lam0 is an eigenvalue of the step pencil too (at omega = 0 an eps
         # perturbation does not enter it), so the shift moves off it once
         offset = SHIFT_OFFSET * (guard if np.isfinite(guard) else abs(lam0))
-        res = solve_shift_invert(pencil_h.a0(), pencil_h.B, lam0 + offset, k_step,
+        res = solve_shift_invert(pencil_h.a0, pencil_h.B, lam0 + offset, k_step,
                                  **cfg.solver_options())
     rec.confirmed = res.meta["confirmed"]
     rec.partial = res.meta["partial"]

@@ -63,7 +63,7 @@ def dump_matrix_market(pencil, directory):
     paths = {}
     for name, mat in (("K", pencil.K), ("M", pencil.M), ("B", pencil.B)):
         if isinstance(mat, BoundaryGram):
-            mat = mat.to_sparse()
+            mat = mat.sparse
         paths[name] = directory / f"{name}.mtx"
         scipy.io.mmwrite(paths[name], mat.tocoo())
     return paths

@@ -114,7 +114,7 @@ def test_apply_S_quadratic_form_matches_gram(ops):
 def test_gram_symmetric_psd_kills_gradients(ops):
     B = ops
     mesh = ops.mesh
-    Bs = B.to_sparse()
+    Bs = B.sparse
     assert np.abs((Bs - Bs.T).toarray()).max() <= 1e-12
     rng = np.random.default_rng(5)
     for _ in range(100):

@@ -83,6 +83,20 @@ def test_solve_scalar_ball(tmp_path, capsys):
     assert 0.0 <= solver["schur_defect"] <= 1e-12
 
 
+def test_solve_meta_solver_block_keys(tmp_path):
+    # the config's solver settings plus the solve's record: a key the solver
+    # stops returning must not drop out of the report with it
+    doc = scalar_ball_config(level=0)
+    doc["solver"]["k"] = 4
+    out = tmp_path / "run"
+    assert run(["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 0
+    solver = json.loads((out / "solve_meta.json").read_text())["solver"]
+    assert sorted(solver) == ["confirmed", "converged", "exhausted", "iterations", "k", "partial",
+                              "schur_defect", "seed", "sigma", "sweeps", "tol"]
+    assert all(sorted(s) == ["applies", "discarded_infinite", "locked", "stop"]
+               for s in solver["sweeps"])
+
+
 def test_solve_reports_unconfirmed_answer(tmp_path, monkeypatch):
     # a Krylov cap of 12 lets the sweeps lock k = 4 pairs, but the last sweep
     # runs out of space before it can settle, so the 4 nearest are unconfirmed
@@ -785,6 +799,8 @@ def _with(doc, path, value):
 
 _SMALL = scalar_ball_config(level=0)
 _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
+# a mesh.path that the test points at a file of the row's bytes
+_MESH_FILE = "<mesh file>"
 
 
 @pytest.mark.parametrize("command, doc, kind, code", [
@@ -840,6 +856,19 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
      "config-error", 1),
     ("solve", _with(_SMALL, ("mesh",), {"kind": "cube", "n": 100000}), "out-of-memory", 3),
     ("mesh --kind cube --n 100000", None, "out-of-memory", 3),
+    ("solve", b'{"problem": "scalar\xff"}', "config-error", 1),
+    ("solve", (_with(_SMALL, ("mesh",), {"path": _MESH_FILE}), b"not json"), "malformed-mesh", 1),
+    ("solve", (_with(_SMALL, ("mesh",), {"path": _MESH_FILE}), b'{"version": 1\xff}'),
+     "malformed-mesh", 1),
+    ("solve", b"[" * 100000 + b"]" * 100000, "config-error", 1),
+    ("solve", (_with(_SMALL, ("mesh",), {"path": _MESH_FILE}), b"[" * 100000 + b"]" * 100000),
+     "malformed-mesh", 1),
+    ("diagnose", _with(_SMALL, ("materials", "eps", "1"), True), "config-error", 1),
+    ("diagnose", _with(_SMALL, ("materials", "eps", "1"), "4"), "config-error", 1),
+    ("diagnose", _with(_SMALL, ("materials", "eps", "1"), {"re": True}), "config-error", 1),
+    ("diagnose", _with(_SMALL, ("materials", "eps", "1"),
+                       [[True, 0, 0], [0, 1, 0], [0, 0, 1]]), "config-error", 1),
+    ("diagnose", _with(_SMALL, ("materials", "eps", "1"), 10**400), "config-error", 1),
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
         "krylov-dim-zero", "max-krylov-zero", "census-delta-range",
@@ -853,7 +882,10 @@ _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
         "unknown-solver-key", "unknown-census-key", "unknown-diagnostics-key",
         "unknown-perturbation-key", "unknown-study-key", "unknown-schedule-key",
         "unknown-target-lambda-key", "cube-too-large-to-allocate",
-        "mesh-command-too-large-to-allocate"])
+        "mesh-command-too-large-to-allocate", "config-not-utf8", "mesh-file-not-json",
+        "mesh-file-not-utf8", "config-nested-too-deep", "mesh-file-nested-too-deep",
+        "material-bool", "material-string", "material-re-bool", "material-matrix-bool",
+        "material-int-beyond-float"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
     if kind == "solver-failure":
         def fail(args):
@@ -863,7 +895,14 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc
     # numpy at once (petabytes), so the test allocates nothing
     out = tmp_path / "out"
     argv = [*command.split(), "--output", str(out)]
-    if doc is not None:
+    if isinstance(doc, tuple):              # a config and the bytes of its mesh file
+        doc, mesh_bytes = doc
+        (tmp_path / "mesh.json").write_bytes(mesh_bytes)
+        doc = _with(doc, ("mesh", "path"), str(tmp_path / "mesh.json"))
+    if isinstance(doc, bytes):              # the bytes of the config file
+        (tmp_path / "config.json").write_bytes(doc)
+        argv += ["--config", str(tmp_path / "config.json")]
+    elif doc is not None:
         argv += ["--config", write_config(tmp_path, doc)]
     assert run(argv) == code
     err = capsys.readouterr().err

@@ -149,7 +149,7 @@ def test_sparse_sigma_path_matches_dense():
     mu, eps = fields(mesh)
     pencil = assemble_scalar(mesh, mu, eps, omega=1.0)
     interior = pencil.mesh.interior_vertex_ids
-    A = pencil.a0().toarray()[np.ix_(interior, interior)]
+    A = pencil.a0.toarray()[np.ix_(interior, interior)]
     W = h1_gram_dense(mesh)[np.ix_(interior, interior)]
     assert pencil.beta == 1.0
     sigma = scalar_dirichlet_diagnostic(pencil, h1_gram(mesh))
@@ -174,5 +174,5 @@ def test_dirichlet_diagnostic_tiny_interior(two_cubes):
         assert sigma == pytest.approx(k_cc / (k_cc + m_cc), rel=1e-14)
         omega = float(np.sqrt(base.K[c[0], c[0]] / base.M[c[0], c[0]].real))
         hit = assemble_scalar(mesh, mu, eps, omega=omega)
-        assert hit.a0()[c[0], c[0]] == 0.0
+        assert hit.a0[c[0], c[0]] == 0.0
         assert scalar_dirichlet_diagnostic(hit, gram) == 0.0

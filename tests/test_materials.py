@@ -73,6 +73,13 @@ def test_tensor_from_entry_shorthands():
         tensor_from_entry([1.0, 2.0])
 
 
+@pytest.mark.parametrize("entry", [True, "4", {"re": True}, {"im": "1"}, None,
+                                   [[1, 0, 0], [0, True, 0], [0, 0, 1]]])
+def test_tensor_from_entry_refuses_booleans_and_strings(entry):
+    with pytest.raises(ConfigError, match="must hold real numbers"):
+        tensor_from_entry(entry)
+
+
 def test_validate_identity(cube4):
     rep = validate(build_field(cube4, "eps", {1: 1.0}))
     assert rep.passed

@@ -18,11 +18,8 @@ class _StubPencil:
     """Minimal pencil interface for the synthetic prediction tests."""
 
     def __init__(self, A0, B):
-        self._A0 = sp.csr_matrix(np.asarray(A0, dtype=complex))
+        self.a0 = sp.csr_matrix(np.asarray(A0, dtype=complex))
         self.B = sp.csr_matrix(np.asarray(B, dtype=float))
-
-    def a0(self):
-        return self._A0
 
 
 # ----------------------------------------------------------------- fit_rate
@@ -127,7 +124,7 @@ def test_prediction_is_the_shift_of_the_cluster_mean():
     ph = _StubPencil(np.diag([1.0 + eta, 2.0, 10.0]), B)
     predicted, c = first_order_prediction(p0, ph, np.eye(3)[:, :2])
     assert c == pytest.approx(1.5)
-    exact = scipy.linalg.eigvals(ph.a0().toarray(), B)
+    exact = scipy.linalg.eigvals(ph.a0.toarray(), B)
     shift = np.sort(exact.real)[:2].mean() - 1.0
     assert shift == pytest.approx(eta / 2, rel=1e-12)
     assert predicted == pytest.approx(shift, rel=1e-12)
@@ -307,20 +304,20 @@ def test_tied_steps_in_schedule_order_and_independent(cube3, monkeypatch):
 
 @pytest.mark.parametrize("problem", ["maxwell", "scalar"])
 def test_steps_fill_no_shared_lazy_value(problem, monkeypatch):
-    # the baseline fills pencil0.a0(), prob.gram, prob.basis and every mesh
-    # cache entry a step reads, so the two step threads only read shared
-    # state (a fresh mesh: the module fixture's cache is already full)
+    # the baseline fills pencil0.a0, prob.gram, prob.basis and every cached
+    # mesh array a step reads, so the two step threads only read shared
+    # state (a fresh mesh: the module fixture's arrays are already cached)
     real = stability._run_step
     seen = []
 
     def checked(cfg, prob, pencil0, *args):
-        assert pencil0._a0 is not None
+        assert "a0" in vars(pencil0)
         # Problem's lazy operators, built by the baseline diagnostic
         assert {"gram", "basis"} & set(vars(prob)) == (
             {"gram", "basis"} if problem == "maxwell" else {"gram"})
-        seen.append(set(prob.mesh._cache))
+        seen.append(set(vars(prob.mesh)))
         rec = real(cfg, prob, pencil0, *args)
-        seen.append(set(prob.mesh._cache))
+        seen.append(set(vars(prob.mesh)))
         return rec
 
     monkeypatch.setattr(stability, "_run_step", checked)
@@ -330,7 +327,7 @@ def test_steps_fill_no_shared_lazy_value(problem, monkeypatch):
         setup.sigma = 0.5 + 0.0j
     report = run_study(setup, mesh)
     assert [s.status == "ok" for s in report.steps] == [True, True, False]
-    assert len(seen) == 6 and all(keys == set(mesh._cache) for keys in seen)
+    assert len(seen) == 6 and all(keys == set(vars(mesh)) for keys in seen)
 
 
 def test_scalar_study_runs(cube3):
