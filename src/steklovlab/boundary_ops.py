@@ -36,6 +36,7 @@ from .mesh import Mesh, SurfaceMesh
 
 # midpoint quadrature on the reference triangle: exact for quadratic integrands
 _MID_BARY = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+# the local edges of a triangle, in the order of Mesh.boundary_face_edges
 _TRI_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
 
 # most dofs a dense path takes (the explicit Gram block, the dense oracle)
@@ -165,13 +166,9 @@ def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram
     local_L = 0.5 * (local_L + local_L.transpose(0, 2, 1))
     L = scatter_square(local_L, surface.triangles, surface.n_vertices)
 
-    # edge ids and orientation signs of the three edges of each triangle
-    tri_vol = surface.tri_vol                          # (F, 3) volume vertex ids
-    pairs = tri_vol[:, _TRI_PAIRS]                     # (F, 3, 2) in local pair order
-    lo = pairs.min(axis=2)
-    hi = pairs.max(axis=2)
-    edge_ids = mesh.find_edges(np.stack([lo.ravel(), hi.ravel()], axis=1)).reshape(-1, 3)
-    signs = np.where(pairs[:, :, 0] == lo, 1.0, -1.0)  # (F, 3)
+    # orientation signs of the three edges of each triangle
+    pairs = surface.tri_vol[:, _TRI_PAIRS]             # (F, 3, 2) volume vertex ids
+    signs = np.where(pairs[:, :, 0] < pairs[:, :, 1], 1.0, -1.0)  # (F, 3)
 
     # tangential Whitney trace of edge e=(i,j) at quadrature point q:
     #   W_e(x_q) = s_e (lam_i(x_q) grad lam_j - lam_j(x_q) grad lam_i)
@@ -184,7 +181,7 @@ def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram
     nxw = np.cross(surface.normals[:, None, None, :], w)
     # D_local[f, j, e] = -(A/3) sum_q (n x W_e)(x_q) . grad q_j
     local_D = -np.einsum("fqec,fjc->fje", nxw, grads) * (areas[:, None, None] / 3.0)
-    D = scatter_rect(local_D, surface.triangles, edge_ids,
+    D = scatter_rect(local_D, surface.triangles, mesh.boundary_face_edges,
                      (surface.n_vertices, mesh.n_edges))
 
     return BoundaryGram(surface, mesh, L, D, GroundedLaplacian(L, surface.lumped_mass()))

@@ -8,6 +8,8 @@ solve     assemble + solve one pencil; writes eigenvalues.csv + solve_meta.json
 study     run a perturbation study; writes study_report.json + study_summary.csv
 diagnose  evaluate the coefficient and well-posedness checks; exit 2 on failure
 
+solve, study and diagnose share one prologue (``_dispatch``): the config,
+then its mesh, then ``--output``, so a bad config or mesh leaves no directory.
 Exit codes: 0 success, 1 configuration error, 2 assumption violation
 (diagnostic failure), 3 solver failure or out of memory.  Every failure
 prints one machine-parsable line on stderr: ``error: <kind>: <message>``.
@@ -43,7 +45,7 @@ from .errors import (
     SolverFailure,
 )
 from .materials import FIELD_NAMES, PerturbationSpec, build_field, tensor_from_entry
-from .mesh import generate_ball_mesh, generate_cube_mesh, load_mesh, save_mesh
+from .mesh import MAX_EXTENT, generate_ball_mesh, generate_cube_mesh, load_mesh, save_mesh
 from .stability import Problem, RunConfig, run_study
 
 # Not called here (stability.Problem builds every pencil, build_field validates each field);
@@ -78,7 +80,7 @@ def _run_config(doc) -> RunConfig:
     problem = doc.get("problem")
     if problem not in ("scalar", "maxwell"):
         raise ConfigError(f"problem must be 'scalar' or 'maxwell', got {problem!r}")
-    omega = _number(doc, "omega", RunConfig.omega)
+    omega = _bounded(doc, "omega", RunConfig.omega)
     if problem == "maxwell" and omega == 0.0:
         raise ConfigError("omega must be nonzero for the maxwell problem")
 
@@ -87,8 +89,8 @@ def _run_config(doc) -> RunConfig:
         raise ConfigError("perturbations must be a list")
 
     solver = _section(doc, "solver", ("sigma_re", "sigma_im", "k", "tol", "seed", "cluster_reltol"))
-    sigma = complex(_number(solver, "sigma_re", RunConfig.sigma.real, "solver."),
-                    _number(solver, "sigma_im", RunConfig.sigma.imag, "solver."))
+    sigma = complex(_bounded(solver, "sigma_re", RunConfig.sigma.real, "solver."),
+                    _bounded(solver, "sigma_im", RunConfig.sigma.imag, "solver."))
     tol = _number(solver, "tol", RunConfig.tol, "solver.")
     if tol <= 0:
         raise ConfigError(f"solver.tol must be > 0, got {tol}")
@@ -172,12 +174,20 @@ def _number(sec, key, default=_REQUIRED, where="", cast=float, minimum=None):
     return x
 
 
+def _bounded(sec, key, default=_REQUIRED, where=""):
+    """``sec[key]`` as a number of magnitude at most ``MAX_EXTENT`` (see mesh)."""
+    x = _number(sec, key, default, where)
+    if abs(x) > MAX_EXTENT:
+        raise ConfigError(f"{where}{key} must be at most {MAX_EXTENT:g} in magnitude, got {x!r}")
+    return x
+
+
 def _point(sec, key, where, default=None):
-    """``sec[key]`` as a 3D point: a tuple of three finite floats."""
+    """``sec[key]`` as a 3D point: a tuple of three floats (see ``_bounded``)."""
     value = sec.get(key, default)
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{where}{key} must be a list of 3 numbers, got {sec.get(key)!r}")
-    return tuple(_number({key: c}, key, where=where) for c in value)
+    return tuple(_bounded({key: c}, key, where=where) for c in value)
 
 
 def _mesh_spec(spec):
@@ -242,8 +252,8 @@ def _ball(entry, where, center=None, target=None):
         center = _point(entry, "center", f"{where}.")
         target = entry.get("target", PerturbationSpec.target)
     h = _number(entry, "h", where=f"{where}.")
-    delta = complex(_number(entry, "delta_re", 0.0, f"{where}."),
-                    _number(entry, "delta_im", 0.0, f"{where}."))
+    delta = complex(_bounded(entry, "delta_re", 0.0, f"{where}."),
+                    _bounded(entry, "delta_im", 0.0, f"{where}."))
     try:
         return PerturbationSpec(center, h, delta, target)
     except ValueError as exc:
@@ -304,6 +314,12 @@ def _config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = _number(vars(args), "seed", where="--", cast=int, minimum=0)
+    if args.command == "study":
+        if cfg.schedule is None:
+            raise ConfigError("config has no 'study' section")
+        if cfg.perturbations:
+            raise ConfigError("perturbations apply to solve and diagnose only; "
+                              "a study perturbs through its schedule")
     return cfg
 
 
@@ -384,12 +400,7 @@ def cmd_mesh(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
-    cfg = _config(args)
-    mesh = build_mesh(cfg.mesh_spec)    # a missing mesh file leaves no directory behind
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-
+def cmd_solve(cfg: RunConfig, mesh, out: Path) -> int:
     pencil, sigma_min, meta = _diagnosed_pencil(cfg, mesh)
     meta["solver"] = {"sigma": cfg.sigma, "k": cfg.k, "tol": cfg.tol, "seed": cfg.seed}
     if not meta["diagnostics"]["passed"]:
@@ -399,7 +410,7 @@ def cmd_solve(args) -> int:
             f"{cfg.diag_threshold:.1e}; no eigenvalue table emitted"
         )
 
-    result = solve_shift_invert(pencil.a0, pencil.B, cfg.sigma, cfg.k, **cfg.solver_options())
+    result = solve_shift_invert(pencil.a0, pencil.B, cfg.sigma, cfg.k, tol=cfg.tol, seed=cfg.seed)
     if len(result) == 0:
         raise SolverFailure("no eigenvalue converged at the requested tolerance")
     labels, means = cluster(result.eigenvalues, cfg.cluster_reltol)
@@ -425,17 +436,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_study(args) -> int:
-    cfg = _config(args)
-    if cfg.schedule is None:
-        raise ConfigError("config has no 'study' section")
-    if cfg.perturbations:
-        raise ConfigError("perturbations apply to solve and diagnose only; "
-                          "a study perturbs through its schedule")
-    mesh = build_mesh(cfg.mesh_spec)    # a missing mesh file leaves no directory behind
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-
+def cmd_study(cfg: RunConfig, mesh, out: Path) -> int:
     _stop_blas_workers()
     report = run_study(cfg, mesh)
     _write_json(out / "study_report.json", report)
@@ -445,12 +446,7 @@ def cmd_study(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    cfg = _config(args)
-    mesh = build_mesh(cfg.mesh_spec)    # a missing mesh file leaves no directory behind
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-
+def cmd_diagnose(cfg: RunConfig, mesh, out: Path) -> int:
     try:
         _, sigma_min, doc = _diagnosed_pencil(cfg, mesh)
     except AssumptionViolation as exc:
@@ -589,11 +585,12 @@ def run(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "mesh":
         return cmd_mesh(args)
-    if args.command == "solve":
-        return cmd_solve(args)
-    if args.command == "study":
-        return cmd_study(args)
-    return cmd_diagnose(args)
+    cfg = _config(args)
+    mesh = build_mesh(cfg.mesh_spec)    # a missing mesh file leaves no directory behind
+    out = Path(args.output)
+    out.mkdir(parents=True, exist_ok=True)
+    command = {"solve": cmd_solve, "study": cmd_study, "diagnose": cmd_diagnose}[args.command]
+    return command(cfg, mesh, out)
 
 
 def main():

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._assembly import P1_TET_MASS, scatter_square
-from .boundary_ops import BoundaryGram, ground
+from .boundary_ops import BoundaryGram
 from .errors import ConfigError
 from .fem_scalar import Pencil, continuity_bound, inf_sup
 from .materials import MaterialField
@@ -120,7 +120,9 @@ def kernel_subspace_basis(B: BoundaryGram, gram) -> KernelBasis:
     blockdiag(I, G_s0), with G_s0 the surface gradient grounded at one vertex
     per surface component, has full column rank; its dimension
     n_interior_edges + n_boundary_vertices - components needs no rank
-    tolerance.  ``gram`` is the H(curl) Gram on all edges (hcurl_gram).
+    tolerance.  The surface graph is the graph of the surface stiffness, so
+    G_s0 keeps the free vertices of ``B.laplacian``.  ``gram`` is the
+    H(curl) Gram on all edges (hcurl_gram).
 
     ``info`` records the subspace dimension and, for comparison, the
     dimension of the full kernel of the coupling matrix D implied by its
@@ -129,8 +131,7 @@ def kernel_subspace_basis(B: BoundaryGram, gram) -> KernelBasis:
     mesh = B.mesh
     interior = mesh.interior_edge_ids
     bed = mesh.boundary_edge_ids
-    Gs = discrete_gradient(mesh)[bed][:, mesh.boundary_vertex_ids]
-    Gs0 = Gs[:, ground(Gs.T @ Gs)[0]]
+    Gs0 = discrete_gradient(mesh)[bed][:, mesh.boundary_vertex_ids[B.laplacian.free]]
     E = sp.identity(mesh.n_edges, format="csc")
     Z = sp.hstack([E[:, interior], E[:, bed] @ Gs0], format="csr")
 

@@ -131,6 +131,8 @@ def inf_sup(A, W):
     except RuntimeError:
         return 0.0
     top = _lanczos_top(lambda v: lu.solve(W @ lu.solve(W @ v, trans="H")), W, A.shape[0])
+    if not (np.isfinite(top) and top > 0.0):
+        raise SolverFailure(f"diagnostic Lanczos value {top!r} is not finite and positive")
     return float(1.0 / np.sqrt(top))
 
 
@@ -158,6 +160,8 @@ def _lanczos_top(apply, W, n):
             a += h[m].real
         alpha.append(a)
         b = np.sqrt(max(np.vdot(w, W @ w).real, 0.0))
+        if not np.isfinite(b):
+            raise SolverFailure(f"well-posedness diagnostic Lanczos overflowed at step {m}")
         T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
         theta, S = np.linalg.eigh(T)
         if b * abs(S[-1, -1]) <= LANCZOS_TOL * theta[-1]:

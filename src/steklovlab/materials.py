@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolation, ConfigError
-from .mesh import Mesh
+from .mesh import MAX_EXTENT, Mesh
 
 FIELD_NAMES = ("mu_inv", "eps")
 
@@ -57,8 +57,8 @@ class MaterialField:
     # set by build_field, which validates the field once; None otherwise
     report: MaterialReport | None = field(default=None, repr=False)
     # per element, a label shared only by elements with equal tensors: set by
-    # build_field from region tag and perturbation membership; None counts
-    # every element as distinct
+    # build_field from region tag and perturbation membership; None gives
+    # every element a label of its own
     labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -70,20 +70,18 @@ class MaterialField:
                 f"tensor array shape {self.tensors.shape} does not match "
                 f"{self.mesh.n_tets} elements"
             )
+        if self.labels is None:
+            self.labels = np.arange(len(self.tensors))
 
     def lives_on(self, mesh) -> bool:
         """True when the field's mesh is ``mesh`` or has the same vertices and tets."""
         return self.mesh is mesh or (np.array_equal(self.mesh.tets, mesh.tets)
                                      and np.array_equal(self.mesh.vertices, mesh.vertices))
 
-    def _element_labels(self) -> np.ndarray:
-        """``labels``, or one label per element when they are unknown."""
-        return np.arange(len(self.tensors)) if self.labels is None else self.labels
-
     def distinct_tensors(self) -> np.ndarray:
         """One copy of each distinct tensor: enough for any max or min of a
         per-element quantity."""
-        return self.tensors[np.unique(self._element_labels(), return_index=True)[1]]
+        return self.tensors[np.unique(self.labels, return_index=True)[1]]
 
     def scalar_values(self):
         """Isotropic scalar per element (trace/3); exact for multiples of I."""
@@ -109,8 +107,8 @@ def tensor_from_entry(value):
 
     Accepts a scalar (-> scalar * I), a 3x3 nested list, or a mapping with
     "re"/"im" entries that are themselves scalars or 3x3 lists; every number
-    must be real, and a boolean or a string is refused.  A numpy array is
-    taken as a tensor already built.
+    must be real and at most ``MAX_EXTENT`` in magnitude, and a boolean or a
+    string is refused.  A numpy array is taken as a tensor already built.
     """
     if isinstance(value, dict):
         extra = set(value) - {"re", "im"}
@@ -124,8 +122,8 @@ def tensor_from_entry(value):
             if isinstance(leaf, bool) or not isinstance(leaf, numbers.Real):
                 raise ConfigError(f"tensor entry must hold real numbers, got {leaf!r}")
     arr = np.asarray(value, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"tensor entry must be finite, got {value!r}")
+    if not np.all(np.abs(arr) <= MAX_EXTENT):
+        raise ConfigError(f"tensor entry must be at most {MAX_EXTENT:g} in magnitude: {value!r}")
     if arr.ndim == 0:
         return complex(arr) * np.eye(3, dtype=np.complex128)
     if arr.shape == (3, 3):
@@ -226,18 +224,18 @@ def lp_diff_norm(f: MaterialField, g: MaterialField, p) -> float:
     """Exact L^p norm of |f - g| with the pointwise spectral (2-)norm.
 
     The fields are piecewise constant, so the integral is a finite sum over
-    element volumes; p = inf returns the max over elements.
+    element volumes; p = inf returns the max over elements, m.  The sum is
+    taken of (s / m)^p, so a large p does not underflow it to zero.
     """
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if not f.lives_on(g.mesh):
         raise ConfigError("fields live on different meshes")
     # the spectral norm once per distinct (f, g) tensor pair, then per element
-    f_labels, g_labels = f._element_labels(), g._element_labels()
-    pairs = f_labels * (g_labels.max(initial=0) + 1) + g_labels
+    pairs = f.labels * (g.labels.max(initial=0) + 1) + g.labels
     _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
     svals = np.linalg.norm(f.tensors[first] - g.tensors[first], 2, axis=(1, 2))[inverse]
-    if p == np.inf:
-        return float(svals.max()) if svals.size else 0.0
-    vols = f.mesh.volumes
-    return float(np.sum(vols * svals**p) ** (1.0 / p))
+    m = float(svals.max()) if svals.size else 0.0
+    if p == np.inf or m == 0.0:
+        return m
+    return m * float(np.sum(f.mesh.volumes * (svals / m) ** p) ** (1.0 / p))

@@ -15,8 +15,9 @@ Conventions
   domain.
 * Every vertex belongs to at least one tetrahedron.
 
-Arrays only some callers read (centroids, tet gradients, boundary and interior
-ids) are ``functools.cached_property`` values, built on first use and kept.
+Arrays only some callers read (centroids, tet gradients, boundary face edges,
+boundary and interior ids) are ``functools.cached_property`` values, built on
+first use and kept.
 
 Connectivity is deduplicated on 1-D int64 keys, never on rows.  A vertex
 pair lo < hi has the key ``lo * V + hi`` (V vertices), whose sort order is
@@ -49,18 +50,10 @@ MESH_FORMAT_VERSION = 1
 # float range (2.2e-308 to 1.8e308): a cube n=2 scaled by 1e-35 draws numpy
 # warnings from the diagnostic's Lanczos, and one scaled by 1e60 from the
 # residual certificate.  The bounds keep the tenth power of the side and of
-# its inverse inside that range.
+# its inverse inside that range.  The config reader bounds omega, the shift,
+# tensor entries and the centers and sizes of perturbations by MAX_EXTENT too.
 MIN_EXTENT = 1e-30
 MAX_EXTENT = 1e30
-
-
-def _triangle_edges(tri):
-    """The distinct edges of the triangles ``tri`` (F, 3) as sorted vertex
-    pairs in lexicographic order, and the number of triangles on each."""
-    pairs = np.sort(tri[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
-    n = int(tri.max()) + 1
-    keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
-    return np.stack([keys // n, keys % n], axis=1), counts
 
 
 def _signed_volumes(vertices, tets):
@@ -192,8 +185,14 @@ class Mesh:
         return np.setdiff1d(np.arange(self.n_vertices), self.boundary_vertex_ids)
 
     @cached_property
+    def boundary_face_edges(self):
+        """Global ids of the edges (0, 1), (0, 2), (1, 2) of each boundary face, (F, 3)."""
+        pairs = np.sort(self.boundary_faces[:, [[0, 1], [0, 2], [1, 2]]], axis=2)
+        return self.find_edges(pairs.reshape(-1, 2)).reshape(-1, 3)
+
+    @cached_property
     def boundary_edge_ids(self):
-        return self.find_edges(_triangle_edges(self.boundary_faces)[0])
+        return np.unique(self.boundary_face_edges)
 
     @cached_property
     def interior_edge_ids(self):
@@ -255,7 +254,7 @@ class SurfaceMesh:
         return len(self.vertex_ids)
 
     def _check_closed(self):
-        if np.any(_triangle_edges(self.triangles)[1] != 2):
+        if np.any(np.unique(self.mesh.boundary_face_edges, return_counts=True)[1] != 2):
             raise MalformedMeshError("boundary surface is not closed")
 
     def _check_outward(self):

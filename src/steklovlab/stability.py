@@ -216,10 +216,6 @@ class RunConfig:
     p_list: tuple = (4.0,)
     target_lambda: complex | None = None
 
-    def solver_options(self) -> dict:
-        """Keyword arguments of every solve_shift_invert call of the run."""
-        return {"tol": self.tol, "seed": self.seed}
-
 
 class Problem:
     """One pencil family on a fixed mesh: the layer behind solve, diagnose and study.
@@ -256,22 +252,6 @@ class Problem:
             return assemble_scalar(self.mesh, mu, eps, self.omega, K, M)
         return assemble_maxwell(self.mesh, mu, eps, self.omega, self.B, K, M)
 
-    def volume_change(self, old, new) -> float:
-        """d, the largest over elements of ||Re delta mu_inv||_2 and
-        omega^2 ||delta eps||_2 between the (mu_inv, eps) pairs ``old`` and
-        ``new``, in the coefficients the assembler reads (the scalar mass
-        reads trace(eps)/3).  The volume form changes by at most d in the
-        norm of ``gram``, so by Weyl's inequality for singular values
-        (Horn & Johnson, Topics in Matrix Analysis, 1991, Thm 3.3.16) the
-        unnormalized sigma_min of ``diagnostic`` moves by at most d."""
-        (mu0, eps0), (mu, eps) = old, new
-        d_mu = _largest_norm(mu.tensors.real - mu0.tensors.real)
-        if self.kind == "scalar":
-            d_eps = float(np.abs(eps.scalar_values() - eps0.scalar_values()).max())
-        else:
-            d_eps = _largest_norm(eps.tensors - eps0.tensors)
-        return max(d_mu, self.omega**2 * d_eps)
-
     def diagnostic(self, pencil) -> float:
         """Well-posedness value sigma_min of ``pencil`` in the norm of ``gram``."""
         if self.kind == "scalar":
@@ -283,12 +263,6 @@ class Problem:
         if self.kind == "scalar":
             return {"kind": "interior_dirichlet"}
         return {"kind": "kernel_subspace", **self.basis.info}
-
-
-def _largest_norm(tensors) -> float:
-    """The largest spectral norm of the (T, 3, 3) ``tensors``; 0.0 when all are zero."""
-    nonzero = tensors[np.any(tensors != 0, axis=(1, 2))]
-    return float(np.linalg.norm(nonzero, 2, axis=(1, 2)).max()) if len(nonzero) else 0.0
 
 
 def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
@@ -316,7 +290,7 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
 
     def solve_baseline():
         return solve_shift_invert(a0, pencil0.B, cfg.sigma, max(cfg.k, MIN_STUDY_K),
-                                  **cfg.solver_options())
+                                  tol=cfg.tol, seed=cfg.seed)
 
     # the diagnostic is task 0, so its failure wins over a solve error
     baseline_diag, base = _run_tasks([check_baseline, solve_baseline])
@@ -421,20 +395,19 @@ def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard
               vectors, C, degenerate, idx, h, delta):
     spec = PerturbationSpec(cfg.center, h, delta, cfg.target)
     baseline = {"mu_inv": mu0, "eps": eps0}
-    fields = dict(baseline)
     try:
-        fields[cfg.target] = build_field(prob.mesh, cfg.target, cfg.materials[cfg.target], [spec])
+        target_h = build_field(prob.mesh, cfg.target, cfg.materials[cfg.target], [spec])
     except AssumptionViolation as exc:
         return StepRecord(idx, h, delta, f"aborted-invalid-field: {exc}", {})
-    mu_h, eps_h = fields["mu_inv"], fields["eps"]
+    fields = {**baseline, cfg.target: target_h}
 
     # the field the step does not perturb is the baseline one: its norms are 0.0
     norms = {name: dict.fromkeys(cfg.p_list, 0.0) for name in baseline}
-    norms[cfg.target] = {p: lp_diff_norm(fields[cfg.target], baseline[cfg.target], p)
-                         for p in cfg.p_list}
+    norms[cfg.target] = {p: lp_diff_norm(target_h, baseline[cfg.target], p) for p in cfg.p_list}
     rec = StepRecord(idx, h, delta, "ok", norms)
 
-    if all(v == 0.0 for ps in norms.values() for v in ps.values()):
+    change = lp_diff_norm(target_h, baseline[cfg.target], np.inf)
+    if change == 0.0:
         # perturbation misses every element: identical pencil, zero drift
         rec.n_matched = n_members
         rec.lam = lam0
@@ -445,8 +418,13 @@ def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard
 
     # the matrix of the field the step does not perturb is the baseline one
     unchanged = {"K": pencil0.K} if cfg.target == "eps" else {"M": pencil0.M}
-    pencil_h = prob.assemble(mu_h, eps_h, **unchanged)
-    bound = (sigma_floor - prob.volume_change((mu0, eps0), (mu_h, eps_h))) / pencil_h.beta
+    pencil_h = prob.assemble(fields["mu_inv"], fields["eps"], **unchanged)
+    # The volume form changes by at most d, the L^inf change of its coefficient
+    # (omega^2 delta eps for eps), in the norm of prob.gram, so by Weyl's
+    # inequality for singular values (Horn & Johnson, Topics in Matrix Analysis,
+    # 1991, Thm 3.3.16) the unnormalized sigma_min of the diagnostic moves by at most d.
+    d = prob.omega**2 * change if cfg.target == "eps" else change
+    bound = (sigma_floor - d) / pencil_h.beta
     if bound >= cfg.diag_threshold:
         rec.diag_sigma, rec.diag_kind = float(bound), "bound"
     else:
@@ -459,13 +437,13 @@ def _run_step(cfg, prob, pencil0, mu0, eps0, sigma_floor, lam0, n_members, guard
     # n_members values inside the guard, one more is ambiguous
     k_step = n_members + 1
     try:
-        res = solve_shift_invert(pencil_h.a0, pencil_h.B, lam0, k_step, **cfg.solver_options())
+        res = solve_shift_invert(pencil_h.a0, pencil_h.B, lam0, k_step, tol=cfg.tol, seed=cfg.seed)
     except ShiftAtEigenvalue:
         # lam0 is an eigenvalue of the step pencil too (at omega = 0 an eps
         # perturbation does not enter it), so the shift moves off it once
         offset = SHIFT_OFFSET * (guard if np.isfinite(guard) else abs(lam0))
         res = solve_shift_invert(pencil_h.a0, pencil_h.B, lam0 + offset, k_step,
-                                 **cfg.solver_options())
+                                 tol=cfg.tol, seed=cfg.seed)
     rec.confirmed = res.meta["confirmed"]
     rec.partial = res.meta["partial"]
     cand = res.eigenvalues[np.abs(res.eigenvalues - lam0) < guard]

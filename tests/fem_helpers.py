@@ -13,7 +13,6 @@ import scipy.io
 from steklovlab import stability
 from steklovlab.boundary_ops import BoundaryGram, GroundedLaplacian
 from steklovlab.fem_maxwell import discrete_gradient, edge_mass_matrix
-from steklovlab.mesh import _triangle_edges
 
 
 def apply_S(B: BoundaryGram, u):
@@ -71,8 +70,8 @@ def dump_matrix_market(pencil, directory):
 
 def euler_characteristic(surface):
     """V - E + F of a boundary triangulation (2 for a sphere)."""
-    n_edges = len(_triangle_edges(surface.triangles)[0])
-    return surface.n_vertices - n_edges + len(surface.triangles)
+    return (surface.n_vertices - len(surface.mesh.boundary_edge_ids)
+            + len(surface.triangles))
 
 
 class DegenerateCluster(Exception):

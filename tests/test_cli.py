@@ -798,6 +798,7 @@ def _with(doc, path, value):
 
 
 _SMALL = scalar_ball_config(level=0)
+_MAXWELL = {**_SMALL, "problem": "maxwell", "omega": 1.0, "mesh": {"kind": "cube", "n": 2}}
 _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
 # a mesh.path that the test points at a file of the row's bytes
 _MESH_FILE = "<mesh file>"
@@ -869,6 +870,25 @@ _MESH_FILE = "<mesh file>"
     ("diagnose", _with(_SMALL, ("materials", "eps", "1"),
                        [[True, 0, 0], [0, 1, 0], [0, 0, 1]]), "config-error", 1),
     ("diagnose", _with(_SMALL, ("materials", "eps", "1"), 10**400), "config-error", 1),
+    ("solve", _with(_SMALL, ("omega",), 1e155), "config-error", 1),
+    ("diagnose", _with(_MAXWELL, ("omega",), 1e155), "config-error", 1),
+    ("diagnose", _with(_SMALL, ("omega",), 1e100), "config-error", 1),
+    ("diagnose", _with(_MAXWELL, ("omega",), 1e100), "config-error", 1),
+    ("diagnose", _with(_SMALL, ("materials", "eps", "1"), 1e200), "config-error", 1),
+    ("diagnose", _with(_MAXWELL, ("materials", "eps", "1"), {"re": 1.0, "im": 1e200}),
+     "config-error", 1),
+    ("diagnose", _with(_SMALL, ("materials", "mu_inv", "1"), 1e200), "config-error", 1),
+    ("solve", _with(_SMALL, ("solver", "sigma_re"), 1e200), "config-error", 1),
+    ("solve", _with(_MAXWELL, ("solver", "sigma_im"), -1e200), "config-error", 1),
+    ("solve", _with(_SMALL, ("perturbations",),
+                    [{"center": [0, 0, 0], "h": 0.6, "delta_re": 1e200}]), "config-error", 1),
+    ("study", _with(_MAXWELL, ("study",), {"schedule": [{"h": 0.6, "delta_im": 1e200}]}),
+     "config-error", 1),
+    ("solve", _with(_SMALL, ("perturbations",),
+                    [{"center": [1e200, 0, 0], "h": 0.6, "delta_re": 1.0}]), "config-error", 1),
+    ("study", _with(_MAXWELL, ("study",), {**_STUDY, "center": [0, -1e200, 0]}), "config-error", 1),
+    ("diagnose", _with(_with(_MAXWELL, ("omega",), 1e-30), ("materials", "mu_inv", "1"), 1e-30),
+     "solver-failure", 3),
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
         "krylov-dim-zero", "max-krylov-zero", "census-delta-range",
@@ -885,9 +905,13 @@ _MESH_FILE = "<mesh file>"
         "mesh-command-too-large-to-allocate", "config-not-utf8", "mesh-file-not-json",
         "mesh-file-not-utf8", "config-nested-too-deep", "mesh-file-nested-too-deep",
         "material-bool", "material-string", "material-re-bool", "material-matrix-bool",
-        "material-int-beyond-float"])
+        "material-int-beyond-float", "omega-square-overflows", "maxwell-omega-square-overflows",
+        "huge-omega", "maxwell-huge-omega", "huge-eps", "maxwell-huge-eps-im", "huge-mu-inv",
+        "huge-sigma-re", "maxwell-huge-sigma-im", "huge-perturbation-delta",
+        "huge-schedule-delta", "huge-perturbation-center", "huge-study-center",
+        "lanczos-overflow"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
-    if kind == "solver-failure":
+    if kind == "solver-failure" and doc is _SMALL:
         def fail(args):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         monkeypatch.setattr(cli, "_dispatch", fail)
@@ -911,6 +935,21 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc
     assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
     if kind in ("config-error", "out-of-memory"):
         assert not out.exists()      # rejected before any output is written
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_SMALL, "config has no 'study' section"),
+    (_with(_with(_SMALL, ("study",), _STUDY), ("perturbations",),
+           [{"center": [0, 0, 0], "h": 0.3, "delta_im": 1e-3}]),
+     "perturbations apply to solve and diagnose only"),
+], ids=["no-study-section", "study-with-perturbations"])
+def test_study_preconditions_precede_the_mesh(tmp_path, capsys, doc, message):
+    # a study that cannot run is refused before its mesh file is read
+    doc = _with(doc, ("mesh",), {"path": str(tmp_path / "no" / "such" / "mesh.json")})
+    out = tmp_path / "out"
+    assert run(["study", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config-error: {message}")
+    assert not out.exists()
 
 
 def _key_paths(node, prefix=()):

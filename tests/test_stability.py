@@ -217,7 +217,8 @@ def test_norms_in_records_match_materials(cube3):
 
 def test_step_norms_only_the_target_field(cube3, monkeypatch):
     # the field a step does not perturb is the baseline one: its norms are
-    # written as 0.0, and lp_diff_norm runs once per step and p
+    # written as 0.0, and lp_diff_norm runs once per step and p, plus once per
+    # step for the L^inf change of the Weyl bound
     real = stability.lp_diff_norm
     calls = []
 
@@ -228,10 +229,23 @@ def test_step_norms_only_the_target_field(cube3, monkeypatch):
     monkeypatch.setattr(stability, "lp_diff_norm", counted)
     setup = maxwell_setup(schedule=[(0.45, 1e-3j), (0.3, 1e-3j)])
     report = run_study(setup, cube3)
-    assert len(calls) == len(report.steps) * len(setup.p_list) == 4
+    assert len(calls) == len(report.steps) * (len(setup.p_list) + 1) == 6
     for step in report.steps:
         assert step.norms["mu_inv"] == {2.0: 0.0, 4.0: 0.0}
         assert all(v > 0.0 for v in step.norms["eps"].values())
+
+
+def test_large_p_study_solves_every_step(cube3):
+    # (1e-3)^128 underflows to 0.0, yet every step changes the pencil: each
+    # solves, drifts as it does at p = 2 and has a positive norm, and a rate fits
+    schedule = [(h, 1e-3j) for h in (0.45, 0.4, 0.35, 0.3)]
+    large, small = (run_study(maxwell_setup(schedule=schedule, p_list=(p,), k=6), cube3)
+                    for p in (128.0, 2.0))
+    for step, ref in zip(large.steps, small.steps):
+        assert step.status == "ok" and step.diag_kind == ref.diag_kind is not None
+        assert step.drift == ref.drift > 0.0
+        assert 0.0 < step.norms["eps"][128.0] < 1e-3
+    assert 128.0 in large.fits
 
 
 def test_prediction_vs_measured_small_delta(cube3):
