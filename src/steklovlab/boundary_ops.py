@@ -42,12 +42,85 @@ _TRI_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
 # most dofs a dense path takes (the explicit Gram block, the dense oracle)
 DENSE_LIMIT = 5000
 
-# keyword arguments of every run-path spla.splu call: the matrices are
-# structurally symmetric, so a minimum-degree ordering of A + A^T in
-# SuperLU's symmetric mode fills less than the default COLAMD of A^T A;
+# keyword arguments of the pivoting factor that LUFactor falls back to: the
+# matrices are structurally symmetric, so a minimum-degree ordering of A + A^T
+# in SuperLU's symmetric mode fills less than the default COLAMD of A^T A;
 # the default pivot threshold keeps partial pivoting (George & Liu, SIAM
-# Rev. 31(1), 1989; Li, ACM TOMS 31(3), 2005)
+# Rev. 31(1), 1989; Li, ACM TOMS 31(3), 2005).  LUFactor's first factor
+# takes the same ordering with a pivot threshold of 0.
 SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+# largest normwise backward error of the probe solve that keeps a pivot-free factor
+PROBE_BOUND = 1e-12
+
+
+class LUFactor:
+    """Sparse LU factor of the square matrix ``A``: the one factor routine of
+    the run path.
+
+    It factors first with pivot threshold 0 under the ordering of
+    ``SPLU_OPTIONS``, so SuperLU takes every diagonal pivot that is not
+    exactly zero, and solves one seeded right-hand side b as a probe.  That
+    factor is kept when the probe's normwise backward error
+
+        ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)
+
+    is at most ``PROBE_BOUND`` (Arioli, Demmel & Duff, SIAM J. Matrix Anal.
+    Appl. 10(2), 1989); a tiny pivot leaves a large one.  Otherwise, or when
+    that factorization raises, A is factored once more with
+    ``SPLU_OPTIONS``, partial pivoting, whose ``RuntimeError`` (an exactly
+    singular A) the caller maps.
+
+    A matrix whose entries are all real is factored in real arithmetic; a
+    complex right-hand side is then solved as two real columns, or as one
+    when its imaginary part is zero.  ``path`` is "pivot-free" or
+    "pivoting", ``real`` tells the arithmetic and ``probe_error`` is the
+    pivot-free probe's backward error (inf when that factorization raised).
+    ``splu`` is the factorization function, ``scipy.sparse.linalg.splu``
+    unless given.
+    """
+
+    def __init__(self, A, splu=None):
+        splu = spla.splu if splu is None else splu
+        A = A.tocsc()
+        self.real = not (np.iscomplexobj(A) and A.data.imag.any())
+        if self.real and np.iscomplexobj(A):
+            A = sp.csc_matrix((A.data.real.copy(), A.indices, A.indptr), shape=A.shape)
+        self.path, self.probe_error = "pivot-free", np.inf
+        try:
+            self.lu = splu(A, diag_pivot_thresh=0.0, **SPLU_OPTIONS)
+            self.probe_error = self._probe(A)
+        except RuntimeError:
+            pass
+        if not self.probe_error <= PROBE_BOUND:      # NaN included
+            self.lu = None             # free the rejected factor before the next one
+            self.path = "pivoting"
+            self.lu = splu(A, **SPLU_OPTIONS)
+
+    def _probe(self, A):
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal(A.shape[0])
+        if not self.real:
+            b = b + 1j * rng.standard_normal(A.shape[0])
+        x = self.lu.solve(b)
+        # ||A||_inf from the row indices of the CSC entries
+        a_norm = np.bincount(A.indices, np.abs(A.data), A.shape[0]).max()
+        with np.errstate(over="ignore", invalid="ignore"):   # a ruined factor may overflow
+            scale = a_norm * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
+            return float(np.linalg.norm(A @ x - b, np.inf) / scale)
+
+    def solve(self, b, trans="N"):
+        """x with A x = b (A^T x = b for ``trans`` "T", A^H x = b for "H"),
+        for a 1-D or 2-D (column by column) ``b``."""
+        b = np.asarray(b)
+        if not (self.real and np.iscomplexobj(b)):
+            return self.lu.solve(b, trans=trans)
+        if not b.imag.any():
+            return self.lu.solve(np.ascontiguousarray(b.real), trans=trans).astype(b.dtype)
+        cols = b.reshape(len(b), -1)
+        x = self.lu.solve(np.hstack([cols.real, cols.imag]), trans=trans)
+        m = cols.shape[1]
+        return (x[:, :m] + 1j * x[:, m:]).reshape(b.shape)
 
 
 def ground(L):
@@ -78,22 +151,15 @@ class GroundedLaplacian:
         self._parts = [(idx, weights[idx]) for idx in parts]
         self._scale = abs(self.L).max()       # max |L_ij|, the roundoff scale
         try:
-            self._lu = spla.splu(self.L_ff, **SPLU_OPTIONS)
+            self._lu = LUFactor(self.L_ff)
         except RuntimeError as exc:
             raise SolverFailure(f"grounded Laplacian not factorizable: {exc}") from exc
-
-    def _solve_free(self, r):
-        x = np.zeros(r.shape, dtype=np.result_type(r, self.L_ff.dtype))
-        x[self.free] = self._lu.solve(r[self.free])
-        return x
 
     def solve(self, b):
         """p for a 1-D or 2-D (column by column), real or complex ``b``."""
         b = np.asarray(b)
-        if np.iscomplexobj(b) and not np.iscomplexobj(self.L):
-            p = self._solve_free(b.real) + 1j * self._solve_free(b.imag)
-        else:
-            p = self._solve_free(b)
+        p = np.zeros(b.shape, dtype=np.result_type(b, self.L_ff.dtype))
+        p[self.free] = self._lu.solve(b[self.free])
         for idx, w in self._parts:
             p[idx] -= (w @ p[idx]) / w.sum()
         # on the free rows, the system the factor solves: a grounded row's

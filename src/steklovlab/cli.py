@@ -16,10 +16,10 @@ prints one machine-parsable line on stderr: ``error: <kind>: <message>``.
 
 A run sets every OpenBLAS runtime in the process (numpy and scipy each bundle
 one) to one thread and restores the previous counts on return, so its
-outputs never depend on a thread setting.  ``study`` runs on two Python
-threads (its baseline diagnostic beside its baseline solve, then its steps
-two at a time), so it first ends the OpenBLAS worker threads, which
-otherwise busy-wait on the second core for a while after import.
+outputs never depend on a thread setting (``_blas.one_blas_thread``).
+``study`` runs on two Python threads (its baseline diagnostic beside its
+baseline solve, then its steps two at a time); ``run_study`` ends the
+OpenBLAS worker threads first, which otherwise busy-wait on the second core.
 
 Identical config and seed produce byte-identical CSV outputs; no timestamps
 or environment-dependent values are written.
@@ -28,7 +28,6 @@ or environment-dependent values are written.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import numbers
 import sys
@@ -37,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .eigensolver import cluster, sector_census, solve_shift_invert
 from .errors import (
     AssumptionViolation,
@@ -323,16 +323,45 @@ def _config(args) -> RunConfig:
     return cfg
 
 
+# peak bytes per tet while a mesh is generated (measured 630-690 B at ball
+# level 3 and cube n=30 and 40)
+MESH_BYTES_PER_TET = 700
+
+
+def _available_memory():
+    """MemAvailable of /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def build_mesh(spec: dict):
-    """The mesh of a checked ``RunConfig.mesh_spec``."""
+    """The mesh of a checked ``RunConfig.mesh_spec``.
+
+    A generated mesh whose estimated generation peak exceeds the available
+    memory is refused with ``MemoryError`` before any work, instead of being
+    killed by the kernel part way.
+    """
     if "path" in spec:
         try:
             return load_mesh(spec["path"])
         except OSError as exc:
             raise ConfigError(f"cannot read mesh {spec['path']}: {exc}") from exc
-    if spec["kind"] == "cube":
-        return generate_cube_mesh(spec["n"])
-    return generate_ball_mesh(spec["level"])
+    cube = spec["kind"] == "cube"
+    with np.errstate(over="ignore"):     # an estimate beyond the float range is inf
+        n_tets = 6.0 * np.float64(spec["n"]) ** 3 if cube else 8.0 ** np.float64(spec["level"] + 2)
+    available = _available_memory()
+    if available is not None and n_tets * MESH_BYTES_PER_TET > available:
+        raise MemoryError(
+            f"a {spec['kind']} mesh of {n_tets:.3g} tets needs about "
+            f"{n_tets * MESH_BYTES_PER_TET / 2**30:.3g} GiB to generate; "
+            f"{available / 2**30:.3g} GiB available")
+    return generate_cube_mesh(spec["n"]) if cube else generate_ball_mesh(spec["level"])
 
 
 def _diagnosed_pencil(cfg: RunConfig, mesh):
@@ -437,7 +466,6 @@ def cmd_solve(cfg: RunConfig, mesh, out: Path) -> int:
 
 
 def cmd_study(cfg: RunConfig, mesh, out: Path) -> int:
-    _stop_blas_workers()
     report = run_study(cfg, mesh)
     _write_json(out / "study_report.json", report)
     csv_path = out / "study_summary.csv"
@@ -507,73 +535,11 @@ _ERROR_KINDS = [
 ]
 
 
-# thread-count (getter, setter) of the OpenBLAS builds numpy and scipy bundle
-# (64-bit and 32-bit integer interfaces), then of a plain OpenBLAS
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _openblas_libs():
-    """Every OpenBLAS mapped into the process, as a ctypes library."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return []
-    libs = []
-    for path in paths:
-        try:
-            libs.append(ctypes.CDLL(path))
-        except OSError:
-            continue
-    return libs
-
-
-def _blas_pools():
-    """(get, set) thread-count functions of each OpenBLAS mapped into the process."""
-    pools = []
-    for lib in _openblas_libs():
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                pools.append((get, set_))
-                break
-    return pools
-
-
-def _stop_blas_workers():
-    """End the worker threads of each OpenBLAS mapped into the process.
-
-    OpenBLAS starts its workers at import, and at one BLAS thread they stay
-    idle but busy-wait for a while before they sleep, on a core a study's
-    second thread needs.  Setting a pool above one thread, as ``run`` does on
-    return when it found one there, starts its workers again.
-    """
-    for lib in _openblas_libs():
-        shutdown = getattr(lib, "blas_thread_shutdown_", None)
-        if shutdown is not None:
-            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-            shutdown()
-
-
 def run(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        pools = _blas_pools()
-        previous = [get() for get, _ in pools]
-        for _, set_ in pools:
-            set_(1)
-        try:
+        with one_blas_thread():
             return _dispatch(args)
-        finally:
-            for (_, set_), n in zip(pools, previous):
-                set_(n)
     except Exception as exc:   # mapped onto documented exit codes
         for klass, kind, code in _ERROR_KINDS:
             if isinstance(exc, klass):

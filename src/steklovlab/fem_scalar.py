@@ -26,10 +26,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._assembly import boundary_p1_mass, p1_mass, p1_stiffness
-from .boundary_ops import SPLU_OPTIONS
+from .boundary_ops import LUFactor
 from .errors import ConfigError, SolverFailure
 from .materials import MaterialField
 from .mesh import Mesh
@@ -127,7 +126,7 @@ def inf_sup(A, W):
     Numer. Math. 16, 1971).
     """
     try:
-        lu = spla.splu(A.tocsc(), **SPLU_OPTIONS)
+        lu = LUFactor(A)
     except RuntimeError:
         return 0.0
     top = _lanczos_top(lambda v: lu.solve(W @ lu.solve(W @ v, trans="H")), W, A.shape[0])

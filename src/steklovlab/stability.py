@@ -29,6 +29,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from ._assembly import h1_gram
+from ._blas import one_blas_thread, stop_blas_workers
 from .boundary_ops import assemble_surface_operators
 from .eigensolver import cluster, solve_shift_invert
 from .errors import AssumptionViolation, InsufficientData, ShiftAtEigenvalue, SolverFailure
@@ -265,6 +266,7 @@ class Problem:
         return {"kind": "kernel_subspace", **self.basis.info}
 
 
+@one_blas_thread()
 def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     """Track one eigenvalue cluster across the perturbation schedule of ``cfg``.
 
@@ -272,7 +274,13 @@ def run_study(cfg: RunConfig, mesh: Mesh) -> StudyReport:
     coefficient-dependent matrices on the same mesh, resolves near the
     tracked eigenvalue with the shift placed at it, and matches eigenvalues
     by nearest neighbor inside a guard radius of half the baseline gap.
+
+    The study runs on two threads (``_run_tasks``), with every OpenBLAS pool
+    of the process at one thread while the call runs and their worker
+    threads ended, since they busy-wait on the second core; the pools get
+    their previous counts back on return.
     """
+    stop_blas_workers()
     prob = Problem(cfg.problem, mesh, cfg.omega)
 
     mu0 = build_field(mesh, "mu_inv", cfg.materials["mu_inv"])

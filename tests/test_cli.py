@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovlab import cli, fem_scalar
+from steklovlab import _blas, cli, fem_scalar
 from steklovlab.cli import run
 from steklovlab.eigensolver import solve_shift_invert
 from steklovlab.errors import ConfigError
@@ -686,7 +686,7 @@ def test_blas_threads_pinned_during_dispatch(tmp_path, monkeypatch, capsys):
     # every run computes at one BLAS thread, whatever the pools or the
     # environment say, and gives the pools back as it found them
     monkeypatch.setenv("STEKLOV_THREADS", "2")
-    pools = cli._blas_pools()      # numpy and scipy each bundle an OpenBLAS
+    pools = _blas.blas_pools()     # numpy and scipy each bundle an OpenBLAS
     assert pools
     before = [get() for get, _ in pools]
     seen = []
@@ -708,7 +708,7 @@ def test_blas_threads_pinned_during_dispatch(tmp_path, monkeypatch, capsys):
     assert seen == [[1] * len(pools)]
     assert capsys.readouterr().err == ""
 
-    monkeypatch.setattr(cli, "_blas_pools", lambda: [])
+    monkeypatch.setattr(_blas, "blas_pools", lambda: [])
     assert run(["solve", "--config", cfg, "--output", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
 
@@ -720,13 +720,14 @@ def _native_threads():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_study_runs_with_no_openblas_worker(tmp_path, monkeypatch):
     # OpenBLAS workers busy-wait on the core a study's second thread uses, so
-    # a study ends them first: while it runs, every thread of the process is
-    # a Python one.  After the run the pools compute at two threads again.
+    # a study ends them before its threads start: while they run, every
+    # thread of the process is a Python one.  After the run the pools compute
+    # at two threads again.
     import scipy.linalg.blas
 
     from steklovlab import stability
 
-    pools = cli._blas_pools()
+    pools = _blas.blas_pools()
     assert pools
     before = [get() for get, _ in pools]
     rng = np.random.default_rng(0)
@@ -736,18 +737,18 @@ def test_study_runs_with_no_openblas_worker(tmp_path, monkeypatch):
         return a @ b, scipy.linalg.blas.dgemm(1.0, a, b)
 
     seen = []
-    real_study, real_step = cli.run_study, stability._run_step
+    real_tasks, real_step = stability._run_tasks, stability._run_step
 
-    def probed_study(*args):
+    def probed_tasks(tasks):
         seen.append((_native_threads(), threading.active_count()))
-        return real_study(*args)
+        return real_tasks(tasks)
 
     def probed_step(*args):
         rec = real_step(*args)
         seen.append((_native_threads(), threading.active_count()))
         return rec
 
-    monkeypatch.setattr(cli, "run_study", probed_study)
+    monkeypatch.setattr(stability, "_run_tasks", probed_tasks)
     monkeypatch.setattr(stability, "_run_step", probed_step)
     doc = _with(_CUBE_STUDY, ("study", "schedule"),
                 [{"h": 0.45, "delta_im": d} for d in (1e-3, 2e-3, 3e-3)])
@@ -767,7 +768,7 @@ def test_study_runs_with_no_openblas_worker(tmp_path, monkeypatch):
     finally:
         for (_, set_), n in zip(pools, before):
             set_(n)
-    assert len(seen) == 4 and all(native == python for native, python in seen)
+    assert len(seen) == 5 and all(native == python for native, python in seen)
     # two threads split the sums differently: equal up to roundoff
     assert all(np.abs(x - y).max() <= 1e-12 * np.abs(y).max() for x, y in zip(double, single))
 
@@ -1167,3 +1168,24 @@ def test_study_with_k1_baseline_finds_a_guard(tmp_path, capsys):
     assert report["guard_radius"] is not None and 0.0 < report["guard_radius"] < np.inf
     (step,) = report["steps"]
     assert step["status"] == "ok" and step["n_matched"] == report["cluster_size"]
+
+
+def test_oversized_generated_mesh_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a generated mesh the machine cannot hold ends as one out-of-memory line
+    # before any work, not as a kill part way through its generation; a
+    # smaller memory reading makes cube n=4 (384 tets) stand for such a mesh
+    need = 384 * cli.MESH_BYTES_PER_TET
+    doc = _with(_CUBE_STUDY, ("mesh", "n"), 4)
+    cfg = write_config(tmp_path, doc)
+    monkeypatch.setattr(cli, "_available_memory", lambda: need - 1)
+    for argv in (["diagnose", "--config", cfg], ["study", "--config", cfg],
+                 ["mesh", "--kind", "cube", "--n", "4"]):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out-of-memory: ") and err.count("\n") == 1
+        assert not out.exists()
+    # at the estimate itself, and where the reading fails, the run goes ahead
+    for available in (need, None):
+        monkeypatch.setattr(cli, "_available_memory", lambda: available)
+        assert run(["diagnose", "--config", cfg, "--output", str(tmp_path / "ok")]) == 0

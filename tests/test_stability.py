@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from fem_helpers import DegenerateCluster, first_order_prediction, nondegeneracy
-from steklovlab import cli, stability
+from steklovlab import _blas, cli, stability
 from steklovlab.errors import InsufficientData
 from steklovlab.materials import build_field, lp_diff_norm, PerturbationSpec
 from steklovlab.mesh import generate_cube_mesh
@@ -485,3 +485,32 @@ def test_step_outcome_does_not_depend_on_extra_values(cube3, monkeypatch):
     assert asked[1:] == [report.cluster_size + 4] * 2
     for a, b in zip(report.steps, wider.steps):
         assert (a.status, a.lam, a.drift) == (b.status, b.lam, b.drift)
+
+
+def test_study_computes_at_one_blas_thread(cube3, monkeypatch):
+    # called as a library function, not through the CLI: a study pins every
+    # OpenBLAS pool to one thread while it runs and gives the counts back
+    pools = _blas.blas_pools()
+    assert pools
+    before = [get() for get, _ in pools]
+    real = stability._run_step
+    inside = []
+
+    def probed(*args):
+        inside.append([get() for get, _ in pools])
+        return real(*args)
+
+    monkeypatch.setattr(stability, "_run_step", probed)
+    setup = maxwell_setup(schedule=[(0.45, 2e-3j), (0.3, 1e-3j)])
+    try:
+        reports = []
+        for threads in (2, 1):
+            for _, set_ in pools:
+                set_(threads)
+            reports.append(run_study(setup, cube3))
+            assert [get() for get, _ in pools] == [threads] * len(pools)
+    finally:
+        for (_, set_), n in zip(pools, before):
+            set_(n)
+    assert inside == [[1] * len(pools)] * 4
+    assert cli._json_safe(reports[0]) == cli._json_safe(reports[1])
