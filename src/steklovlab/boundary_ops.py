@@ -76,8 +76,10 @@ class LUFactor:
     when its imaginary part is zero.  ``path`` is "pivot-free" or
     "pivoting", ``real`` tells the arithmetic and ``probe_error`` is the
     pivot-free probe's backward error (inf when that factorization raised).
-    ``splu`` is the factorization function, ``scipy.sparse.linalg.splu``
-    unless given.
+    ``probe_residual`` is the kept factor's relative probe residual
+    ||b - A x||_inf / ||b||_inf on either path, large for a numerically
+    singular A.  ``splu`` is the factorization function,
+    ``scipy.sparse.linalg.splu`` unless given.
     """
 
     def __init__(self, A, splu=None):
@@ -89,15 +91,17 @@ class LUFactor:
         self.path, self.probe_error = "pivot-free", np.inf
         try:
             self.lu = splu(A, diag_pivot_thresh=0.0, **SPLU_OPTIONS)
-            self.probe_error = self._probe(A)
+            self.probe_error, self.probe_residual = self._probe(A)
         except RuntimeError:
             pass
         if not self.probe_error <= PROBE_BOUND:      # NaN included
             self.lu = None             # free the rejected factor before the next one
             self.path = "pivoting"
             self.lu = splu(A, **SPLU_OPTIONS)
+            self.probe_residual = self._probe(A)[1]
 
     def _probe(self, A):
+        """Backward error and relative residual of one seeded probe solve."""
         rng = np.random.default_rng(0)
         b = rng.standard_normal(A.shape[0])
         if not self.real:
@@ -106,8 +110,8 @@ class LUFactor:
         # ||A||_inf from the row indices of the CSC entries
         a_norm = np.bincount(A.indices, np.abs(A.data), A.shape[0]).max()
         with np.errstate(over="ignore", invalid="ignore"):   # a ruined factor may overflow
-            scale = a_norm * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
-            return float(np.linalg.norm(A @ x - b, np.inf) / scale)
+            r, b_norm = np.linalg.norm(A @ x - b, np.inf), np.linalg.norm(b, np.inf)
+            return float(r / (a_norm * np.linalg.norm(x, np.inf) + b_norm)), float(r / b_norm)
 
     def solve(self, b, trans="N"):
         """x with A x = b (A^T x = b for ``trans`` "T", A^H x = b for "H"),

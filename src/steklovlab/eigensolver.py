@@ -38,6 +38,8 @@ from .boundary_ops import DENSE_LIMIT, BoundaryGram, LUFactor
 from .errors import AssumptionViolation, ShiftAtEigenvalue
 
 DEFAULT_THETA_CUT = 1e-10
+# largest relative probe residual of a shifted factor: above it sigma is an eigenvalue
+SINGULAR_RESIDUAL = 1e-6
 
 
 @dataclass
@@ -99,19 +101,19 @@ class _ShiftedSolver:
     surface vertices f of its GroundedLaplacian, with the surface unknown
     scaled by sigma,
 
-        K = [A0         -D_f^T]     K [x; y] = [b; 0]  gives  (A0 - sigma B) x = b,
-            [sigma D_f  -L_ff ],    K [x; y] = [0; -D_f v]  gives  (A0 - sigma B) x = B v,
+        K = [A0         -D_f^T]     K [x; y] = [0; -D_f v]  gives  (A0 - sigma B) x = B v,
+            [sigma D_f  -L_ff ],
 
     which avoids densifying B, stays nonsingular at sigma = 0, and makes an
     apply one solve with no B product; dropping the grounded rows and
     columns is harmless because D^T annihilates functions constant on each
-    component.
+    component.  K is singular exactly when its Schur complement A0 - sigma B
+    is, so the factor's ``probe_residual`` tells a singular shift on either form.
     """
 
     def __init__(self, A0, B, sigma):
-        self.A0 = A0
+        sigma = complex(sigma)
         self.B = B
-        self.sigma = complex(sigma)
         self.n = A0.shape[0]
 
         self._Df = None            # D_f of the augmented form; None for an explicit B
@@ -119,44 +121,28 @@ class _ShiftedSolver:
             self._Df = B.D_free
             matrix = sp.bmat(
                 [[A0.astype(np.complex128), -self._Df.T],
-                 [self.sigma * self._Df, -B.laplacian.L_ff]],
+                 [sigma * self._Df, -B.laplacian.L_ff]],
                 format="csc",
             )
         else:
-            matrix = (A0.astype(np.complex128) - self.sigma * B).tocsc()
+            matrix = (A0.astype(np.complex128) - sigma * B).tocsc()
         try:
             # through this module's spla, where perfbench/tracing.py counts the shifted factors
             self._lu = LUFactor(matrix, spla.splu)
         except RuntimeError as exc:
             raise ShiftAtEigenvalue(f"factorization failed: {exc}") from exc
-
-        self._probe()
-
-    def solve_shifted(self, b):
-        if self._Df is not None:
-            rhs = np.concatenate([b, np.zeros(self._Df.shape[0], dtype=np.complex128)])
-            return self._lu.solve(rhs)[: self.n]
-        return self._lu.solve(b.astype(np.complex128))
+        if not self._lu.probe_residual <= SINGULAR_RESIDUAL:     # NaN included
+            raise ShiftAtEigenvalue(
+                f"shifted pencil at sigma={sigma} is numerically singular "
+                f"(probe residual {self._lu.probe_residual:.2e})"
+            )
 
     def apply(self, v):
         """(A0 - sigma B)^-1 (B v)."""
         if self._Df is not None:
             rhs = np.concatenate([np.zeros(self.n, dtype=np.complex128), -(self._Df @ v)])
             return self._lu.solve(rhs)[: self.n]
-        return self.solve_shifted(self.B @ v)
-
-    def _probe(self):
-        # backward-stable solves keep this tiny; a (near-)singular shifted
-        # pencil leaves an O(1) relative residual
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
-        x = self.solve_shifted(b)
-        resid = np.linalg.norm(self.A0 @ x - self.sigma * (self.B @ x) - b)
-        if not np.isfinite(resid) or resid > 1e-6 * np.linalg.norm(b):
-            raise ShiftAtEigenvalue(
-                f"shifted pencil at sigma={self.sigma} is numerically singular "
-                f"(probe residual {resid:.2e})"
-            )
+        return self._lu.solve((self.B @ v).astype(np.complex128))
 
 
 # --------------------------------------------------------------------- #
@@ -384,7 +370,8 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
     records per sweep the operator applies, the pairs locked, the stop
     reason and the Ritz values discarded as infinite modes at its last
     checkpoint; meta["schur_defect"] is max |Q^H Q - I|.  Dense
-    ``A0``/``B`` arrays are converted to CSR.
+    ``A0``/``B`` arrays are converted to CSR.  Raises ``ShiftAtEigenvalue``
+    when the shifted factor fails or its probe residual exceeds ``SINGULAR_RESIDUAL``.
     """
     if isinstance(A0, np.ndarray):
         A0 = sp.csr_matrix(A0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from steklovlab import eigensolver
 from steklovlab.boundary_ops import assemble_surface_operators
@@ -444,14 +445,54 @@ def test_maxwell_augmented_path_matches_oracle():
 @pytest.mark.parametrize("sigma", [0.0, 2.3, 3.0 - 2.0j])
 @pytest.mark.parametrize("mesh_name", ["cube2", "two-cubes"])
 def test_folded_apply_equals_gram_product_then_solve(request, mesh_name, sigma):
-    # the apply solves the augmented system for B v without forming B v
+    # the apply solves the augmented system for B v without forming B v; the
+    # pencil with the matrix-free B checks it independently of the factor
     mesh = generate_cube_mesh(2) if mesh_name == "cube2" else request.getfixturevalue("two_cubes")
     pencil = _maxwell_pencil(mesh)
     solver = eigensolver._ShiftedSolver(pencil.a0, pencil.B, sigma)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(mesh.n_edges) + 1j * rng.standard_normal(mesh.n_edges)
-    want = solver.solve_shifted(pencil.B @ v)
-    assert np.linalg.norm(solver.apply(v) - want) <= 1e-12 * np.linalg.norm(want)
+    x = solver.apply(v)
+    bv = pencil.B @ v
+    assert np.linalg.norm(pencil.a0 @ x - sigma * (pencil.B @ x) - bv) <= 1e-12 * np.linalg.norm(bv)
+
+
+def _shift_near_eigenvalue_detected(A0, B, lam):
+    """A shift 1e-12 relative from the eigenvalue lam is refused by the
+    singularity probe, and one 1e-8 away is factored; returns that solver."""
+    with pytest.raises(ShiftAtEigenvalue, match="numerically singular"):
+        eigensolver._ShiftedSolver(A0, B, lam * (1 + 1e-12))
+    return eigensolver._ShiftedSolver(A0, B, lam * (1 + 1e-8))
+
+
+@pytest.mark.parametrize("kind", ["maxwell-cube3", "scalar-ball1"])
+def test_shift_near_a_certified_eigenvalue_detected(kind):
+    # the augmented (Maxwell) and explicit (scalar) shifted forms
+    if kind == "maxwell-cube3":
+        pencil = _maxwell_pencil(generate_cube_mesh(3))
+        A0, B, sigma = pencil.a0, pencil.B, 2.3
+    else:
+        (A0, B), sigma = _scalar_ball_pencil(), 1.5
+    res = solve_shift_invert(A0, B, sigma, k=1, tol=1e-10)
+    assert len(res) == 1
+    _shift_near_eigenvalue_detected(A0, B, res.eigenvalues[0])
+
+
+def test_shift_near_an_eigenvalue_detected_on_the_pivoting_path(monkeypatch):
+    # the pivot-free attempt raises, as SuperLU does on an exactly zero pivot,
+    # so the partial-pivoting factor alone decides
+    real = spla.splu
+
+    def raising(A, **kwargs):
+        if kwargs.get("diag_pivot_thresh") == 0.0:
+            raise RuntimeError("Factor is exactly singular")
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", raising)
+    A0, B = random_pencil(40, 40, seed=4)
+    lam = solve_dense_oracle(A0, B).eigenvalues[0]
+    solver = _shift_near_eigenvalue_detected(sp.csr_matrix(A0), sp.csr_matrix(B), lam)
+    assert solver._lu.path == "pivoting"
 
 
 # ------------------------------------------------------------------- cluster

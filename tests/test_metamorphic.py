@@ -3,8 +3,14 @@
 - a random renumbering of the vertices changes the edge orientations (low to
   high vertex index), the sparse orderings and so the elimination order of
   every factor, but not the spectrum;
+- a random rotation moves every normal and tangent but not the spectrum;
+- scaling the mesh by S, with omega and the shift divided by S, divides the
+  spectrum by S;
 - conjugating the permittivity and the shift conjugates the spectrum, since
   both pencils are complex symmetric with real K and B.
+
+The well-posedness diagnostic is invariant under renumbering and rotation
+too (under scaling it is not: its norm mixes the units of length).
 
 Each runs on the convex cube n=3 and on the genus-1 holed cube n=4, for both
 pencils, with k = 8 and tol 1e-11.
@@ -13,6 +19,7 @@ pencils, with k = 8 and tol 1e-11.
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.transform import Rotation
 
 from steklovlab.eigensolver import solve_shift_invert
 from steklovlab.materials import build_field
@@ -22,9 +29,10 @@ from steklovlab.stability import Problem
 SIGMA = {"maxwell": 2.3, "scalar": 1.5}
 EPS = {"re": 4.0, "im": 1.0}
 K, TOL = 8, 1e-11
-# largest relative eigenvalue difference a relation allows; 1.3e-12 was the
-# largest measured on these meshes
+# largest relative eigenvalue or diagnostic difference a relation allows;
+# 1.3e-12 was the largest measured on these meshes
 REL = 1e-10
+SCALE = 2.5
 
 
 def holed_cube():
@@ -45,13 +53,38 @@ def mesh(request):
     return MESHES[request.param]()
 
 
-def spectrum(kind, mesh, eps=EPS, sigma=None):
-    pencil = Problem(kind, mesh, 1.0).assemble(build_field(mesh, "mu_inv", {1: 1.0}),
-                                               build_field(mesh, "eps", {1: eps}))
+def renumbered(mesh):
+    """The mesh with its vertices in a seeded random order."""
+    perm = np.random.default_rng(7).permutation(mesh.n_vertices)   # new index of each vertex
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return Mesh(verts, perm[mesh.tets])
+
+
+def rotated(mesh):
+    """The mesh under a seeded random rotation."""
+    R = Rotation.random(random_state=7).as_matrix()
+    return Mesh(mesh.vertices @ R.T, mesh.tets)
+
+
+def assemble(kind, mesh, eps=EPS, omega=1.0):
+    """The problem of ``kind`` on ``mesh`` and its pencil, mu^-1 = 1 and ``eps``."""
+    prob = Problem(kind, mesh, omega)
+    return prob, prob.assemble(build_field(mesh, "mu_inv", {1: 1.0}),
+                               build_field(mesh, "eps", {1: eps}))
+
+
+def spectrum(kind, mesh, eps=EPS, sigma=None, omega=1.0):
+    pencil = assemble(kind, mesh, eps, omega)[1]
     res = solve_shift_invert(pencil.a0, pencil.B, SIGMA[kind] if sigma is None else sigma, K,
                              tol=TOL)
     assert len(res) == K and res.meta["confirmed"]
     return res.eigenvalues
+
+
+def diagnostic(kind, mesh):
+    prob, pencil = assemble(kind, mesh)
+    return prob.diagnostic(pencil)
 
 
 def max_rel_difference(a, b):
@@ -63,12 +96,21 @@ def max_rel_difference(a, b):
 
 @pytest.mark.parametrize("kind", ["maxwell", "scalar"])
 def test_vertex_renumbering_leaves_the_spectrum(kind, mesh):
-    perm = np.random.default_rng(7).permutation(mesh.n_vertices)   # new index of each vertex
-    verts = np.empty_like(mesh.vertices)
-    verts[perm] = mesh.vertices
-    renumbered = Mesh(verts, perm[mesh.tets])
-    assert not np.array_equal(renumbered.edges, mesh.edges)
-    assert max_rel_difference(spectrum(kind, renumbered), spectrum(kind, mesh)) <= REL
+    moved = renumbered(mesh)
+    assert not np.array_equal(moved.edges, mesh.edges)
+    assert max_rel_difference(spectrum(kind, moved), spectrum(kind, mesh)) <= REL
+
+
+@pytest.mark.parametrize("kind", ["maxwell", "scalar"])
+def test_rotation_leaves_the_spectrum(kind, mesh):
+    assert max_rel_difference(spectrum(kind, rotated(mesh)), spectrum(kind, mesh)) <= REL
+
+
+@pytest.mark.parametrize("kind", ["maxwell", "scalar"])
+def test_scaling_divides_the_spectrum(kind, mesh):
+    scaled = Mesh(SCALE * mesh.vertices, mesh.tets)
+    lam = spectrum(kind, scaled, sigma=SIGMA[kind] / SCALE, omega=1.0 / SCALE)
+    assert max_rel_difference(lam, spectrum(kind, mesh) / SCALE) <= REL
 
 
 @pytest.mark.parametrize("kind", ["maxwell", "scalar"])
@@ -77,3 +119,13 @@ def test_conjugate_permittivity_conjugates_the_spectrum(kind, mesh):
     lam = spectrum(kind, mesh, sigma=sigma)
     conj = spectrum(kind, mesh, {"re": EPS["re"], "im": -EPS["im"]}, np.conj(sigma))
     assert max_rel_difference(conj, lam.conj()) <= REL
+
+
+@pytest.mark.parametrize("move", [renumbered, rotated])
+@pytest.mark.parametrize("kind", ["maxwell", "scalar"])
+def test_diagnostic_is_invariant(kind, move, mesh):
+    want = diagnostic(kind, mesh)
+    if kind == "scalar" and np.isinf(want):
+        pytest.skip("no interior vertex: the scalar diagnostic is inf by definition")
+    assert 0.0 < want < np.inf
+    assert abs(diagnostic(kind, move(mesh)) - want) <= REL * want
