@@ -24,8 +24,6 @@ solve (eigensolver) reuses its grounding.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -38,9 +36,6 @@ from .mesh import Mesh, SurfaceMesh
 _MID_BARY = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
 # the local edges of a triangle, in the order of Mesh.boundary_face_edges
 _TRI_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
-
-# most dofs a dense path takes (the explicit Gram block, the dense oracle)
-DENSE_LIMIT = 5000
 
 # keyword arguments of the pivoting factor that LUFactor falls back to: the
 # matrices are structurally symmetric, so a minimum-degree ordering of A + A^T
@@ -160,7 +155,8 @@ class GroundedLaplacian:
             raise SolverFailure(f"grounded Laplacian not factorizable: {exc}") from exc
 
     def solve(self, b):
-        """p for a 1-D or 2-D (column by column), real or complex ``b``."""
+        """p for a 1-D or 2-D (column by column), real or complex ``b``; each
+        column's residual is checked on its own."""
         b = np.asarray(b)
         p = np.zeros(b.shape, dtype=np.result_type(b, self.L_ff.dtype))
         p[self.free] = self._lu.solve(b[self.free])
@@ -168,12 +164,14 @@ class GroundedLaplacian:
             p[idx] -= (w @ p[idx]) / w.sum()
         # on the free rows, the system the factor solves: a grounded row's
         # residual is the roundoff in the component sum of b, which no p changes
-        resid = np.linalg.norm((self.L @ p - b)[self.free])
-        # relative to the data plus a roundoff floor, so a numerically zero
-        # right-hand side (e.g. a discrete gradient) is not flagged
-        tol = 1e-10 * np.linalg.norm(b) + 1e-12 * self._scale * (1.0 + np.linalg.norm(p))
-        if not np.isfinite(resid) or resid > tol:
-            raise SolverFailure(f"grounded Laplacian solve residual {resid:.2e} exceeds {tol:.2e}")
+        resid = np.linalg.norm((self.L @ p - b)[self.free], axis=0)
+        # per column, relative to the data plus a roundoff floor, so a
+        # numerically zero right-hand side (e.g. a discrete gradient) is not flagged
+        tol = 1e-10 * np.linalg.norm(b, axis=0) + 1e-12 * self._scale * (
+            1.0 + np.linalg.norm(p, axis=0))
+        for r, t in zip(np.ravel(resid), np.ravel(tol)):
+            if not np.isfinite(r) or r > t:
+                raise SolverFailure(f"grounded Laplacian solve residual {r:.2e} exceeds {t:.2e}")
         return p
 
 
@@ -184,9 +182,9 @@ class BoundaryGram:
     the rows of D on the free vertices of that solve, which every shifted
     solve with this form takes.
 
-    Applied matrix-free (one coupling matvec, one factorized surface solve,
-    one transposed matvec per application); ``sparse`` materializes the
-    dense boundary-edge block for oracle runs on small meshes.
+    Applied matrix-free: one coupling product, one factorized surface solve
+    and one transposed product per application, to a vector or to a block
+    of columns at once.
     """
 
     def __init__(self, surface: SurfaceMesh, mesh: Mesh, L, D, laplacian: GroundedLaplacian):
@@ -198,30 +196,13 @@ class BoundaryGram:
         self.D_free = D.tocsr()[laplacian.free]
         self.shape = (D.shape[1], D.shape[1])
 
-    def matvec(self, v):
-        v = np.asarray(v)
-        p = self.laplacian.solve(self.D @ v)
-        return self.D.T @ p
+    def matvec(self, X):
+        """B X for a vector or a block of columns ``X``."""
+        return self.D.T @ self.laplacian.solve(self.D @ X)
 
     def __matmul__(self, other):
-        other = np.asarray(other)
-        if other.ndim == 1:
-            return self.matvec(other)
-        return np.stack([self.matvec(other[:, j]) for j in range(other.shape[1])], axis=1)
-
-    @cached_property
-    def sparse(self) -> sp.csr_matrix:
-        """Explicit symmetric CSR form (dense on the boundary-edge block)."""
-        bed = self.mesh.boundary_edge_ids
-        if len(bed) > DENSE_LIMIT:
-            raise ValueError(f"{len(bed)} boundary edge dofs exceed the dense limit {DENSE_LIMIT}")
-        Db = np.asarray(self.D[:, bed].todense())
-        block = Db.T @ self.laplacian.solve(Db)
-        block = 0.5 * (block + block.T)
-        rows = np.repeat(bed, len(bed))
-        cols = np.tile(bed, len(bed))
-        n = self.shape[0]
-        return sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        # a call, not an alias: a class-level wrap of matvec then sees every product
+        return self.matvec(other)
 
 
 def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram:

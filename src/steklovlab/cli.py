@@ -286,8 +286,8 @@ def _study(st):
         if not isinstance(target_lambda, dict):
             raise ConfigError(f"study.target_lambda must be a JSON object, got {target_lambda!r}")
         _known(target_lambda, "study.target_lambda.", ("re", "im"))
-        target_lambda = complex(_number(target_lambda, "re", 0.0, "study.target_lambda."),
-                                _number(target_lambda, "im", 0.0, "study.target_lambda."))
+        target_lambda = complex(_bounded(target_lambda, "re", 0.0, "study.target_lambda."),
+                                _bounded(target_lambda, "im", 0.0, "study.target_lambda."))
     return {
         "center": center,
         "target": target,

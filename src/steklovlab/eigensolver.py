@@ -34,12 +34,14 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .boundary_ops import DENSE_LIMIT, BoundaryGram, LUFactor
+from .boundary_ops import BoundaryGram, LUFactor
 from .errors import AssumptionViolation, ShiftAtEigenvalue
 
 DEFAULT_THETA_CUT = 1e-10
 # largest relative probe residual of a shifted factor: above it sigma is an eigenvalue
 SINGULAR_RESIDUAL = 1e-6
+# most dofs the dense oracle takes
+DENSE_LIMIT = 5000
 
 
 @dataclass
@@ -158,13 +160,13 @@ def solve_dense_oracle(A0, B, residual_tol=1e-10) -> EigenResult:
     of the singular pencil and are discarded.  Reported pairs are certified
     at ``residual_tol``; uncertified ones are dropped and counted in meta.
     """
-    A0 = np.asarray(A0.todense()) if sp.issparse(A0) else np.asarray(A0)
-    if isinstance(B, BoundaryGram):
-        B = B.sparse
-    Bd = np.asarray(B.todense()) if sp.issparse(B) else np.asarray(B)
     n = A0.shape[0]
     if n > DENSE_LIMIT:
         raise ValueError(f"problem size {n} exceeds dense limit {DENSE_LIMIT}")
+    A0 = np.asarray(A0.todense()) if sp.issparse(A0) else np.asarray(A0)
+    if isinstance(B, BoundaryGram):
+        B = B @ np.eye(n)
+    Bd = np.asarray(B.todense()) if sp.issparse(B) else np.asarray(B)
 
     A0c = A0.astype(np.complex128)
     try:
@@ -328,18 +330,21 @@ TIE_MARGIN = 1e-8
 # checkpoints at 20, 30, ... than at k + 10, k + 20, ...).
 CHECKPOINT = 10
 
+# Fewest operator applies at which a sweep's growth is capped (the cap is
+# min(n, max(2 m0, MAX_KRYLOV)) for a first checkpoint m0).
+MAX_KRYLOV = 150
+
 # Krylov sweeps a solve runs at most.
 MAX_SWEEPS = 12
 
 
-def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
-                       max_krylov=None, seed=0) -> EigenResult:
+def solve_shift_invert(A0, B, sigma, k, tol=1e-10, seed=0) -> EigenResult:
     """Shift-invert Arnoldi for the k eigenvalues nearest ``sigma``.
 
-    ``B`` may be a sparse matrix or a matrix-free boundary Gram form.  Ritz
-    values theta of T = (A0 - sigma B)^-1 B map back through
-    lambda = sigma + 1/theta; near-zero theta are infinite-eigenvalue modes
-    of the singular pencil and are never reported.
+    ``A0`` is a sparse matrix, ``B`` a sparse matrix or a matrix-free
+    boundary Gram form.  Ritz values theta of T = (A0 - sigma B)^-1 B map
+    back through lambda = sigma + 1/theta; near-zero theta are
+    infinite-eigenvalue modes of the singular pencil and are never reported.
 
     Certified pairs are locked into a partial Schur form T Q = Q R, and
     every later sweep runs Arnoldi on T deflated by Q from a fresh seeded
@@ -349,49 +354,40 @@ def solve_shift_invert(A0, B, sigma, k, tol=1e-10, krylov_dim=None,
 
     Each sweep extends one Arnoldi factorization through checkpoints
     ``CHECKPOINT`` applies apart.  The first sweep's first checkpoint is
-    ``krylov_dim`` (default max(k, 10) + 10); a later sweep's is
-    min(krylov_dim, max(2 (k - locked) + 10, 15)).  A checkpoint's
-    candidates are the Ritz values inside the k-nearest disk with Arnoldi
-    residual beta |y_m| <= 100 tol |theta|.  With ``need`` = max(k - locked,
-    1), it certifies exactly these, nearest first, and locks every one that
+    m0 = max(k, CHECKPOINT) + CHECKPOINT; a later sweep's is
+    min(m0, max(2 (k - locked) + 10, 15)).  A checkpoint's candidates are
+    the Ritz values inside the k-nearest disk with Arnoldi residual
+    beta |y_m| <= 100 tol |theta|.  With ``need`` = max(k - locked, 1), it
+    certifies exactly these, nearest first, and locks every one that
     passes, once there are ``need`` of them, the space broke down, or it is
-    at the ``max_krylov`` cap (default max(2 krylov_dim, 150)).  The sweep
+    at the cap of min(n, max(2 m0, ``MAX_KRYLOV``)) applies.  The sweep
     ends ``certified`` once ``need`` pairs pass, or at a breakdown or the cap
     with any passed pair, and the next sweep starts; otherwise it grows.
     Once k pairs are locked, a sweep whose dominant Ritz value has settled
     outside the disk of the k nearest locked values ends the solve
     (``spectral``: the answer is final).  The solve also ends when a sweep's
     space breaks down without a new pair (meta["exhausted"] if fewer than k
-    were found), reaches ``max_krylov`` without one, or runs ``MAX_SWEEPS``
+    were found), reaches the cap without one, or runs ``MAX_SWEEPS``
     sweeps (meta["partial"] whenever fewer than k pairs are reported).
     meta["confirmed"] holds when k pairs are reported and the last sweep
-    ended on the spectral test or a breakdown; a sweep cut by ``max_krylov``
-    or ``MAX_SWEEPS`` leaves the k nearest unconfirmed.  meta["sweeps"]
+    ended on the spectral test or a breakdown; a sweep cut by the cap or
+    ``MAX_SWEEPS`` leaves the k nearest unconfirmed.  meta["sweeps"]
     records per sweep the operator applies, the pairs locked, the stop
     reason and the Ritz values discarded as infinite modes at its last
-    checkpoint; meta["schur_defect"] is max |Q^H Q - I|.  Dense
-    ``A0``/``B`` arrays are converted to CSR.  Raises ``ShiftAtEigenvalue``
-    when the shifted factor fails or its probe residual exceeds ``SINGULAR_RESIDUAL``.
+    checkpoint; meta["schur_defect"] is max |Q^H Q - I|.  Raises
+    ``ShiftAtEigenvalue`` when the shifted factor fails or its probe residual
+    exceeds ``SINGULAR_RESIDUAL``.
     """
-    if isinstance(A0, np.ndarray):
-        A0 = sp.csr_matrix(A0)
-    if isinstance(B, np.ndarray):
-        B = sp.csr_matrix(B)
     n = A0.shape[0]
     k = int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    for name, size in (("krylov_dim", krylov_dim), ("max_krylov", max_krylov)):
-        if size is not None and size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
     solver = _ShiftedSolver(A0, B, sigma)
     sigma = complex(sigma)
     a0n = _a0_norm(A0)
 
-    m0 = max(k, CHECKPOINT) + CHECKPOINT if krylov_dim is None else krylov_dim
-    if max_krylov is None:
-        max_krylov = max(2 * m0, 150)
-    cap = min(n, max_krylov)
+    m0 = max(k, CHECKPOINT) + CHECKPOINT
+    cap = min(n, max(2 * m0, MAX_KRYLOV))
     m0 = min(m0, cap)
 
     schur = _PartialSchur(n)

@@ -98,17 +98,12 @@ def normalize_vectors(vectors, gram):
     return vecs
 
 
-def _nondegeneracy(B, vectors):
-    """The cluster matrix C = X^T B X of the columns X of ``vectors``
+def _nondegeneracy(B, vecs):
+    """The cluster matrix C = X^T B X of the columns X of ``vecs``
     (normalized by :func:`normalize_vectors`), and why the cluster is
     degenerate, or "" when it is not: sigma_min(C) at most ``C_THRESHOLD``
     times the sesquilinear cluster average of B.  For one vector
     sigma_min(C) is |c|."""
-    vecs = np.asarray(vectors, dtype=np.complex128)
-    if vecs.ndim == 1:
-        vecs = vecs[:, None]
-    if vecs.shape[1] == 0:
-        raise ValueError("nondegeneracy needs at least one vector")
     bvecs = B @ vecs
     C = vecs.T @ bvecs
     scale = max(float(np.mean(np.real(np.sum(np.conj(vecs) * bvecs, axis=0)))), 1e-300)

@@ -55,14 +55,12 @@ def project_Vh(pencil, u, eps=None) -> ProjectionResult:
 
 
 def dump_matrix_market(pencil, directory):
-    """Write K, M and B as Matrix Market coordinate files; a BoundaryGram is
-    written through its explicit sparse form."""
+    """Write the sparse K, M and B of a scalar pencil as Matrix Market
+    coordinate files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, mat in (("K", pencil.K), ("M", pencil.M), ("B", pencil.B)):
-        if isinstance(mat, BoundaryGram):
-            mat = mat.sparse
         paths[name] = directory / f"{name}.mtx"
         scipy.io.mmwrite(paths[name], mat.tocoo())
     return paths

@@ -220,8 +220,7 @@ def _complete_spectrum_maxwell(level, eps_entry, omega):
     mu, eps = unit_fields(mesh, eps_entry)
     ops = assemble_surface_operators(extract_boundary(mesh), mesh)
     pencil = assemble_maxwell(mesh, mu, eps, omega, ops)
-    return solve_dense_oracle(pencil.a0.toarray(), pencil.B.sparse.toarray(),
-                              residual_tol=1e-8)
+    return solve_dense_oracle(pencil.a0, pencil.B, residual_tol=1e-8)
 
 
 def test_criterion_5_sector_property():

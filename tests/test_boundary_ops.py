@@ -114,8 +114,8 @@ def test_apply_S_quadratic_form_matches_gram(ops):
 def test_gram_symmetric_psd_kills_gradients(ops):
     B = ops
     mesh = ops.mesh
-    Bs = B.sparse
-    assert np.abs((Bs - Bs.T).toarray()).max() <= 1e-12
+    Bd = B @ np.eye(mesh.n_edges)
+    assert np.abs(Bd - Bd.T).max() <= 1e-12
     rng = np.random.default_rng(5)
     for _ in range(100):
         x = rng.standard_normal(mesh.n_edges)
@@ -124,9 +124,11 @@ def test_gram_symmetric_psd_kills_gradients(ops):
     z = rng.standard_normal(mesh.n_vertices)
     gz = G @ z
     assert np.abs(B @ gz).max() <= 1e-10 * max(1.0, np.abs(gz).max())
-    # the explicit form agrees with the matrix-free application
-    u = random_edge_vector(mesh, 3)
-    assert np.abs(Bs @ u - B @ u).max() <= 1e-10 * np.abs(B @ u).max()
+    # a block of columns is applied as each of its columns is
+    U = np.stack([random_edge_vector(mesh, s) for s in (3, 4, 5)], axis=1)
+    BU = B @ U
+    for j in range(U.shape[1]):
+        assert np.abs(BU[:, j] - B @ U[:, j]).max() <= 1e-12 * np.abs(BU[:, j]).max()
 
 
 def test_gram_complex_matvec(ops):
@@ -189,3 +191,26 @@ def test_grounded_solve_refuses_a_wrong_factor_solve(monkeypatch):
     monkeypatch.setattr(lap, "_lu", _Zeros())
     with pytest.raises(SolverFailure, match="grounded Laplacian solve residual"):
         lap.solve(ops.D @ random_edge_vector(mesh, 4))
+
+
+def test_grounded_solve_checks_each_column(monkeypatch):
+    # a wrong second column 1e12 times smaller than the right first one: its
+    # residual is far inside a tolerance taken over the whole block, but not
+    # inside its own
+    mesh = generate_cube_mesh(2)
+    ops = assemble_surface_operators(extract_boundary(mesh), mesh)
+    lap = ops.laplacian
+    b = np.stack([1e3 * (ops.D @ random_edge_vector(mesh, 4)),
+                  1e-9 * (ops.D @ random_edge_vector(mesh, 5))], axis=1)
+    lap.solve(b)
+    lu = lap._lu
+
+    class _FirstColumnOnly:
+        def solve(self, r):
+            x = lu.solve(r)
+            x[:, 1:] = 0.0
+            return x
+
+    monkeypatch.setattr(lap, "_lu", _FirstColumnOnly())
+    with pytest.raises(SolverFailure, match="grounded Laplacian solve residual"):
+        lap.solve(b)

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import functools
 import io
 import json
 import os
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovlab import _blas, cli, fem_scalar
+from steklovlab import _blas, cli, eigensolver, fem_scalar
 from steklovlab.cli import run
 from steklovlab.eigensolver import solve_shift_invert
 from steklovlab.errors import ConfigError
@@ -100,8 +99,8 @@ def test_solve_meta_solver_block_keys(tmp_path):
 def test_solve_reports_unconfirmed_answer(tmp_path, monkeypatch):
     # a Krylov cap of 12 lets the sweeps lock k = 4 pairs, but the last sweep
     # runs out of space before it can settle, so the 4 nearest are unconfirmed
-    monkeypatch.setattr(cli, "solve_shift_invert",
-                        functools.partial(solve_shift_invert, krylov_dim=4, max_krylov=12))
+    monkeypatch.setattr(eigensolver, "CHECKPOINT", 2)
+    monkeypatch.setattr(eigensolver, "MAX_KRYLOV", 12)
     doc = scalar_ball_config(sigma=0.7)
     doc["solver"]["k"] = 4
     cfg = write_config(tmp_path, doc)
@@ -483,18 +482,19 @@ def test_study_command(tmp_path):
 
 
 def test_study_passes_krylov_sizes_to_every_solve(tmp_path, monkeypatch):
-    # a Krylov cap of 12 leaves the baseline's k = 8 nearest unconfirmed; the
-    # capped solve receives the run's tol and seed at every call
+    # one Krylov sweep per solve leaves the baseline's k = 8 nearest
+    # unconfirmed; the solver's module sizes hold in every solve of the
+    # study's threads, and each call receives the run's tol and seed
     from steklovlab import stability
 
     options = []
 
     def recording_solve(*args, **kwargs):
-        options.append((kwargs["tol"], kwargs["seed"], kwargs["krylov_dim"], kwargs["max_krylov"]))
+        options.append((kwargs["tol"], kwargs["seed"]))
         return solve_shift_invert(*args, **kwargs)
 
-    monkeypatch.setattr(stability, "solve_shift_invert",
-                        functools.partial(recording_solve, krylov_dim=4, max_krylov=12))
+    monkeypatch.setattr(stability, "solve_shift_invert", recording_solve)
+    monkeypatch.setattr(eigensolver, "MAX_SWEEPS", 1)
     doc = {
         "problem": "maxwell",
         "mesh": {"kind": "cube", "n": 2},
@@ -509,7 +509,8 @@ def test_study_passes_krylov_sizes_to_every_solve(tmp_path, monkeypatch):
     assert run(["study", "--config", cfg, "--output", str(out)]) == 0
     report = json.loads((out / "study_report.json").read_text())
     assert report["meta"]["baseline"]["confirmed"] is False
-    assert len(options) >= 2 and set(options) == {(1e-11, 7, 4, 12)}
+    assert [step["confirmed"] for step in report["steps"]] == [False]
+    assert len(options) >= 2 and set(options) == {(1e-11, 7)}
 
 
 # a one-step Maxwell study on cube n=2 that runs in well under a second
@@ -950,6 +951,19 @@ def test_study_preconditions_precede_the_mesh(tmp_path, capsys, doc, message):
     out = tmp_path / "out"
     assert run(["study", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: config-error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_huge_target_lambda_is_one_error_line(tmp_path, capsys, part):
+    # an unbounded guess puts every baseline value at distance inf, and the
+    # study would silently track the cluster at index 0
+    doc = _with(_MAXWELL, ("study",), {**_STUDY, "target_lambda": {part: 1e308}})
+    out = tmp_path / "out"
+    assert run(["study", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(lines) == 1 and lines[0].startswith(
+        f"error: config-error: study.target_lambda.{part} must be at most 1e+30 in magnitude")
     assert not out.exists()
 
 

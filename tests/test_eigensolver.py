@@ -121,13 +121,13 @@ def test_shift_invert_exhaustion_flag():
 
 
 def test_shift_invert_matches_oracle_random():
-    # dense arrays are accepted as well as CSR
-    for seed, convert in [(s, c) for s in (0, 1, 2) for c in (sp.csr_matrix, np.asarray)]:
+    for seed in (0, 1, 2):
         A0, B = random_pencil(60, 40, seed)
         oracle = solve_dense_oracle(A0, B)
         sigma = 0.7 + 0.3j
         k = 6
-        res = solve_shift_invert(convert(A0), convert(B), sigma, k, tol=1e-10, seed=seed)
+        res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), sigma, k, tol=1e-10,
+                                 seed=seed)
         assert len(res) == k
         want = oracle.eigenvalues[np.argsort(np.abs(oracle.eigenvalues - sigma), kind="stable")][:k]
         for lam in res.eigenvalues:
@@ -168,8 +168,9 @@ def _scalar_ball_pencil():
 
 
 def test_growth_resumes_instead_of_reapplying(monkeypatch):
-    # a tiny first Krylov dimension certifies nothing, so the space grows;
-    # growing must continue the factorization, not restart it from v0
+    # checkpoints 2 applies apart give a first checkpoint of 8 that certifies
+    # too little, so a sweep grows; growing must continue the factorization,
+    # not restart it from v0
     seen = []
     apply = eigensolver._ShiftedSolver.apply
 
@@ -179,11 +180,12 @@ def test_growth_resumes_instead_of_reapplying(monkeypatch):
 
     monkeypatch.setattr(eigensolver._ShiftedSolver, "apply", recording_apply)
     monkeypatch.setattr(eigensolver, "MAX_SWEEPS", 4)
+    monkeypatch.setattr(eigensolver, "CHECKPOINT", 2)
     A0, B = _scalar_ball_pencil()
-    res = solve_shift_invert(A0, B, 1.5, 6, tol=1e-10, krylov_dim=4, seed=5)
+    res = solve_shift_invert(A0, B, 1.5, 6, tol=1e-10, seed=5)
     assert len(res) == 6 and res.residuals.max() <= 1e-10
-    # more applies than four sweeps of krylov_dim each: some sweep grew
-    assert res.meta["iterations"] > 4 * 4
+    # some sweep ran past its first checkpoint, max(6, 2) + 2 applies
+    assert max(s["applies"] for s in res.meta["sweeps"]) > 8
     assert len(seen) == res.meta["iterations"]
     assert len(set(seen)) == len(seen)
 
@@ -201,43 +203,46 @@ def _assert_k_nearest(res, want):
         assert np.sum(np.abs(got - lam) <= tol) == np.sum(np.abs(want - lam) <= tol)
 
 
-@pytest.mark.parametrize("krylov_dim", [2, 4, 8, 16])
-def test_small_krylov_dim_nonnormal_pencil(krylov_dim):
+@pytest.mark.parametrize("checkpoint", [1, 2, 4, 8, 16])
+def test_small_krylov_dim_nonnormal_pencil(checkpoint, monkeypatch):
     # eigenvectors of this pencil are far from orthogonal: deflated sweeps
-    # must lift their Ritz vectors to eigenvectors to certify anything
+    # must lift their Ritz vectors to eigenvectors to certify anything, also
+    # when every sweep grows in short steps (a first checkpoint of max(6, c) + c)
+    monkeypatch.setattr(eigensolver, "CHECKPOINT", checkpoint)
     A0, B = random_pencil(60, 40, 0)
     sigma = 0.7 + 0.3j
     want = _nearest(solve_dense_oracle(A0, B), sigma, 6)
-    res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), sigma, 6, tol=1e-10,
-                             krylov_dim=krylov_dim, seed=5)
+    res = solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), sigma, 6, tol=1e-10, seed=5)
     _assert_k_nearest(res, want)
     assert res.residuals.max() <= 1e-10
 
 
-@pytest.mark.parametrize("krylov_dim", [2, 4, 8])
-def test_small_krylov_dim_scalar_ball(krylov_dim):
+@pytest.mark.parametrize("checkpoint", [2, 4, 8])
+def test_small_krylov_dim_scalar_ball(checkpoint, monkeypatch):
     # the first sweeps lock values far from sigma; the solve must not stop
     # before the closer ones are found
+    monkeypatch.setattr(eigensolver, "CHECKPOINT", checkpoint)
     A0, B = _scalar_ball_pencil()
     sigma = 1.5
     want = _nearest(solve_dense_oracle(A0.toarray(), B.toarray()), sigma, 6)
-    res = solve_shift_invert(A0, B, sigma, 6, tol=1e-10, krylov_dim=krylov_dim, seed=5)
+    res = solve_shift_invert(A0, B, sigma, 6, tol=1e-10, seed=5)
     _assert_k_nearest(res, want)
     assert res.residuals.max() <= 1e-10
 
 
-def test_sweeps_count_discarded_infinite_modes():
+def test_sweeps_count_discarded_infinite_modes(monkeypatch):
     # B has rank 40, so the pencil has 40 finite eigenvalues and T has a
     # zero eigenvalue of multiplicity 20 (the infinite modes).  The first
     # sweep's space becomes invariant: its Ritz values are the 40 finite
     # theta plus the zero ones reached from the start vector.  A first
-    # checkpoint at n = 60 applies lets the space get there
-    A0, B = random_pencil(60, 40, 0)
-    res = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, krylov_dim=60, seed=5)
+    # checkpoint at max(6, 30) + 30 = n = 60 applies lets the space get there
+    monkeypatch.setattr(eigensolver, "CHECKPOINT", 30)
+    A0, B = (sp.csr_matrix(m) for m in random_pencil(60, 40, 0))
+    res = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, seed=5)
     first = res.meta["sweeps"][0]
     assert first["applies"] > 40
     assert first["applies"] - first["discarded_infinite"] == 40
-    again = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, krylov_dim=60, seed=5)
+    again = solve_shift_invert(A0, B, 0.7 + 0.3j, 6, seed=5)
     assert again.meta["sweeps"] == res.meta["sweeps"]
 
 
@@ -281,11 +286,12 @@ def test_double_at_kth_distance_stops_at_first_checkpoint():
     Q = np.linalg.qr(rng.standard_normal((120, 120)))[0]
     A0 = sp.csr_matrix((Q * d) @ Q.T)
     B = sp.eye(120, format="csr")
-    res = solve_shift_invert(A0, B, 0.0, 3, tol=1e-10, krylov_dim=20, seed=1)
+    res = solve_shift_invert(A0, B, 0.0, 3, tol=1e-10, seed=1)
     assert np.allclose(np.sort(res.eigenvalues.real), [1.0, 2.0, 3.0])
     first, confirm = res.meta["sweeps"]
     assert first["stop"] == "certified" and first["locked"] == 3
-    # a later sweep's first checkpoint: min(krylov_dim, max(2 (k - locked) + 10, 15))
+    # a later sweep's first checkpoint: min(m0, max(2 (k - locked) + 10, 15)),
+    # with m0 = max(k, 10) + 10 = 20
     assert confirm == {"applies": 15, "locked": 0, "stop": "spectral", "discarded_infinite": 0}
 
 
@@ -382,13 +388,6 @@ def test_basis_holds_the_columns_extend_reached():
             <= 1e-12 * np.abs(TV).max()
 
 
-def test_bad_krylov_sizes_rejected():
-    A0, B = random_pencil(10, 6, 0)
-    for kwargs in ({"krylov_dim": 0}, {"krylov_dim": -5}, {"max_krylov": 0}):
-        with pytest.raises(ValueError):
-            solve_shift_invert(sp.csr_matrix(A0), sp.csr_matrix(B), 0.5, 2, **kwargs)
-
-
 def test_shift_at_eigenvalue_detected():
     A0 = sp.csr_matrix(np.diag([2.0, 3.0]).astype(complex))
     B = sp.eye(2, format="csr")
@@ -431,7 +430,7 @@ def _maxwell_pencil(mesh):
 def test_maxwell_augmented_path_matches_oracle():
     pencil = _maxwell_pencil(generate_cube_mesh(2))
     A0 = pencil.a0
-    oracle = solve_dense_oracle(A0.toarray(), pencil.B.sparse.toarray())
+    oracle = solve_dense_oracle(A0, pencil.B)
     # sigma = 0 leaves the sigma-scaled coupling block of the augmented system empty
     for sigma in (1.0 + 0.0j, 0.0j):
         res = solve_shift_invert(A0, pencil.B, sigma, k=4, tol=1e-9)

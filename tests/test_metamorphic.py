@@ -12,8 +12,9 @@
 The well-posedness diagnostic is invariant under renumbering and rotation
 too (under scaling it is not: its norm mixes the units of length).
 
-Each runs on the convex cube n=3 and on the genus-1 holed cube n=4, for both
-pencils, with k = 8 and tol 1e-11.
+Each runs on the convex cube n=3, on the genus-1 holed cube n=4 and on the
+nonconvex Fichera cube n=4 (a reentrant corner), for both pencils, with
+k = 8 and tol 1e-11.
 """
 
 import numpy as np
@@ -30,22 +31,34 @@ SIGMA = {"maxwell": 2.3, "scalar": 1.5}
 EPS = {"re": 4.0, "im": 1.0}
 K, TOL = 8, 1e-11
 # largest relative eigenvalue or diagnostic difference a relation allows;
-# 1.3e-12 was the largest measured on these meshes
+# 1.5e-12 (the scalar pencil on the Fichera cube, scaled) was the largest
+# measured on these meshes
 REL = 1e-10
 SCALE = 2.5
+
+
+def cube_without(cut):
+    """Cube n=4 without the tets whose centroids ``cut`` marks."""
+    cube = generate_cube_mesh(4)
+    keep = ~cut(cube.centroids)
+    used, tets = np.unique(cube.tets[keep], return_inverse=True)
+    return Mesh(cube.vertices[used], tets.reshape(-1, 4))
 
 
 def holed_cube():
     """Cube n=4 without the tets whose centroid lies in (0.25, 0.75)^2 x [0, 1]:
     a square ring, genus 1."""
-    cube = generate_cube_mesh(4)
-    c = cube.centroids
-    keep = ~np.all((c[:, :2] > 0.25) & (c[:, :2] < 0.75), axis=1)
-    used, tets = np.unique(cube.tets[keep], return_inverse=True)
-    return Mesh(cube.vertices[used], tets.reshape(-1, 4))
+    return cube_without(lambda c: np.all((c[:, :2] > 0.25) & (c[:, :2] < 0.75), axis=1))
 
 
-MESHES = {"cube3": lambda: generate_cube_mesh(3), "holed4": holed_cube}
+def fichera_cube():
+    """Cube n=4 without the tets whose centroid lies in (0.5, 1]^3: the
+    Fichera corner, nonconvex."""
+    return cube_without(lambda c: np.all(c > 0.5, axis=1))
+
+
+MESHES = {"cube3": lambda: generate_cube_mesh(3), "holed4": holed_cube,
+          "fichera4": fichera_cube}
 
 
 @pytest.fixture(scope="module", params=sorted(MESHES))

@@ -78,11 +78,6 @@ def test_nondegeneracy_kernel_vector():
     assert nondegeneracy(B, u[:, None]) == 0
 
 
-def test_nondegeneracy_empty_rejected():
-    with pytest.raises(ValueError):
-        nondegeneracy(sp.eye(2, format="csr"), np.zeros((2, 0)))
-
-
 # ------------------------------------------------- first_order_prediction
 
 def test_prediction_diagonal_pencil_exact():
