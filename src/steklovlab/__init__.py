@@ -11,7 +11,6 @@ from .eigensolver import (
     cluster,
     pencil_residual,
     sector_census,
-    solve_dense_oracle,
     solve_shift_invert,
 )
 from .errors import (
@@ -96,7 +95,6 @@ __all__ = [
     "save_mesh",
     "scalar_dirichlet_diagnostic",
     "sector_census",
-    "solve_dense_oracle",
     "solve_shift_invert",
     "validate",
 ]

@@ -3,7 +3,7 @@
 On the closed boundary triangulation, the operator maps an edge-element
 field u to the surface gradient of a scalar potential:
 
-    S u = grad_G p,  where  L p = D u  (p mean-zero),
+    S u = grad_G p,  where  L p = D u,
 
 with L the surface P1 stiffness (kernel = constants on each boundary
 component) and D the duality coupling D[j, i] = -int_G (n x phi_i) . grad_G q_j,
@@ -16,10 +16,11 @@ Sign convention: the potential is fixed by L p = D u with the minus sign
 inside D, so grad_G p realizes the smoothing operator including its leading
 sign.  The Gram form is quadratic and therefore sign-independent.
 
-L is inverted mean-zero by ``GroundedLaplacian``, which grounds one vertex
-per boundary component (the right-hand sides sum to zero on each component
+L is inverted by ``GroundedLaplacian``, which grounds one vertex per
+boundary component (the right-hand sides sum to zero on each component
 because the hat functions partition unity) and factors L once; the shifted
-solve (eigensolver) reuses its grounding.
+solve (eigensolver) reuses its grounding.  Grounding fixes the constant of
+p on each component, which neither grad_G nor D^T sees.
 """
 
 from __future__ import annotations
@@ -123,31 +124,29 @@ class LUFactor:
 
 
 def ground(L):
-    """The free vertices, all but the first of each connected component of
-    the graph of L, and the component label of every vertex."""
+    """The free vertices: all but the first of each connected component of
+    the graph of L."""
     # imported here: csgraph adds start-up time to every run, scalar ones too
     from scipy.sparse.csgraph import connected_components
     labels = connected_components(abs(L), directed=False)[1]
     grounded = np.unique(labels, return_index=True)[1]
-    return np.setdiff1d(np.arange(L.shape[0]), grounded), labels
+    return np.setdiff1d(np.arange(L.shape[0]), grounded)
 
 
 class GroundedLaplacian:
     """Solves L p = b for a Laplacian L whose kernel is the constants on each
-    connected component of its graph, with p of zero ``weights``-mean on every
-    component; b must sum to zero on each component.
+    connected component of its graph; b must sum to zero on each component.
 
-    The first vertex of each component is grounded (its row and column
-    dropped), and the nonsingular rest L_ff is factored once (Bochev &
+    The first vertex of each component is grounded: its row and column are
+    dropped and its p is zero, which fixes the constant of p on that
+    component.  The nonsingular rest L_ff is factored once (Bochev &
     Lehoucq, SIAM Review 47(1), 2005).
     """
 
-    def __init__(self, L, weights):
+    def __init__(self, L):
         self.L = L.tocsr()
-        self.free, labels = ground(self.L)
+        self.free = ground(self.L)
         self.L_ff = self.L[self.free][:, self.free].tocsc()
-        parts = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
-        self._parts = [(idx, weights[idx]) for idx in parts]
         self._scale = abs(self.L).max()       # max |L_ij|, the roundoff scale
         try:
             self._lu = LUFactor(self.L_ff)
@@ -160,8 +159,6 @@ class GroundedLaplacian:
         b = np.asarray(b)
         p = np.zeros(b.shape, dtype=np.result_type(b, self.L_ff.dtype))
         p[self.free] = self._lu.solve(b[self.free])
-        for idx, w in self._parts:
-            p[idx] -= (w @ p[idx]) / w.sum()
         # on the free rows, the system the factor solves: a grounded row's
         # residual is the roundoff in the component sum of b, which no p changes
         resid = np.linalg.norm((self.L @ p - b)[self.free], axis=0)
@@ -177,8 +174,8 @@ class GroundedLaplacian:
 
 class BoundaryGram:
     """Boundary Gram form B = D^T L^+ D on edge dofs, with the surface
-    operators it is made of: the surface stiffness L, the coupling D
-    (surface vertices x edge dofs), the grounded solve of L, and ``D_free``,
+    operators it is made of: the coupling D (surface vertices x edge dofs),
+    the grounded solve of the surface stiffness L, and ``D_free``,
     the rows of D on the free vertices of that solve, which every shifted
     solve with this form takes.
 
@@ -187,14 +184,12 @@ class BoundaryGram:
     of columns at once.
     """
 
-    def __init__(self, surface: SurfaceMesh, mesh: Mesh, L, D, laplacian: GroundedLaplacian):
+    def __init__(self, surface: SurfaceMesh, mesh: Mesh, D, laplacian: GroundedLaplacian):
         self.surface = surface
         self.mesh = mesh
-        self.L = L
         self.D = D
         self.laplacian = laplacian
         self.D_free = D.tocsr()[laplacian.free]
-        self.shape = (D.shape[1], D.shape[1])
 
     def matvec(self, X):
         """B X for a vector or a block of columns ``X``."""
@@ -235,4 +230,4 @@ def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram
     D = scatter_rect(local_D, surface.triangles, mesh.boundary_face_edges,
                      (surface.n_vertices, mesh.n_edges))
 
-    return BoundaryGram(surface, mesh, L, D, GroundedLaplacian(L, surface.lumped_mass()))
+    return BoundaryGram(surface, mesh, D, GroundedLaplacian(L))

@@ -223,9 +223,12 @@ def _materials(materials, problem):
         for key, entry in table.items():
             where = f"materials.{name}.{key}"
             try:
-                tag = int(str(key))
+                tag = int(key)
             except ValueError:
                 raise ConfigError(f"{where}: region tag must be an integer") from None
+            # one spelling per tag: "01" or "1_0" would stand beside "1" or "10"
+            if key != str(tag):
+                raise ConfigError(f"{where}: region tag must be written as {str(tag)!r}")
             try:
                 tensor = tensor_from_entry(entry)
             except (ConfigError, TypeError, ValueError, OverflowError) as exc:
@@ -298,10 +301,21 @@ def _study(st):
     }
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is refused, where json would
+    keep the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:

@@ -26,22 +26,18 @@ SIAM 2011, ch. 4; Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17(4),
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .boundary_ops import BoundaryGram, LUFactor
-from .errors import AssumptionViolation, ShiftAtEigenvalue
+from .errors import ShiftAtEigenvalue
 
 DEFAULT_THETA_CUT = 1e-10
 # largest relative probe residual of a shifted factor: above it sigma is an eigenvalue
 SINGULAR_RESIDUAL = 1e-6
-# most dofs the dense oracle takes
-DENSE_LIMIT = 5000
 
 
 @dataclass
@@ -71,10 +67,8 @@ class SectorCensus:
 # --------------------------------------------------------------------- #
 
 def _a0_norm(A0):
-    """Max row sum of |A0| (infinity norm)."""
-    if sp.issparse(A0):
-        return float(abs(A0).sum(axis=1).max())
-    return float(np.abs(np.asarray(A0)).sum(axis=1).max())
+    """Max row sum of |A0| (infinity norm), of a sparse or dense A0."""
+    return float(abs(A0).sum(axis=1).max())
 
 
 def pencil_residual(A0, B, lam, x, a0_norm=None):
@@ -145,64 +139,6 @@ class _ShiftedSolver:
             rhs = np.concatenate([np.zeros(self.n, dtype=np.complex128), -(self._Df @ v)])
             return self._lu.solve(rhs)[: self.n]
         return self._lu.solve((self.B @ v).astype(np.complex128))
-
-
-# --------------------------------------------------------------------- #
-# dense oracle
-# --------------------------------------------------------------------- #
-
-def solve_dense_oracle(A0, B, residual_tol=1e-10) -> EigenResult:
-    """Brute-force reference: all finite eigenvalues of the pencil via the
-    dense spectrum of A0^-1 B.
-
-    Requires A0 invertible (equivalently lambda = 0 is not an eigenvalue);
-    eigenvalues of A0^-1 B below the relative cutoff are the infinite modes
-    of the singular pencil and are discarded.  Reported pairs are certified
-    at ``residual_tol``; uncertified ones are dropped and counted in meta.
-    """
-    n = A0.shape[0]
-    if n > DENSE_LIMIT:
-        raise ValueError(f"problem size {n} exceeds dense limit {DENSE_LIMIT}")
-    A0 = np.asarray(A0.todense()) if sp.issparse(A0) else np.asarray(A0)
-    if isinstance(B, BoundaryGram):
-        B = B @ np.eye(n)
-    Bd = np.asarray(B.todense()) if sp.issparse(B) else np.asarray(B)
-
-    A0c = A0.astype(np.complex128)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(A0c)
-    except scipy.linalg.LinAlgError as exc:
-        raise AssumptionViolation(f"A0 is singular (lambda=0 eigenvalue): {exc}") from exc
-    diag = np.abs(np.diag(lu[0]))
-    if diag.min() <= 1e-14 * diag.max():
-        raise AssumptionViolation("A0 is numerically singular (lambda=0 is an eigenvalue)")
-
-    T = scipy.linalg.lu_solve(lu, Bd.astype(np.complex128))
-    theta, X = scipy.linalg.eig(T)
-    keep = np.abs(theta) > DEFAULT_THETA_CUT * np.abs(theta).max()
-    lam = 1.0 / theta[keep]
-    X = X[:, keep]
-
-    a0n = _a0_norm(A0c)
-    residuals = np.array([pencil_residual(A0c, Bd, l, X[:, j], a0n) for j, l in enumerate(lam)])
-    certified = residuals <= residual_tol
-    order = np.argsort(np.abs(lam[certified]), kind="stable")
-    lam_out = lam[certified][order]
-    vec_out = X[:, certified][:, order]
-    res_out = residuals[certified][order]
-    return EigenResult(
-        eigenvalues=lam_out,
-        eigenvectors=vec_out,
-        residuals=res_out,
-        meta={
-            "method": "dense_oracle",
-            "discarded_infinite": int(np.sum(~keep)),
-            "discarded_uncertified": int(np.sum(~certified)),
-            "residual_tol": residual_tol,
-        },
-    )
 
 
 # --------------------------------------------------------------------- #

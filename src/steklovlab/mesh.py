@@ -263,12 +263,6 @@ class SurfaceMesh:
         if np.any(np.einsum("ij,ij->i", self.normals, face_c - tet_c) <= 0.0):
             raise MalformedMeshError("boundary triangle normal points inward")
 
-    def lumped_mass(self):
-        """Vertex weights: one third of the adjacent triangle areas."""
-        w = np.zeros(self.n_vertices)
-        np.add.at(w, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
-        return w
-
 
 # ---------------------------------------------------------------------- #
 # generators

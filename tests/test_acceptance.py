@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from ball_steklov_oracle import verified_spectrum
-from fem_helpers import apply_S, project_Vh
+from fem_helpers import apply_S, project_Vh, solve_dense_oracle
 from kernel_basis_oracle import dense_kernel_basis
 from steklovlab._assembly import h1_gram
 from steklovlab.boundary_ops import assemble_surface_operators
@@ -20,7 +20,6 @@ from steklovlab.eigensolver import (
     _a0_norm,
     cluster,
     sector_census,
-    solve_dense_oracle,
     solve_shift_invert,
 )
 from steklovlab.fem_maxwell import (

@@ -891,6 +891,10 @@ _MESH_FILE = "<mesh file>"
     ("study", _with(_MAXWELL, ("study",), {**_STUDY, "center": [0, -1e200, 0]}), "config-error", 1),
     ("diagnose", _with(_with(_MAXWELL, ("omega",), 1e-30), ("materials", "mu_inv", "1"), 1e-30),
      "solver-failure", 3),
+    # two spellings of one setting, of which json and int() would keep the last
+    ("solve", _with(_SMALL, ("materials", "mu_inv"), {"1": 1.0, "01": 5.0}), "config-error", 1),
+    ("solve", _with(_SMALL, ("materials", "mu_inv"), {"1": 1.0, "1_0": 5.0}), "config-error", 1),
+    ("solve", json.dumps(_SMALL).replace('"k": 18', '"k": 4, "k": 6').encode(), "config-error", 1),
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
         "krylov-dim-zero", "max-krylov-zero", "census-delta-range",
@@ -911,7 +915,8 @@ _MESH_FILE = "<mesh file>"
         "huge-omega", "maxwell-huge-omega", "huge-eps", "maxwell-huge-eps-im", "huge-mu-inv",
         "huge-sigma-re", "maxwell-huge-sigma-im", "huge-perturbation-delta",
         "huge-schedule-delta", "huge-perturbation-center", "huge-study-center",
-        "lanczos-overflow"])
+        "lanczos-overflow", "region-tag-leading-zero", "region-tag-underscore",
+        "repeated-key"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
     if kind == "solver-failure" and doc is _SMALL:
         def fail(args):

@@ -4,6 +4,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import fem_helpers
+from fem_helpers import solve_dense_oracle
 from steklovlab import eigensolver
 from steklovlab.boundary_ops import assemble_surface_operators
 from steklovlab.errors import AssumptionViolation, ShiftAtEigenvalue
@@ -11,7 +13,6 @@ from steklovlab.eigensolver import (
     cluster,
     pencil_residual,
     sector_census,
-    solve_dense_oracle,
     solve_shift_invert,
 )
 from steklovlab.fem_maxwell import assemble_maxwell
@@ -95,7 +96,7 @@ def test_oracle_rejects_singular_A0():
 
 
 def test_oracle_size_guard(monkeypatch):
-    monkeypatch.setattr(eigensolver, "DENSE_LIMIT", 5)
+    monkeypatch.setattr(fem_helpers, "DENSE_LIMIT", 5)
     with pytest.raises(ValueError):
         solve_dense_oracle(np.eye(10, dtype=complex), np.eye(10))
 

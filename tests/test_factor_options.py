@@ -13,10 +13,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from fem_helpers import solve_dense_oracle
 from kernel_basis_oracle import dense_inf_sup
 from steklovlab.boundary_ops import PROBE_BOUND, SPLU_OPTIONS, LUFactor
 from steklovlab.cli import run
-from steklovlab.eigensolver import _ShiftedSolver, solve_dense_oracle, solve_shift_invert
+from steklovlab.eigensolver import _ShiftedSolver, solve_shift_invert
 from steklovlab.fem_scalar import assemble_scalar, inf_sup
 from steklovlab.materials import build_field
 from steklovlab.mesh import generate_cube_mesh

@@ -161,19 +161,17 @@ def test_project_with_explicit_eps(cube2_pencil):
     assert np.abs(div).max() <= 1e-10
 
 
-def test_project_potential_mean_zero_per_component(two_cubes):
-    # each cube carries its own constant mode: the potential has zero lumped
-    # mean on each of them, not only on their union
+def test_project_grounds_each_component(two_cubes):
+    # each cube carries its own constant mode: the potential is grounded at
+    # the first vertex of each cube, and the projection is eps-divergence-free
+    # on both of them
     pencil = make_pencil(two_cubes, eps_entry={"re": 4.0, "im": 1.0})
     rng = np.random.default_rng(7)
     n = pencil.K.shape[0]
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     res = project_Vh(pencil, u)
-    w = res.potential
-    lumped = np.zeros(two_cubes.n_vertices)
-    np.add.at(lumped, two_cubes.tets.ravel(), np.repeat(two_cubes.volumes / 4.0, 4))
-    for part in (two_cubes.vertices[:, 0] < 1.5, two_cubes.vertices[:, 0] > 1.5):
-        assert abs(lumped[part] @ w[part]) / lumped[part].sum() <= 1e-12 * np.abs(w).max()
+    assert np.all(res.potential[[0, two_cubes.n_vertices // 2]] == 0.0)
+    assert np.abs(res.potential).max() > 0.0
     div = discrete_gradient(pencil.mesh).T @ (pencil.M @ res.projected)
     assert np.abs(div).max() <= 1e-10
 

@@ -12,6 +12,11 @@
 The well-posedness diagnostic is invariant under renumbering and rotation
 too (under scaling it is not: its norm mixes the units of length).
 
+Beside them, the dense oracle counts the finite eigenvalues, which a
+pencil with invertible A0 has as many of as B has rank: n_bv, the boundary
+vertex count, for the scalar pencil, and the rank of the coupling D, n_bv - 3,
+for Maxwell.
+
 Each runs on the convex cube n=3, on the genus-1 holed cube n=4 and on the
 nonconvex Fichera cube n=4 (a reentrant corner), for both pencils, with
 k = 8 and tol 1e-11.
@@ -22,6 +27,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.transform import Rotation
 
+from fem_helpers import solve_dense_oracle
 from steklovlab.eigensolver import solve_shift_invert
 from steklovlab.materials import build_field
 from steklovlab.mesh import Mesh, generate_cube_mesh
@@ -142,3 +148,17 @@ def test_diagnostic_is_invariant(kind, move, mesh):
         pytest.skip("no interior vertex: the scalar diagnostic is inf by definition")
     assert 0.0 < want < np.inf
     assert abs(diagnostic(kind, move(mesh)) - want) <= REL * want
+
+
+@pytest.mark.parametrize("kind", ["maxwell", "scalar"])
+def test_finite_eigenvalue_count_is_the_rank_of_B(kind, mesh):
+    prob, pencil = assemble(kind, mesh)
+    res = solve_dense_oracle(pencil.a0, pencil.B)
+    n_bv = len(mesh.boundary_vertex_ids)
+    assert res.meta["discarded_uncertified"] == 0
+    if kind == "scalar":
+        assert len(res) == n_bv
+        return
+    info = prob.diagnostic_info()
+    assert len(res) == info["rank_D"] == n_bv - 3
+    assert res.meta["discarded_infinite"] == info["kernel_dim_from_rank"]

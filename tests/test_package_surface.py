@@ -2,7 +2,8 @@
 function and class of ``src/steklovlab/*.py`` (``__init__`` aside), and every
 method of those classes, is named by some ``ast.Name``, ``ast.Attribute`` or
 import in those modules.  Code that only tests call lives in a test helper
-module (``tests/fem_helpers.py``)."""
+module (``tests/fem_helpers.py``).  No module imports ``scipy.linalg``: the
+run path's dense kernels are ``numpy.linalg`` only."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,6 @@ PACKAGE = Path(steklovlab.__file__).resolve().parent
 
 # kept without a caller in the package
 ALLOWED = {
-    "eigensolver.solve_dense_oracle",   # product API: the dense reference solve
     "cli._ArgumentParser.error",        # argparse calls it
 }
 
@@ -52,3 +52,21 @@ def unreferenced(package=PACKAGE):
 
 def test_every_package_definition_has_a_caller_in_the_package():
     assert unreferenced() == []
+
+
+def imported_modules(tree):
+    """Every module an import statement of ``tree`` names, with its submodules
+    (``from scipy import linalg`` names scipy.linalg)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_package_module_imports_scipy_linalg():
+    importers = sorted(path.name for path in PACKAGE.glob("*.py")
+                       if any(name == "scipy.linalg" or name.startswith("scipy.linalg.")
+                              for name in imported_modules(ast.parse(path.read_text()))))
+    assert importers == []
