@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -45,7 +44,8 @@ from .errors import (
     SolverFailure,
 )
 from .materials import FIELD_NAMES, PerturbationSpec, build_field, tensor_from_entry
-from .mesh import MAX_EXTENT, generate_ball_mesh, generate_cube_mesh, load_mesh, save_mesh
+from .mesh import (MAX_EXTENT, generate_ball_mesh, generate_cube_mesh, is_number, load_mesh,
+                   read_json, save_mesh)
 from .stability import Problem, RunConfig, run_study
 
 # Not called here (stability.Problem builds every pencil, build_field validates each field);
@@ -157,7 +157,7 @@ def _number(sec, key, default=_REQUIRED, where="", cast=float, minimum=None):
         return None
     if value is _REQUIRED:
         raise ConfigError(f"{where}{key} is required")
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_number(value):
         raise ConfigError(f"{where}{key} must be a number, got {value!r}")
     try:
         x = float(value)
@@ -301,26 +301,8 @@ def _study(st):
     }
 
 
-def _unique_keys(pairs):
-    """A JSON object as a dict; a key given twice is refused, where json would
-    keep the last."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigError(f"config repeats key {key!r} in one object")
-        obj[key] = value
-    return obj
-
-
 def load_config(path) -> RunConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return _run_config(doc)
+    return _run_config(read_json(path, ConfigError))
 
 
 def _config(args) -> RunConfig:
@@ -362,10 +344,7 @@ def build_mesh(spec: dict):
     killed by the kernel part way.
     """
     if "path" in spec:
-        try:
-            return load_mesh(spec["path"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read mesh {spec['path']}: {exc}") from exc
+        return load_mesh(spec["path"])
     cube = spec["kind"] == "cube"
     with np.errstate(over="ignore"):     # an estimate beyond the float range is inf
         n_tets = 6.0 * np.float64(spec["n"]) ** 3 if cube else 8.0 ** np.float64(spec["level"] + 2)

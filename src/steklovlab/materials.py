@@ -13,13 +13,12 @@ function and all L^p norms are exact integrals of piecewise constants.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AssumptionViolation, ConfigError
-from .mesh import MAX_EXTENT, Mesh
+from .mesh import MAX_EXTENT, Mesh, is_number
 
 FIELD_NAMES = ("mu_inv", "eps")
 
@@ -119,7 +118,7 @@ def tensor_from_entry(value):
         return re + 1j * im
     if not isinstance(value, np.ndarray):
         for leaf in np.asarray(value, dtype=object).flat:
-            if isinstance(leaf, bool) or not isinstance(leaf, numbers.Real):
+            if not is_number(leaf):
                 raise ConfigError(f"tensor entry must hold real numbers, got {leaf!r}")
     arr = np.asarray(value, dtype=np.complex128)
     if not np.all(np.abs(arr) <= MAX_EXTENT):

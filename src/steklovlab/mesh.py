@@ -31,7 +31,9 @@ would overflow above V = 2**21 = 2 097 152, which ball level 6 exceeds.
 from __future__ import annotations
 
 import json
+import numbers
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -292,17 +294,8 @@ def generate_cube_mesh(n):
     tets = []
     unit = np.eye(3, dtype=np.int64)
     for perm in _PERMS:
-        p0 = base
-        p1 = base + unit[perm[0]]
-        p2 = base + unit[perm[0]] + unit[perm[1]]
-        p3 = base + 1
-        tet = np.stack([
-            vid(p0[:, 0], p0[:, 1], p0[:, 2]),
-            vid(p1[:, 0], p1[:, 1], p1[:, 2]),
-            vid(p2[:, 0], p2[:, 1], p2[:, 2]),
-            vid(p3[:, 0], p3[:, 1], p3[:, 2]),
-        ], axis=1)
-        tets.append(tet)
+        corners = (base, base + unit[perm[0]], base + unit[perm[0]] + unit[perm[1]], base + 1)
+        tets.append(np.stack([vid(*p.T) for p in corners], axis=1))
     tets = np.concatenate(tets)
     tets = _orient_positive(vertices, tets)
     return Mesh(vertices, tets, kind="cube")
@@ -404,6 +397,32 @@ def save_mesh(mesh: Mesh, path):
         json.dump(doc, fh)
 
 
+def is_number(x):
+    """Whether ``x`` is a real number; true and false, which count as 1 and 0, are not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def read_json(path, error):
+    """The JSON document at ``path``: the one reader of the config and mesh
+    files.  Text that is not UTF-8 JSON and a key given twice in one object
+    raise ``error``; an unreadable file raises ConfigError (the config names it)."""
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise error(f"{path} repeats key {key!r} in one object")
+            doc[key] = value
+        return doc
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:     # ValueError: also an integer too long for int()
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _numbers(doc, key):
     """``doc[key]`` as an int64 or float64 array.  Null, objects, strings,
     booleans, ragged lists, non-finite values (1e400 reads as inf) and
@@ -412,11 +431,18 @@ def _numbers(doc, key):
         values = np.asarray(doc[key])
     except ValueError:                                  # ragged nesting
         raise MalformedMeshError(f"mesh file '{key}' is not a rectangular array") from None
-    if values.dtype.kind == "u" or values.dtype.kind == "O" and any(
-            type(v) is int and not -2**63 <= v < 2**63 for v in values.flat):
-        raise MalformedMeshError(f"mesh file '{key}' holds an integer outside int64")
-    if values.dtype.kind not in "if":
+    rows = doc[key]
+    if values.ndim == 2 and values.dtype.kind in "if":
+        # numpy reads a boolean as 0 or 1, so only a row holding a 0 or a 1 can hide one
+        rows = [rows[i] for i in np.flatnonzero(((values == 0) | (values == 1)).any(axis=1))]
+    leaves = [rows]
+    for _ in range(values.ndim):
+        leaves = chain.from_iterable(leaves)
+    # is_number depends on the type alone, and each JSON type has a no-argument instance
+    if not all(is_number(leaf_type()) for leaf_type in set(map(type, leaves))):
         raise MalformedMeshError(f"mesh file '{key}' is not an array of numbers")
+    if values.dtype.kind in "uO":       # all numbers, so one is an integer beyond int64
+        raise MalformedMeshError(f"mesh file '{key}' holds an integer outside int64")
     if not np.all(np.isfinite(values)):
         bad = values[~np.isfinite(values)]
         raise MalformedMeshError(f"mesh file '{key}' holds a non-finite value {float(bad[0])!r}")
@@ -438,19 +464,15 @@ def _integers(doc, key):
 
 
 def load_mesh(path) -> Mesh:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise MalformedMeshError(f"mesh file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != MESH_FORMAT_VERSION:
-        raise ConfigError(f"unsupported mesh file version in {path}")
-    if type(doc["version"]) is not int:      # true and 1.0 equal 1
-        raise MalformedMeshError(
-            f"mesh file 'version' must be the integer 1, got {doc['version']!r}")
+    doc = read_json(path, MalformedMeshError)
+    if not isinstance(doc, dict):
+        raise MalformedMeshError(f"mesh file {path} is not a JSON object")
+    version = doc.get("version")
+    if type(version) is not int or version != MESH_FORMAT_VERSION:     # true and 1.0 equal 1
+        raise MalformedMeshError(f"mesh file 'version' must be the integer 1, got {version!r}")
     for key in ("vertices", "tets", "region"):
         if key not in doc:
-            raise ConfigError(f"mesh file missing '{key}'")
+            raise MalformedMeshError(f"mesh file missing '{key}'")
     kind = doc.get("kind", "generic")
     if kind not in ("cube", "ball", "generic"):
         raise MalformedMeshError(f"mesh file 'kind' must be cube, ball or generic, got {kind!r}")

@@ -364,6 +364,46 @@ def test_criterion_6c_lp_stability_at_full_amplitude():
     report("6(c)", "L^p stability at full amplitude", failures)
 
 
+# prediction error |(lambda_h - lambda_0) - predicted| / drift at the smallest
+# delta of the mu_inv delta study; measured 6.4e-4 (maxwell) and 3.5e-4 (scalar)
+MU_INV_PREDICTION_ERR = {"maxwell": 2e-3, "scalar": 1e-3}
+
+
+@pytest.mark.parametrize("problem, sigma", [("maxwell", 2.3), ("scalar", 1.5)])
+def test_criterion_6d_stability_in_mu_inv(problem, sigma):
+    # criterion 6's two studies with mu^-1, the paper's second coefficient, as
+    # the target: a real perturbation (delta_re), since mu^-1 must stay real
+    failures = []
+    mesh = generate_cube_mesh(4)
+    common = dict(
+        omega=1.0, problem=problem,
+        materials={"mu_inv": {1: 1.0}, "eps": {1: ABSORBING}}, center=(0.5, 0.5, 0.5),
+        target="mu_inv", sigma=complex(sigma), k=8, tol=1e-11,
+    )
+    rep_a = run_study(RunConfig(
+        schedule=[(h, 1e-3) for h in (0.42, 0.34, 0.26, 0.18)], p_list=(2.0, 4.0, 8.0), **common),
+        mesh)
+    rep_b = run_study(RunConfig(
+        schedule=[(0.42, 4e-3), (0.42, 2e-3), (0.42, 1e-3)], p_list=(4.0,), **common), mesh)
+    for s in rep_a.steps + rep_b.steps:
+        if s.status != "ok":
+            failures.append(f"step h={s.h} delta={s.delta}: status {s.status}")
+    norms = [s.norms["mu_inv"][2.0] for s in rep_a.steps]
+    if len(set(norms)) != len(norms):
+        failures.append("radii do not give distinct element-resolved volumes")
+    for p in (2.0, 4.0, 8.0):
+        fit = rep_a.fits.get(p)
+        if fit is None or fit.bound_ratio_max > 1.0 + 1e-6:
+            failures.append(f"p={p}: bound violated or no fit")
+    smallest = min(rep_b.steps, key=lambda s: abs(s.delta))
+    if smallest.status == "ok":
+        rel = abs((smallest.lam - rep_b.lambda0) - smallest.predicted) / smallest.drift
+        if rel > MU_INV_PREDICTION_ERR[problem]:
+            failures.append(f"prediction error {rel:.2e} > {MU_INV_PREDICTION_ERR[problem]:g} "
+                            "at smallest delta")
+    report("6(d)", f"{problem} stability in mu_inv", failures)
+
+
 def test_criterion_7_assumption_diagnostics():
     failures = []
 

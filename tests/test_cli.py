@@ -10,6 +10,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -324,8 +325,17 @@ def test_fractional_mesh_integer_is_malformed_mesh(tmp_path, capsys, problem, fi
     assert not out.exists()
 
 
+class Twice(NamedTuple):
+    """A second entry of a top-level key, written after its first."""
+    value: object
+
+
+_ABSENT = object()      # the entry is taken out
+
+
 # (keys of the mesh-file entry, its new value, the message after
-# "error: malformed-mesh: "); "INF" is written as the JSON number 1e400,
+# "error: malformed-mesh: ", where "{path}" stands for the file's path); no
+# keys replace the whole document; "INF" is written as the JSON number 1e400,
 # which reads as inf
 MALFORMED_MESH_FILES = {
     "tets-null": (["tets"], None, "mesh file 'tets' is not an array of numbers"),
@@ -350,6 +360,15 @@ MALFORMED_MESH_FILES = {
                        "mesh scale 1.000e+100 (largest bounding-box side) outside [1e-30, 1e+30]"),
     "vertices-1e-100": (["vertices"], (generate_cube_mesh(2).vertices * 1e-100).tolist(),
                         "mesh scale 1.000e-100 (largest bounding-box side) outside [1e-30, 1e+30]"),
+    # json keeps the last of two entries: the run would go on with a ball
+    "kind-twice": (["kind"], Twice("ball"), "{path} repeats key 'kind' in one object"),
+    # a boolean counts as 0 or 1 in an array of numbers: tet [1, 9, 12, 13]
+    "tet-index-true": (["tets", 0, 0], True, "mesh file 'tets' is not an array of numbers"),
+    "region-true": (["region", 0], True, "mesh file 'region' is not an array of numbers"),
+    "vertex-true": (["vertices", -1, 0], True, "mesh file 'vertices' is not an array of numbers"),
+    "version-2": (["version"], 2, "mesh file 'version' must be the integer 1, got 2"),
+    "region-missing": (["region"], _ABSENT, "mesh file missing 'region'"),
+    "root-list": ([], [1], "mesh file {path} is not a JSON object"),
 }
 
 
@@ -363,8 +382,16 @@ def test_malformed_mesh_file_is_one_error_line(tmp_path, capsys, case):
     entry = mesh_doc
     for key in keys[:-1]:
         entry = entry[key]
-    entry[keys[-1]] = value
-    path.write_text(json.dumps(mesh_doc).replace('"INF"', "1e400"))
+    if not keys:
+        mesh_doc = value
+    elif value is _ABSENT:
+        del entry[keys[-1]]
+    elif not isinstance(value, Twice):
+        entry[keys[-1]] = value
+    text = json.dumps(mesh_doc).replace('"INF"', "1e400")
+    if isinstance(value, Twice):
+        text = f"{text[:-1]}, {json.dumps(keys[0])}: {json.dumps(value.value)}}}"
+    path.write_text(text)
     doc = {
         "problem": "scalar",
         "mesh": {"path": str(path)},
@@ -375,7 +402,7 @@ def test_malformed_mesh_file_is_one_error_line(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert run(["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: malformed-mesh: {message}"]
+    assert err == [f"error: malformed-mesh: {message.format(path=path)}"]
     assert not out.exists()
 
 
@@ -895,6 +922,13 @@ _MESH_FILE = "<mesh file>"
     ("solve", _with(_SMALL, ("materials", "mu_inv"), {"1": 1.0, "01": 5.0}), "config-error", 1),
     ("solve", _with(_SMALL, ("materials", "mu_inv"), {"1": 1.0, "1_0": 5.0}), "config-error", 1),
     ("solve", json.dumps(_SMALL).replace('"k": 18', '"k": 4, "k": 6').encode(), "config-error", 1),
+    ("solve", (_with(_SMALL, ("mesh",), {"path": _MESH_FILE}), b'{"version": 1, "version": 1}'),
+     "malformed-mesh", 1),
+    # longer than int() reads (4300 digits)
+    ("solve", json.dumps(_SMALL).replace('"k": 18', '"k": ' + "9" * 5000).encode(),
+     "config-error", 1),
+    ("solve", (_with(_SMALL, ("mesh",), {"path": _MESH_FILE}), b'{"version": ' + b"9" * 5000 + b"}"),
+     "malformed-mesh", 1),
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
         "krylov-dim-zero", "max-krylov-zero", "census-delta-range",
@@ -916,7 +950,7 @@ _MESH_FILE = "<mesh file>"
         "huge-sigma-re", "maxwell-huge-sigma-im", "huge-perturbation-delta",
         "huge-schedule-delta", "huge-perturbation-center", "huge-study-center",
         "lanczos-overflow", "region-tag-leading-zero", "region-tag-underscore",
-        "repeated-key"])
+        "repeated-key", "mesh-file-repeated-key", "integer-too-long", "mesh-file-integer-too-long"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
     if kind == "solver-failure" and doc is _SMALL:
         def fail(args):

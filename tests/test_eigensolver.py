@@ -599,3 +599,64 @@ def test_pencil_residual_matches_definition():
     den = np.abs(A0).sum(axis=1).max() * np.linalg.norm(x) + abs(lam) * np.linalg.norm(B @ x)
     assert num / den > 1e-3
     assert pencil_residual(A0, B, lam, x) == pytest.approx(num / den, rel=1e-12, abs=0)
+
+
+# ------------------------------------------------------------------ shift sweep
+
+SWEEP_KEPT = 15             # kept draws per pencil
+SWEEP_MAX_DRAWS = 40
+
+
+def _sweep_pencil(name):
+    """The pencil of a shift-sweep case: omega = 1, eps = 4 + i (eps = 1 for
+    "-real")."""
+    if name.startswith("maxwell"):
+        return _maxwell_pencil(generate_ball_mesh(1) if name == "maxwell-ball1"
+                               else generate_cube_mesh(4))
+    mesh = generate_ball_mesh(2)
+    eps = 1.0 if name.endswith("-real") else {"re": 4.0, "im": 1.0}
+    return assemble_scalar(mesh, build_field(mesh, "mu_inv", {1: 1.0}),
+                           build_field(mesh, "eps", {1: eps}), omega=1.0)
+
+
+@pytest.mark.parametrize("name", ["scalar-ball2", "maxwell-ball1", "maxwell-cube4",
+                                  "scalar-ball2-real"])
+def test_shift_sweep_returns_the_k_nearest(name):
+    # sigma in the box of the 60 smallest-modulus eigenvalues, or 30-70% of
+    # the way between two distinct ones, and k in 1..24; a draw whose k-th and
+    # (k+1)-th oracle distances tie (a multiple eigenvalue cut by k, where the
+    # answer is not unique) is skipped and counted
+    pencil = _sweep_pencil(name)
+    oracle = solve_dense_oracle(pencil.a0, pencil.B).eigenvalues
+    low = oracle[:60]
+    # one member of each near-multiplet (the oracle is sorted by modulus)
+    distinct = low[np.r_[True, np.abs(np.diff(low)) > 1e-6 * np.abs(low[1:])]]
+    rng = np.random.default_rng(20)
+    kept, skipped, failures = 0, 0, []
+    for draw in range(SWEEP_MAX_DRAWS):
+        k = int(rng.integers(1, 25))
+        if draw % 2:
+            a, b = rng.choice(distinct, 2, replace=False)
+            sigma = a + rng.uniform(0.3, 0.7) * (b - a)
+        else:
+            sigma = complex(rng.uniform(low.real.min(), low.real.max()),
+                            rng.uniform(low.imag.min(), low.imag.max()))
+        order = np.argsort(np.abs(oracle - sigma), kind="stable")
+        dist = np.abs(oracle[order] - sigma)
+        if dist[k] - dist[k - 1] <= 1e-6 * dist[k]:
+            skipped += 1
+            continue
+        want = oracle[order[:k]]
+        res = solve_shift_invert(pencil.a0, pencil.B, sigma, k, tol=1e-10, seed=draw)
+        got = res.eigenvalues
+        if len(got) != k or any(
+                np.sum(np.abs(got - lam) <= 1e-7 * abs(lam))
+                != np.sum(np.abs(want - lam) <= 1e-7 * abs(lam)) for lam in want):
+            failures.append(f"draw {draw} (sigma {sigma:.4f}, k {k}): not the k nearest")
+        if not res.meta["confirmed"]:
+            failures.append(f"draw {draw} (sigma {sigma:.4f}, k {k}): unconfirmed")
+        kept += 1
+        if kept == SWEEP_KEPT:
+            break
+    print(f"{name}: {kept} draws kept, {skipped} skipped")
+    assert kept == SWEEP_KEPT and failures == []

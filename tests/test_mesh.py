@@ -5,7 +5,7 @@ import pytest
 
 from fem_helpers import euler_characteristic
 from steklovlab import mesh as mesh_module
-from steklovlab.errors import ConfigError, MalformedMeshError
+from steklovlab.errors import MalformedMeshError
 from steklovlab.mesh import (
     LOCAL_EDGES,
     LOCAL_FACES,
@@ -179,7 +179,7 @@ def test_json_roundtrip(tmp_path):
 def test_load_rejects_bad_version(tmp_path):
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps({"version": 99, "vertices": [], "tets": [], "region": []}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(MalformedMeshError, match="'version' must be the integer 1, got 99"):
         load_mesh(path)
 
 

@@ -3,7 +3,9 @@ function and class of ``src/steklovlab/*.py`` (``__init__`` aside), and every
 method of those classes, is named by some ``ast.Name``, ``ast.Attribute`` or
 import in those modules.  Code that only tests call lives in a test helper
 module (``tests/fem_helpers.py``).  No module imports ``scipy.linalg``: the
-run path's dense kernels are ``numpy.linalg`` only."""
+run path's dense kernels are ``numpy.linalg`` only.  Every file a run reads
+goes through ``mesh.read_json``, and ``mesh.is_number`` is the one test for
+"a real number that is not a bool"."""
 
 import ast
 from pathlib import Path
@@ -70,3 +72,34 @@ def test_no_package_module_imports_scipy_linalg():
                        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.")
                               for name in imported_modules(ast.parse(path.read_text()))))
     assert importers == []
+
+
+def _owned_nodes(node, owner="<module>"):
+    """(name of the innermost function around it, or "<module>", node) of
+    each node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield owner, child
+        yield from _owned_nodes(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+
+def _names_bool(node):
+    return any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node))
+
+
+def test_one_json_reader_and_one_number_rule():
+    readers, bool_tests = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("load", "loads")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+                readers.append(f"{path.stem}.{owner}")
+            is_bool_test = (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and _names_bool(node.args[1])
+                or isinstance(node, ast.Compare) and any(map(_names_bool, node.comparators)))
+            if is_bool_test:
+                bool_tests.append(f"{path.stem}.{owner}")
+    assert readers == ["mesh.read_json"]
+    assert all(test == "mesh.is_number" for test in bool_tests), bool_tests
