@@ -28,15 +28,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from ._assembly import scatter_rect, scatter_square
-from .errors import MalformedMeshError, SolverFailure
-from .mesh import Mesh, SurfaceMesh
+from .errors import ConfigError, SolverFailure
+from .mesh import TRIANGLE_EDGES, Mesh, SurfaceMesh
 
 # midpoint quadrature on the reference triangle: exact for quadratic integrands
 _MID_BARY = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
-# the local edges of a triangle, in the order of Mesh.boundary_face_edges
-_TRI_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
 
 # keyword arguments of the pivoting factor that LUFactor falls back to: the
 # matrices are structurally symmetric, so a minimum-degree ordering of A + A^T
@@ -126,8 +125,6 @@ class LUFactor:
 def ground(L):
     """The free vertices: all but the first of each connected component of
     the graph of L."""
-    # imported here: csgraph adds start-up time to every run, scalar ones too
-    from scipy.sparse.csgraph import connected_components
     labels = connected_components(abs(L), directed=False)[1]
     grounded = np.unique(labels, return_index=True)[1]
     return np.setdiff1d(np.arange(L.shape[0]), grounded)
@@ -204,7 +201,7 @@ def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram
     """The boundary Gram form of ``mesh``, with L and D assembled by exact
     per-triangle integration (degree-2 rule)."""
     if surface.mesh is not mesh:
-        raise MalformedMeshError("surface was extracted from a different mesh")
+        raise ConfigError("surface was extracted from a different mesh")
     grads = surface.hat_gradients                      # (F, 3, 3)
     areas = surface.areas
 
@@ -213,15 +210,15 @@ def assemble_surface_operators(surface: SurfaceMesh, mesh: Mesh) -> BoundaryGram
     L = scatter_square(local_L, surface.triangles, surface.n_vertices)
 
     # orientation signs of the three edges of each triangle
-    pairs = surface.tri_vol[:, _TRI_PAIRS]             # (F, 3, 2) volume vertex ids
+    pairs = surface.tri_vol[:, TRIANGLE_EDGES]         # (F, 3, 2) volume vertex ids
     signs = np.where(pairs[:, :, 0] < pairs[:, :, 1], 1.0, -1.0)  # (F, 3)
 
     # tangential Whitney trace of edge e=(i,j) at quadrature point q:
     #   W_e(x_q) = s_e (lam_i(x_q) grad lam_j - lam_j(x_q) grad lam_i)
-    li = _MID_BARY[:, _TRI_PAIRS[:, 0]]                # (Q, 3 edges)
-    lj = _MID_BARY[:, _TRI_PAIRS[:, 1]]
-    gi = grads[:, _TRI_PAIRS[:, 0]]                    # (F, 3 edges, 3)
-    gj = grads[:, _TRI_PAIRS[:, 1]]
+    li = _MID_BARY[:, TRIANGLE_EDGES[:, 0]]            # (Q, 3 edges)
+    lj = _MID_BARY[:, TRIANGLE_EDGES[:, 1]]
+    gi = grads[:, TRIANGLE_EDGES[:, 0]]                # (F, 3 edges, 3)
+    gj = grads[:, TRIANGLE_EDGES[:, 1]]
     w = li[None, :, :, None] * gj[:, None] - lj[None, :, :, None] * gi[:, None]
     w *= signs[:, None, :, None]                       # (F, Q, E, 3)
     nxw = np.cross(surface.normals[:, None, None, :], w)

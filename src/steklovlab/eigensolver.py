@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .boundary_ops import BoundaryGram, LUFactor
 from .errors import ShiftAtEigenvalue
@@ -438,19 +439,11 @@ def cluster(values, reltol=1e-6):
     its numerical multiplicity one).
     """
     vals = np.asarray(values, dtype=np.complex128)
-    n = len(vals)
     scale = float(np.abs(vals).max(initial=0.0))
     near = np.abs(vals[:, None] - vals[None, :]) <= reltol * (scale if scale > 0 else 1.0)
-    # each value takes the lowest index among its neighbours until no label
-    # changes, so every component ends labelled by its first member
-    first = np.arange(n)
-    while True:
-        lowest = np.minimum.reduce(np.broadcast_to(first, (n, n)), axis=1, where=near, initial=n)
-        if np.array_equal(lowest, first):
-            break
-        first = lowest
-    firsts, labels = np.unique(first, return_inverse=True)
-    return labels, np.array([vals[labels == c].mean() for c in range(len(firsts))],
+    # scipy numbers the components in the order of their lowest-index members
+    n_clusters, labels = connected_components(sp.csr_matrix(near), directed=False)
+    return labels, np.array([vals[labels == c].mean() for c in range(n_clusters)],
                             dtype=np.complex128)
 
 

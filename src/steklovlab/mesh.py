@@ -14,10 +14,13 @@ Conventions
 * Boundary triangles are oriented so that (b-a) x (c-a) points out of the
   domain.
 * Every vertex belongs to at least one tetrahedron.
+* The boundary is a closed surface: each boundary edge borders exactly two
+  boundary faces.  ``Mesh`` construction decides every such rule, so a file,
+  a generator and a refinement are refused or accepted alike.
 
-Arrays only some callers read (centroids, tet gradients, boundary face edges,
-boundary and interior ids) are ``functools.cached_property`` values, built on
-first use and kept.
+Arrays only some callers read (centroids, tet gradients, boundary vertex ids
+and interior ids) are ``functools.cached_property`` values, built on first
+use and kept.
 
 Connectivity is deduplicated on 1-D int64 keys, never on rows.  A vertex
 pair lo < hi has the key ``lo * V + hi`` (V vertices), whose sort order is
@@ -43,16 +46,18 @@ from .errors import ConfigError, MalformedMeshError
 # opposite local vertex k and is oriented outward for a positive tet.
 LOCAL_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], dtype=np.int64)
 LOCAL_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]], dtype=np.int64)
+# Edge k of a triangle connects its local vertices TRIANGLE_EDGES[k].
+TRIANGLE_EDGES = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
 
 MESH_FORMAT_VERSION = 1
 
-# Bounds on the largest side of a mesh's bounding box (an empty mesh counts
-# as side 1).  The assembled forms carry up to the third power of the length
-# and the solvers square them, so a run over- or underflows well inside the
-# float range (2.2e-308 to 1.8e308): a cube n=2 scaled by 1e-35 draws numpy
-# warnings from the diagnostic's Lanczos, and one scaled by 1e60 from the
-# residual certificate.  The bounds keep the tenth power of the side and of
-# its inverse inside that range.  The config reader bounds omega, the shift,
+# Bounds on the largest side of a mesh's bounding box.  The assembled forms
+# carry up to the third power of the length and the solvers square them, so
+# a run over- or underflows well inside the float range (2.2e-308 to
+# 1.8e308): a cube n=2 scaled by 1e-35 draws numpy warnings from the
+# diagnostic's Lanczos, and one scaled by 1e60 from the residual
+# certificate.  The bounds keep the tenth power of the side and of its
+# inverse inside that range.  The config reader bounds omega, the shift,
 # tensor entries and the centers and sizes of perturbations by MAX_EXTENT too.
 MIN_EXTENT = 1e-30
 MAX_EXTENT = 1e30
@@ -84,7 +89,9 @@ class Mesh:
             raise MalformedMeshError(f"vertices must be (V, 3), got {vertices.shape}")
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise MalformedMeshError(f"tets must be (T, 4), got {tets.shape}")
-        if tets.size and (tets.min() < 0 or tets.max() >= len(vertices)):
+        if len(tets) == 0:
+            raise MalformedMeshError("mesh has no tets")
+        if tets.min() < 0 or tets.max() >= len(vertices):
             raise MalformedMeshError("tet vertex index out of range")
         if not np.all(np.bincount(tets.ravel(), minlength=len(vertices))):
             raise MalformedMeshError("a vertex belongs to no tet")
@@ -103,7 +110,7 @@ class Mesh:
             bad = int(np.argmin(vols))
             raise MalformedMeshError(f"tet {bad} has non-positive volume {vols[bad]:.3e}")
         with np.errstate(over="ignore"):
-            extent = float(np.ptp(vertices, axis=0).max()) if len(vertices) else 1.0
+            extent = float(np.ptp(vertices, axis=0).max())
         if not MIN_EXTENT <= extent <= MAX_EXTENT:
             raise MalformedMeshError(
                 f"mesh scale {extent:.3e} (largest bounding-box side) outside "
@@ -118,7 +125,8 @@ class Mesh:
         self._build_edges()
         self._build_faces()
         for arr in (self.vertices, self.tets, self.region, self.edges, self._edge_keys,
-                    self.tet_edges, self.tet_edge_signs, self.boundary_faces):
+                    self.tet_edges, self.tet_edge_signs, self.boundary_faces,
+                    self.boundary_face_edges, self.boundary_edge_ids):
             arr.setflags(write=False)
 
     # ------------------------------------------------------------------ #
@@ -139,9 +147,13 @@ class Mesh:
         _, first, counts = np.unique(keys, return_index=True, return_counts=True)
         if np.any(counts > 2):
             raise MalformedMeshError("a face is shared by more than two tets (non-manifold)")
-        single = first[counts == 1]
-        self.boundary_faces = faces[single]
-        self.boundary_face_tets = single // 4
+        self.boundary_faces = faces[first[counts == 1]]
+        # global ids of the edges TRIANGLE_EDGES of each boundary face, (F, 3)
+        pairs = np.sort(self.boundary_faces[:, TRIANGLE_EDGES], axis=2)
+        self.boundary_face_edges = self.find_edges(pairs.reshape(-1, 2)).reshape(-1, 3)
+        self.boundary_edge_ids, uses = np.unique(self.boundary_face_edges, return_counts=True)
+        if np.any(uses != 2):
+            raise MalformedMeshError("boundary surface is not closed")
 
     # ------------------------------------------------------------------ #
     @property
@@ -187,16 +199,6 @@ class Mesh:
         return np.setdiff1d(np.arange(self.n_vertices), self.boundary_vertex_ids)
 
     @cached_property
-    def boundary_face_edges(self):
-        """Global ids of the edges (0, 1), (0, 2), (1, 2) of each boundary face, (F, 3)."""
-        pairs = np.sort(self.boundary_faces[:, [[0, 1], [0, 2], [1, 2]]], axis=2)
-        return self.find_edges(pairs.reshape(-1, 2)).reshape(-1, 3)
-
-    @cached_property
-    def boundary_edge_ids(self):
-        return np.unique(self.boundary_face_edges)
-
-    @cached_property
     def interior_edge_ids(self):
         return np.setdiff1d(np.arange(self.n_edges), self.boundary_edge_ids)
 
@@ -217,12 +219,15 @@ class SurfaceMesh:
     ``triangles`` index into the surface vertex numbering; ``tri_vol`` keeps
     the original volume vertex ids (outward orientation preserved).  Each
     triangle carries its area and outward unit normal.
+
+    ``Mesh`` has checked that the surface is closed.  Its normals point
+    outward because the tet volumes are positive: for a tet and its local
+    face (a, b, c), (b - a) x (c - a) . (face centroid - tet centroid) is
+    1.5 times the tet volume.
     """
 
     def __init__(self, mesh: Mesh):
         tri_vol = mesh.boundary_faces
-        if len(tri_vol) == 0:
-            raise MalformedMeshError("mesh has no boundary faces")
         vertex_ids = mesh.boundary_vertex_ids
         vol_to_surf = -np.ones(mesh.n_vertices, dtype=np.int64)
         vol_to_surf[vertex_ids] = np.arange(len(vertex_ids))
@@ -248,22 +253,9 @@ class SurfaceMesh:
         g2 = np.cross(self.normals, p[:, 1] - p[:, 0]) / dbl[:, None]
         self.hat_gradients = np.stack([g0, g1, g2], axis=1)
 
-        self._check_closed()
-        self._check_outward()
-
     @property
     def n_vertices(self):
         return len(self.vertex_ids)
-
-    def _check_closed(self):
-        if np.any(np.unique(self.mesh.boundary_face_edges, return_counts=True)[1] != 2):
-            raise MalformedMeshError("boundary surface is not closed")
-
-    def _check_outward(self):
-        face_c = self.mesh.vertices[self.tri_vol].mean(axis=1)
-        tet_c = self.mesh.centroids[self.mesh.boundary_face_tets]
-        if np.any(np.einsum("ij,ij->i", self.normals, face_c - tet_c) <= 0.0):
-            raise MalformedMeshError("boundary triangle normal points inward")
 
 
 # ---------------------------------------------------------------------- #
@@ -470,6 +462,9 @@ def load_mesh(path) -> Mesh:
     version = doc.get("version")
     if type(version) is not int or version != MESH_FORMAT_VERSION:     # true and 1.0 equal 1
         raise MalformedMeshError(f"mesh file 'version' must be the integer 1, got {version!r}")
+    unknown = sorted(set(doc) - {"version", "vertices", "tets", "region", "kind"})
+    if unknown:
+        raise MalformedMeshError(f"mesh file has unknown key {unknown[0]!r}")
     for key in ("vertices", "tets", "region"):
         if key not in doc:
             raise MalformedMeshError(f"mesh file missing '{key}'")

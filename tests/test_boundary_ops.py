@@ -60,9 +60,9 @@ def test_D_row_locality_structural(ops):
     # edge columns present in D
     col = D.indptr
     tri_edges = {}
-    from steklovlab.boundary_ops import _TRI_PAIRS
+    from steklovlab.mesh import TRIANGLE_EDGES
 
-    pairs = surf.tri_vol[:, _TRI_PAIRS]
+    pairs = surf.tri_vol[:, TRIANGLE_EDGES]
     lo = pairs.min(axis=2)
     hi = pairs.max(axis=2)
     eids = mesh.find_edges(np.stack([lo.ravel(), hi.ravel()], axis=1)).reshape(-1, 3)

@@ -369,6 +369,14 @@ MALFORMED_MESH_FILES = {
     "version-2": (["version"], 2, "mesh file 'version' must be the integer 1, got 2"),
     "region-missing": (["region"], _ABSENT, "mesh file missing 'region'"),
     "root-list": ([], [1], "mesh file {path} is not a JSON object"),
+    # a misspelled "kind" would run as generic and refine a ball without re-projection
+    "unknown-key": (["knd"], "ball", "mesh file has unknown key 'knd'"),
+    "tet-index-27": (["tets", 0, 0], 27, "tet vertex index out of range"),
+    # tets[0] is [0, 9, 12, 13]: two indices swapped invert it
+    "tet-inverted": (["tets", 0], [0, 9, 13, 12], "tet 0 has non-positive volume -2.083e-02"),
+    "tets-3-columns": (["tets"], generate_cube_mesh(2).tets[:, :3].tolist(),
+                       "tets must be (T, 4), got (48, 3)"),
+    "region-short": (["region"], [1] * 47, "region tag array must have one entry per tet"),
 }
 
 
@@ -403,6 +411,28 @@ def test_malformed_mesh_file_is_one_error_line(tmp_path, capsys, case):
     assert run(["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: malformed-mesh: {message.format(path=path)}"]
+    assert not out.exists()
+
+
+# two positive tets that share only the edge (0, 1): a pinched boundary, not a closed surface
+PINCHED_MESH = {
+    "version": 1,
+    "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]],
+    "tets": [[0, 1, 2, 3], [0, 1, 4, 5]],
+    "region": [1, 1],
+}
+
+
+@pytest.mark.parametrize("problem", ["scalar", "maxwell"])
+@pytest.mark.parametrize("command", ["solve", "diagnose", "study"])
+def test_pinched_mesh_file_is_refused_before_any_output(tmp_path, capsys, problem, command):
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps(PINCHED_MESH))
+    doc = {**_CUBE_STUDY, "problem": problem, "mesh": {"path": str(path)}}
+    out = tmp_path / "out"
+    assert run([command, "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: malformed-mesh: boundary surface is not closed"]
     assert not out.exists()
 
 

@@ -27,9 +27,9 @@ def check_invariants(mesh):
     assert set(counts) <= {1, 2}
     surf = extract_boundary(mesh)
     assert euler_characteristic(surf) == 2
-    # outward orientation (also asserted inside SurfaceMesh)
+    # outward orientation, which SurfaceMesh takes from the positive volumes
     face_c = mesh.vertices[surf.tri_vol].mean(axis=1)
-    tet_c = mesh.centroids[mesh.boundary_face_tets]
+    tet_c = mesh.centroids[_rowwise_connectivity(mesh)["boundary_face_tets"]]
     assert np.all(np.einsum("ij,ij->i", surf.normals, face_c - tet_c) > 0)
 
 
@@ -116,6 +116,11 @@ def test_nonmanifold_rejected():
     tets = np.array([[0, 1, 2, 3], [0, 2, 1, 4], [0, 1, 2, 5]])
     with pytest.raises(MalformedMeshError):
         Mesh(verts, tets)
+
+
+def test_empty_mesh_rejected():
+    with pytest.raises(MalformedMeshError, match="mesh has no tets"):
+        Mesh(np.zeros((0, 3)), np.zeros((0, 4), dtype=np.int64))
 
 
 def test_refine_cube1_counts_and_volume():
@@ -232,7 +237,9 @@ def _permuted_cube3():
 ], ids=["cube1", "cube2", "cube3", "ball0", "ball1", "ball2", "cube3-permuted"])
 def test_connectivity_matches_rowwise_reference(make):
     mesh = make()
-    for name, expect in _rowwise_connectivity(mesh).items():
+    reference = _rowwise_connectivity(mesh)
+    del reference["boundary_face_tets"]              # read by check_invariants only
+    for name, expect in reference.items():
         got = getattr(mesh, name)
         assert got.shape == expect.shape and np.array_equal(got, expect), name
 

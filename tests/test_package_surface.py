@@ -5,7 +5,8 @@ import in those modules.  Code that only tests call lives in a test helper
 module (``tests/fem_helpers.py``).  No module imports ``scipy.linalg``: the
 run path's dense kernels are ``numpy.linalg`` only.  Every file a run reads
 goes through ``mesh.read_json``, and ``mesh.is_number`` is the one test for
-"a real number that is not a bool"."""
+"a real number that is not a bool".  Only ``mesh`` decides that a mesh is
+malformed."""
 
 import ast
 from pathlib import Path
@@ -103,3 +104,14 @@ def test_one_json_reader_and_one_number_rule():
                 bool_tests.append(f"{path.stem}.{owner}")
     assert readers == ["mesh.read_json"]
     assert all(test == "mesh.is_number" for test in bool_tests), bool_tests
+
+
+def test_only_mesh_raises_malformed_mesh():
+    raisers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None and any(
+                    isinstance(n, ast.Name) and n.id == "MalformedMeshError"
+                    for n in ast.walk(node.exc)):
+                raisers.append(f"{path.stem}.{owner}")
+    assert raisers and all(raiser.startswith("mesh.") for raiser in raisers), raisers

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import threading
 
 import numpy as np
@@ -509,3 +510,98 @@ def test_study_computes_at_one_blas_thread(cube3, monkeypatch):
             set_(n)
     assert inside == [[1] * len(pools)] * 4
     assert cli._json_safe(reports[0]) == cli._json_safe(reports[1])
+
+
+def _edit_step_solves(monkeypatch, edit):
+    """Patch the study's solver so that the result of every solve after the
+    first (the baseline) is ``edit(result)``."""
+    real = stability.solve_shift_invert
+    calls = []
+
+    def edited(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res)
+        return res if len(calls) == 1 else edit(res)
+
+    monkeypatch.setattr(stability, "solve_shift_invert", edited)
+    return calls
+
+
+def _csv_cells(report):
+    header, *rows = report.csv_rows()
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _assert_unmatched(report, status, n_matched):
+    (step,) = report.steps
+    assert (step.status, step.n_matched) == (status, n_matched)
+    assert step.confirmed is not None                    # the step solved
+    assert (step.lam, step.drift, step.cluster_diameter, step.predicted) == (None,) * 4
+    (cells,) = _csv_cells(report)
+    assert cells["status"] == status
+    assert (cells["drift"], cells["predicted_re"], cells["predicted_im"]) == (None,) * 3
+    assert cells["diag_kind"] == "bound"
+
+
+def test_step_with_no_value_in_the_guard_loses_track(cube3, monkeypatch):
+    setup = maxwell_setup(schedule=[(0.45, 1e-3j)])
+    ref = run_study(setup, cube3)
+    calls = _edit_step_solves(monkeypatch, lambda res: dataclasses.replace(
+        res, eigenvalues=res.eigenvalues[np.abs(res.eigenvalues - ref.lambda0)
+                                         >= ref.guard_radius]))
+    report = run_study(setup, cube3)
+    assert len(calls) == 2
+    _assert_unmatched(report, "lost-track", 0)
+
+
+def test_step_with_one_value_too_many_in_the_guard_is_ambiguous(cube3, monkeypatch):
+    setup = maxwell_setup(schedule=[(0.45, 1e-3j)])
+    ref = run_study(setup, cube3)
+    n = ref.cluster_size + 1
+    _edit_step_solves(monkeypatch, lambda res: dataclasses.replace(
+        res, eigenvalues=np.full(n, ref.lambda0)))
+    report = run_study(setup, cube3)
+    _assert_unmatched(report, "ambiguous", n)
+
+
+def test_step_below_the_threshold_aborts_without_a_solve(cube3, monkeypatch):
+    # the baseline diagnostic reads exactly the threshold, so the Weyl bound
+    # (below the baseline value) cannot certify the step, and the step's own
+    # diagnostic reads half the threshold
+    values = []
+
+    def diagnostic(self, pencil):
+        values.append(1.0 if not values else 0.5)
+        return values[-1]
+
+    monkeypatch.setattr(stability.Problem, "diagnostic", diagnostic)
+    calls = _edit_step_solves(monkeypatch, lambda res: res)
+    report = run_study(maxwell_setup(schedule=[(0.45, 1e-3j)], diag_threshold=1.0), cube3)
+    assert values == [1.0, 0.5]
+    assert len(calls) == 1                                # the baseline only
+    (step,) = report.steps
+    assert step.status == "aborted-diagnostic"
+    assert (step.diag_sigma, step.diag_kind) == (0.5, "lanczos")
+    assert (step.confirmed, step.partial, step.n_matched, step.lam) == (None, None, 0, None)
+    (cells,) = _csv_cells(report)
+    assert (cells["status"], cells["diag_sigma"], cells["diag_kind"]) == (
+        "aborted-diagnostic", 0.5, "lanczos")
+    assert cells["drift"] is None and cells["norm_eps_p4"] > 0.0
+
+
+def test_degenerate_cluster_records_no_prediction(cube3, monkeypatch):
+    setup = maxwell_setup(schedule=[(0.45, 1e-3j)])
+    (ref,) = run_study(setup, cube3).steps
+    monkeypatch.setattr(stability, "C_THRESHOLD", 1e30)
+    report = run_study(setup, cube3)
+    (step,) = report.steps
+    assert step.status == "ok"
+    assert (step.lam, step.drift) == (ref.lam, ref.drift)
+    assert ref.predicted is not None and ref.prediction_note == ""
+    assert step.predicted is None
+    assert re.fullmatch(r"sigma_min\(C\) = \S+ below threshold 1\.0e\+30 x \S+",
+                        step.prediction_note)
+    assert cli._json_safe(step)["prediction_note"] == step.prediction_note
+    (cells,) = _csv_cells(report)
+    assert cells["status"] == "ok" and cells["drift"] == ref.drift
+    assert (cells["predicted_re"], cells["predicted_im"]) == (None, None)
