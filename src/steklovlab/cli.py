@@ -301,13 +301,9 @@ def _study(st):
     }
 
 
-def load_config(path) -> RunConfig:
-    return _run_config(read_json(path, ConfigError))
-
-
 def _config(args) -> RunConfig:
     """The config of ``args``; ``--seed``, checked as ``solver.seed`` is, replaces that key."""
-    cfg = load_config(args.config)
+    cfg = _run_config(read_json(args.config, ConfigError))
     if args.seed is not None:
         cfg.seed = _number(vars(args), "seed", where="--", cast=int, minimum=0)
     if args.command == "study":
@@ -450,8 +446,7 @@ def cmd_solve(cfg: RunConfig, mesh, out: Path) -> int:
     ])
 
     meta["census"] = census
-    meta["solver"].update({key: result.meta[key] for key in (
-        "converged", "iterations", "partial", "confirmed", "exhausted", "sweeps", "schur_defect")})
+    meta["solver"].update(result.meta)
     meta["cluster_means"] = means
     _write_json(out / "solve_meta.json", meta)
     print(f"wrote {csv_path} ({len(result)} eigenvalues)")

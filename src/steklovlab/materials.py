@@ -173,37 +173,37 @@ def validate(fld: MaterialField, omega: float | None = None) -> MaterialReport:
     """
     t = fld.distinct_tensors()
     tT = t.transpose(0, 2, 1)
-    scale = max(1.0, float(np.abs(t).max()) if t.size else 1.0)
-    symmetry = float(np.abs(t - tT).max()) / scale if t.size else 0.0
+    scale = max(1.0, float(np.abs(t).max()))
+    symmetry = float(np.abs(t - tT).max()) / scale
 
     failures = []
     realness = 0.0
     conductivity_min = None
     if fld.name == "mu_inv":
-        realness = float(np.abs(t.imag).max()) / scale if t.size else 0.0
+        realness = float(np.abs(t.imag).max()) / scale
         if realness > _SYMMETRY_TOL:
             failures.append(f"mu_inv not real (defect {realness:.2e})")
         if symmetry > _SYMMETRY_TOL:
             failures.append(f"mu_inv not symmetric (defect {symmetry:.2e})")
         sym_real = 0.5 * (t.real + t.real.transpose(0, 2, 1))
-        coercivity = float(np.linalg.eigvalsh(sym_real).min()) if t.size else np.inf
+        coercivity = float(np.linalg.eigvalsh(sym_real).min())
         if coercivity <= 0:
             failures.append(f"mu_inv not positive definite (min eig {coercivity:.2e})")
         normality = 0.0
     else:
         herm = 0.5 * (t + np.conj(tT))
-        coercivity = float(np.linalg.eigvalsh(herm).min().real) if t.size else np.inf
+        coercivity = float(np.linalg.eigvalsh(herm).min().real)
         if coercivity <= 0:
             failures.append(f"Re(eps) not coercive (min eig {coercivity:.2e})")
         tH = np.conj(tT)
         comm = t @ tH - tH @ t
-        nscale = max(1.0, float((np.abs(t) ** 2).sum(axis=(1, 2)).max()) if t.size else 1.0)
-        normality = float(np.abs(comm).max()) / nscale if t.size else 0.0
+        nscale = max(1.0, float((np.abs(t) ** 2).sum(axis=(1, 2)).max()))
+        normality = float(np.abs(comm).max()) / nscale
         if normality > _NORMALITY_TOL:
             failures.append(f"eps not normal (defect {normality:.2e})")
         if symmetry > _SYMMETRY_TOL:
             failures.append(f"eps not symmetric (defect {symmetry:.2e})")
-        if omega is not None and omega != 0 and t.size:
+        if omega is not None and omega != 0:
             sigma = omega * 0.5 * (t.imag + t.imag.transpose(0, 2, 1))
             conductivity_min = float(np.linalg.eigvalsh(sigma).min())
 
@@ -234,7 +234,7 @@ def lp_diff_norm(f: MaterialField, g: MaterialField, p) -> float:
     pairs = f.labels * (g.labels.max(initial=0) + 1) + g.labels
     _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
     svals = np.linalg.norm(f.tensors[first] - g.tensors[first], 2, axis=(1, 2))[inverse]
-    m = float(svals.max()) if svals.size else 0.0
+    m = float(svals.max())
     if p == np.inf or m == 0.0:
         return m
     return m * float(np.sum(f.mesh.volumes * (svals / m) ** p) ** (1.0 / p))

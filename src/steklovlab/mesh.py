@@ -15,8 +15,10 @@ Conventions
   domain.
 * Every vertex belongs to at least one tetrahedron.
 * The boundary is a closed surface: each boundary edge borders exactly two
-  boundary faces.  ``Mesh`` construction decides every such rule, so a file,
-  a generator and a refinement are refused or accepted alike.
+  boundary faces, and the faces at each boundary vertex form one fan (the
+  surface is not pinched at a vertex).  ``Mesh`` construction decides every
+  such rule, so a file, a generator and a refinement are refused or accepted
+  alike.
 
 Arrays only some callers read (centroids, tet gradients, boundary vertex ids
 and interior ids) are ``functools.cached_property`` values, built on first
@@ -39,6 +41,8 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, MalformedMeshError
 
@@ -149,11 +153,23 @@ class Mesh:
             raise MalformedMeshError("a face is shared by more than two tets (non-manifold)")
         self.boundary_faces = faces[first[counts == 1]]
         # global ids of the edges TRIANGLE_EDGES of each boundary face, (F, 3)
-        pairs = np.sort(self.boundary_faces[:, TRIANGLE_EDGES], axis=2)
+        ends = self.boundary_faces[:, TRIANGLE_EDGES]
+        lo_hi = np.argsort(ends, axis=2)                       # local corners of (lo, hi)
+        pairs = np.take_along_axis(ends, lo_hi, axis=2)
         self.boundary_face_edges = self.find_edges(pairs.reshape(-1, 2)).reshape(-1, 3)
         self.boundary_edge_ids, uses = np.unique(self.boundary_face_edges, return_counts=True)
         if np.any(uses != 2):
             raise MalformedMeshError("boundary surface is not closed")
+        # a corner (3 f + j) is vertex j of boundary face f; the two faces of a
+        # boundary edge link their corners at each end, and the corners at a
+        # vertex are connected exactly when its faces form one fan
+        n = 3 * len(ends)
+        corners = np.arange(0, n, 3)[:, None, None] + TRIANGLE_EDGES[np.arange(3)[:, None], lo_hi]
+        linked = corners.reshape(-1, 2)[np.argsort(self.boundary_face_edges, axis=None)]
+        graph = sp.coo_matrix((np.ones(n), (linked[0::2].ravel(), linked[1::2].ravel())),
+                              shape=(n, n))
+        if connected_components(graph, directed=False)[0] != len(self.boundary_vertex_ids):
+            raise MalformedMeshError("boundary surface is pinched at a vertex")
 
     # ------------------------------------------------------------------ #
     @property

@@ -377,6 +377,8 @@ MALFORMED_MESH_FILES = {
     "tets-3-columns": (["tets"], generate_cube_mesh(2).tets[:, :3].tolist(),
                        "tets must be (T, 4), got (48, 3)"),
     "region-short": (["region"], [1] * 47, "region tag array must have one entry per tet"),
+    "vertices-2-columns": (["vertices"], generate_cube_mesh(2).vertices[:, :2].tolist(),
+                           "vertices must be (V, 3), got (27, 2)"),
 }
 
 
@@ -414,25 +416,32 @@ def test_malformed_mesh_file_is_one_error_line(tmp_path, capsys, case):
     assert not out.exists()
 
 
-# two positive tets that share only the edge (0, 1): a pinched boundary, not a closed surface
-PINCHED_MESH = {
-    "version": 1,
-    "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]],
-    "tets": [[0, 1, 2, 3], [0, 1, 4, 5]],
-    "region": [1, 1],
+# mesh files of two positive tets whose boundary is not a Lipschitz surface:
+# name -> (vertices, tets, the message after "error: malformed-mesh: ")
+PINCHED_MESHES = {
+    # the tets share only the edge (0, 1): the surface is not closed
+    "edge": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]],
+             [[0, 1, 2, 3], [0, 1, 4, 5]], "boundary surface is not closed"),
+    # the tets share only vertex 0: closed, but two fans meet there
+    "vertex": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+               [[0, 1, 2, 3], [0, 4, 6, 5]], "boundary surface is pinched at a vertex"),
 }
 
 
-@pytest.mark.parametrize("problem", ["scalar", "maxwell"])
+@pytest.mark.parametrize("problem, pinch", [
+    ("scalar", "edge"), ("scalar", "vertex"), ("maxwell", "edge"), ("maxwell", "vertex"),
+], ids=["scalar", "scalar-vertex", "maxwell", "maxwell-vertex"])
 @pytest.mark.parametrize("command", ["solve", "diagnose", "study"])
-def test_pinched_mesh_file_is_refused_before_any_output(tmp_path, capsys, problem, command):
+def test_pinched_mesh_file_is_refused_before_any_output(tmp_path, capsys, problem, command, pinch):
+    vertices, tets, message = PINCHED_MESHES[pinch]
     path = tmp_path / "pinched.json"
-    path.write_text(json.dumps(PINCHED_MESH))
+    path.write_text(json.dumps({"version": 1, "vertices": vertices, "tets": tets,
+                                "region": [1, 1]}))
     doc = {**_CUBE_STUDY, "problem": problem, "mesh": {"path": str(path)}}
     out = tmp_path / "out"
     assert run([command, "--config", write_config(tmp_path, doc), "--output", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: malformed-mesh: boundary surface is not closed"]
+    assert err == [f"error: malformed-mesh: {message}"]
     assert not out.exists()
 
 
@@ -861,6 +870,20 @@ _MAXWELL = {**_SMALL, "problem": "maxwell", "omega": 1.0, "mesh": {"kind": "cube
 _STUDY = {"schedule": [{"h": 0.3, "delta_im": 1e-3}]}
 # a mesh.path that the test points at a file of the row's bytes
 _MESH_FILE = "<mesh file>"
+_SKEWED = [[2, 1, 0], [0, 2, 0], [0, 0, 2]]     # neither symmetric nor normal
+# the whole message after "error: <kind>: " of some rows, by id
+_BAD_INPUT_MESSAGES = {
+    "below-diagnostic-threshold": "well-posedness diagnostic 9.369e-01 below threshold 1.0e+00",
+    "config-root-list": "config root must be a JSON object",
+    "mesh-path-number": "mesh.path must be a string, got 3",
+    "cube-n-missing": "mesh.n is required",
+    "omega-integer-beyond-float": f"omega must be finite, got {10**400}",
+    "tensor-key-imag": "materials.eps.1 invalid: unknown tensor keys ['imag']",
+    "maxwell-eps-not-symmetric": "field 'eps' invalid: eps not normal (defect 7.69e-02); "
+                                 "eps not symmetric (defect 5.00e-01)",
+    "maxwell-eps-not-normal": "field 'eps' invalid: eps not normal (defect 2.50e-01)",
+    "mu-inv-not-symmetric": "field 'mu_inv' invalid: mu_inv not symmetric (defect 5.00e-01)",
+}
 
 
 @pytest.mark.parametrize("command, doc, kind, code", [
@@ -959,6 +982,17 @@ _MESH_FILE = "<mesh file>"
      "config-error", 1),
     ("solve", (_with(_SMALL, ("mesh",), {"path": _MESH_FILE}), b'{"version": ' + b"9" * 5000 + b"}"),
      "malformed-mesh", 1),
+    ("diagnose", _with(_SMALL, ("diagnostics", "threshold"), 1.0), "assumption-violation", 2),
+    ("solve", [], "config-error", 1),
+    ("solve", _with(_SMALL, ("mesh",), {"path": 3}), "config-error", 1),
+    ("solve", _with(_SMALL, ("mesh",), {"kind": "cube"}), "config-error", 1),
+    ("solve", _with(_SMALL, ("omega",), 10**400), "config-error", 1),
+    ("solve", _with(_SMALL, ("materials", "eps", "1"), {"re": 1, "imag": 0}), "config-error", 1),
+    ("diagnose", _with(_MAXWELL, ("materials", "eps", "1"), _SKEWED), "assumption-violation", 2),
+    ("diagnose", _with(_MAXWELL, ("materials", "eps", "1"),
+                       {"re": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+                        "im": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}), "assumption-violation", 2),
+    ("diagnose", _with(_SMALL, ("materials", "mu_inv", "1"), _SKEWED), "assumption-violation", 2),
 ], ids=["solver-list", "census-list", "sigma-list", "missing-mesh-path", "nan-omega",
         "nan-material", "negative-tol", "study-with-perturbations", "target-lambda-list",
         "krylov-dim-zero", "max-krylov-zero", "census-delta-range",
@@ -980,8 +1014,12 @@ _MESH_FILE = "<mesh file>"
         "huge-sigma-re", "maxwell-huge-sigma-im", "huge-perturbation-delta",
         "huge-schedule-delta", "huge-perturbation-center", "huge-study-center",
         "lanczos-overflow", "region-tag-leading-zero", "region-tag-underscore",
-        "repeated-key", "mesh-file-repeated-key", "integer-too-long", "mesh-file-integer-too-long"])
-def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc, kind, code):
+        "repeated-key", "mesh-file-repeated-key", "integer-too-long", "mesh-file-integer-too-long",
+        "below-diagnostic-threshold", "config-root-list", "mesh-path-number", "cube-n-missing",
+        "omega-integer-beyond-float", "tensor-key-imag", "maxwell-eps-not-symmetric",
+        "maxwell-eps-not-normal", "mu-inv-not-symmetric"])
+def test_bad_input_is_one_error_line(request, tmp_path, monkeypatch, capsys, command, doc, kind,
+                                     code):
     if kind == "solver-failure" and doc is _SMALL:
         def fail(args):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -1004,8 +1042,12 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, command, doc
     assert "Traceback" not in err
     lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
+    message = _BAD_INPUT_MESSAGES.get(request.node.callspec.id)
+    assert message is None or lines[0] == f"error: {kind}: {message}"
     if kind in ("config-error", "out-of-memory"):
         assert not out.exists()      # rejected before any output is written
+    if command == "diagnose" and kind == "assumption-violation":
+        assert _strict_json(out / "diagnostics.json")["passed"] is False
 
 
 @pytest.mark.parametrize("doc, message", [

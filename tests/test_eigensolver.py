@@ -598,7 +598,8 @@ def test_pencil_residual_matches_definition():
     num = np.linalg.norm(A0 @ x - lam * (B @ x))
     den = np.abs(A0).sum(axis=1).max() * np.linalg.norm(x) + abs(lam) * np.linalg.norm(B @ x)
     assert num / den > 1e-3
-    assert pencil_residual(A0, B, lam, x) == pytest.approx(num / den, rel=1e-12, abs=0)
+    residual = pencil_residual(A0, B, lam, x, eigensolver._a0_norm(A0))
+    assert residual == pytest.approx(num / den, rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------------------ shift sweep

@@ -118,6 +118,19 @@ def test_nonmanifold_rejected():
         Mesh(verts, tets)
 
 
+@pytest.mark.parametrize("shift, message", [
+    ((1.0, 1.0, 1.0), "boundary surface is pinched at a vertex"),
+    ((1.0, 1.0, 0.0), "boundary surface is not closed"),
+], ids=["corner", "edge"])
+def test_cubes_touching_at_a_corner_or_an_edge_rejected(shift, message):
+    # a vertex of the shifted copy that lands on one of the cube's is that vertex
+    cube = generate_cube_mesh(2)
+    ids = {tuple(v): i for i, v in enumerate(cube.vertices)}
+    index = np.array([ids.setdefault(tuple(v), len(ids)) for v in cube.vertices + shift])
+    with pytest.raises(MalformedMeshError, match=message):
+        Mesh(list(ids), np.concatenate([cube.tets, index[cube.tets]]))
+
+
 def test_empty_mesh_rejected():
     with pytest.raises(MalformedMeshError, match="mesh has no tets"):
         Mesh(np.zeros((0, 3)), np.zeros((0, 4), dtype=np.int64))

@@ -6,7 +6,8 @@ module (``tests/fem_helpers.py``).  No module imports ``scipy.linalg``: the
 run path's dense kernels are ``numpy.linalg`` only.  Every file a run reads
 goes through ``mesh.read_json``, and ``mesh.is_number`` is the one test for
 "a real number that is not a bool".  Only ``mesh`` decides that a mesh is
-malformed."""
+malformed.  The package root re-exports nothing: every definition is imported
+from the module that defines it."""
 
 import ast
 from pathlib import Path
@@ -115,3 +116,11 @@ def test_only_mesh_raises_malformed_mesh():
                     for n in ast.walk(node.exc)):
                 raisers.append(f"{path.stem}.{owner}")
     assert raisers and all(raiser.startswith("mesh.") for raiser in raisers), raisers
+
+
+def test_package_root_holds_only_its_version():
+    # its docstring and ``__version__ = ...``: no import, no ``__all__``
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert [type(node).__name__ for node in body] == ["Expr", "Assign"]
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+    assert [ast.unparse(target) for target in body[1].targets] == ["__version__"]
